@@ -12,7 +12,6 @@ from .composition import Composition, enumerate_compositions, parse_composition
 from .permutation import (
     Permutation,
     all_permutations,
-    compose,
     from_code,
     identity,
     longest_element,
@@ -40,11 +39,11 @@ from .wset import (
 )
 from .cohomology import (
     FactoredClass,
-    RootSystemA,
     base_class_orthogonal,
     base_class_symplectic,
     block_pair_factor,
     cross_block_chern_class,
+    cross_block_roots,
     cross_block_factor,
     cross_pair_factor,
     equivariant_class_orthogonal,
@@ -77,7 +76,6 @@ __all__ = [
     "ORTHOGONAL",
     "Permutation",
     "Polynomial",
-    "RootSystemA",
     "SchubertExpansion",
     "SYMPLECTIC",
     "VariableSpace",
@@ -87,8 +85,8 @@ __all__ = [
     "base_class_symplectic",
     "block_pair_factor",
     "block_word",
-    "compose",
     "cross_block_chern_class",
+    "cross_block_roots",
     "cross_block_factor",
     "cross_pair_factor",
     "enumerate_compositions",

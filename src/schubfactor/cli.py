@@ -20,6 +20,7 @@ success/pass, 1 on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -64,28 +65,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wset", help="list the member family of a composition")
     add_common(p, mu=True, family=True)
     p.add_argument("--dot", action="store_true", help="emit a DOT graph of isolated labeled vertices")
+    p.set_defaults(run=_cmd_wset)
 
     p = sub.add_parser("schubert", help="print one Schubert polynomial")
     add_common(p, n=True, perm=True)
+    p.set_defaults(run=_cmd_schubert)
 
     p = sub.add_parser("formula", help="factored ordinary class for a composition")
     add_common(p, mu=True, family=True)
     p.add_argument("--expand", action="store_true", help="print the expanded polynomial")
+    p.set_defaults(run=functools.partial(_cmd_formula, equivariant=False))
 
     p = sub.add_parser("equivariant", help="factored equivariant class for a composition")
     add_common(p, mu=True, family=True)
     p.add_argument("--expand", action="store_true", help="print the expanded polynomial")
+    p.set_defaults(run=functools.partial(_cmd_formula, equivariant=True))
 
     p = sub.add_parser("expand", help="Schubert expansion of the ordinary class")
     add_common(p, mu=True, family=True)
+    p.set_defaults(run=_cmd_expand)
 
     p = sub.add_parser("verify", help="verify one sum-equals-product identity")
     add_common(p, mu=True, family=True)
     p.add_argument("--timings", action="store_true", help="include elapsed ms in JSON output")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("sweep", help="verify all compositions of n")
     add_common(p, n=True, family=True)
     p.add_argument("--timings", action="store_true", help="include elapsed ms in JSON output")
+    p.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -103,7 +111,7 @@ def _parse_mu(args) -> Composition:
         raise _UsageError(
             f"ambient size {mu.total} exceeds guard --max-n {args.max_n}"
         )
-    if getattr(args, "family", None) == verifier.SYMPLECTIC and not mu.all_even():
+    if verifier.needs_even_parts(args.family) and not mu.all_even():
         raise _UsageError(f"symplectic family needs even parts, got {mu}")
     return mu
 
@@ -153,18 +161,17 @@ def _cmd_schubert(args) -> int:
 def _cmd_formula(args, equivariant: bool) -> int:
     mu = _parse_mu(args)
     if equivariant:
-        maker = (
-            cohomology.equivariant_class_orthogonal_factored
-            if args.family == verifier.ORTHOGONAL
-            else cohomology.equivariant_class_symplectic_factored
-        )
+        factored = verifier.by_family(
+            args.family,
+            cohomology.equivariant_class_orthogonal_factored,
+            cohomology.equivariant_class_symplectic_factored,
+        )(mu)
     else:
-        maker = (
-            cohomology.ordinary_class_orthogonal_factored
-            if args.family == verifier.ORTHOGONAL
-            else cohomology.ordinary_class_symplectic_factored
-        )
-    factored = maker(mu)
+        factored = verifier.by_family(
+            args.family,
+            cohomology.ordinary_class_orthogonal_factored,
+            cohomology.ordinary_class_symplectic_factored,
+        )(mu)
     if args.format == "json":
         _emit_json(factored.expand().to_json_dict())
     elif args.expand:
@@ -199,7 +206,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.n > args.max_n:
         raise _UsageError(f"ambient size {args.n} exceeds guard --max-n {args.max_n}")
-    if args.family == verifier.SYMPLECTIC and args.n % 2 != 0:
+    if verifier.needs_even_parts(args.family) and args.n % 2 != 0:
         raise _UsageError(f"symplectic sweeps need even n, got {args.n}")
     reports = verifier.sweep(args.n, args.family)
     all_pass = all(r.passed for r in reports)
@@ -227,27 +234,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        if args.command == "wset":
-            return _cmd_wset(args)
-        if args.command == "schubert":
-            return _cmd_schubert(args)
-        if args.command == "formula":
-            return _cmd_formula(args, equivariant=False)
-        if args.command == "equivariant":
-            return _cmd_formula(args, equivariant=True)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-    except _UsageError as exc:
+        return args.run(args)
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -34,26 +34,18 @@ from .permutation import Permutation
 from .polynomial import Polynomial, VariableSpace, product_of_linear_forms
 
 
-@dataclass(frozen=True)
-class RootSystemA:
-    """Positive roots e_k - e_l (k < l) of GL_n, indexed as pairs (k, l)."""
-
-    n: int
-
-    def positive_roots(self) -> list[tuple[int, int]]:
-        return [(k, l) for k in range(1, self.n + 1) for l in range(k + 1, self.n + 1)]
-
-    def levi_positive_roots(self, mu: Composition) -> list[tuple[int, int]]:
-        """Pairs lying inside a single mu-block."""
-        if mu.total != self.n:
-            raise ValueError("composition does not match rank")
-        return [(k, l) for (k, l) in self.positive_roots() if mu.block_of(k) == mu.block_of(l)]
-
-    def cross_block_roots(self, mu: Composition) -> list[tuple[int, int]]:
-        """Pairs straddling two different blocks; count = sum_{i<j} mu_i mu_j."""
-        if mu.total != self.n:
-            raise ValueError("composition does not match rank")
-        return [(k, l) for (k, l) in self.positive_roots() if mu.block_of(k) != mu.block_of(l)]
+def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
+    """
+    Positive roots e_k - e_l (k < l) of GL_n, as pairs (k, l), that straddle
+    two different blocks; count = sum_{i<j} mu_i mu_j.
+    """
+    n = mu.total
+    return [
+        (k, l)
+        for k in range(1, n + 1)
+        for l in range(k + 1, n + 1)
+        if mu.block_of(k) != mu.block_of(l)
+    ]
 
 
 def space_for(mu: Composition) -> VariableSpace:
@@ -79,16 +71,15 @@ def _half_block_forms(space: VariableSpace, mu: Composition, i: int) -> list[Pol
     ]
 
 
-def _block_pair_forms(space: VariableSpace, mu: Composition, i: int) -> list[Polynomial]:
-    zi = space.z(i)
+def _block_pair_forms(space: VariableSpace, mu: Composition, i: int, shift: int = -2) -> list[Polynomial]:
+    """(x_j + x_k + shift z_i) over the within-block pairs; shift 0 gives bare binomials."""
+    z = {space.z(i): shift} if shift else {}
     nu_i, part = mu.nu[i - 1], mu.parts[i - 1]
-    forms = []
-    for j in range(nu_i + 1, nu_i + part + 1):
-        for k in range(j + 1, 2 * nu_i + part - j + 1):
-            forms.append(
-                Polynomial.linear_form(space, {space.x(j): 1, space.x(k): 1, zi: -2})
-            )
-    return forms
+    return [
+        Polynomial.linear_form(space, {space.x(j): 1, space.x(k): 1, **z})
+        for j in range(nu_i + 1, nu_i + part + 1)
+        for k in range(j + 1, 2 * nu_i + part - j + 1)
+    ]
 
 
 def _cross_pair_forms(space: VariableSpace, mu: Composition, i: int, j: int) -> list[Polynomial]:
@@ -126,14 +117,19 @@ def cross_pair_factor(mu: Composition, i: int, j: int, space: VariableSpace | No
     return product_of_linear_forms(space, _cross_pair_forms(space, mu, i, j))
 
 
+def _cross_block_forms(space: VariableSpace, mu: Composition) -> list[Polynomial]:
+    return [
+        form
+        for i in range(1, mu.s + 1)
+        for j in range(i + 1, mu.s + 1)
+        for form in _cross_pair_forms(space, mu, i, j)
+    ]
+
+
 def cross_block_factor(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
     """Product of cross_pair_factor over all block pairs i < j."""
     space = _check_space(mu, space)
-    forms = []
-    for i in range(1, mu.s + 1):
-        for j in range(i + 1, mu.s + 1):
-            forms.extend(_cross_pair_forms(space, mu, i, j))
-    return product_of_linear_forms(space, forms)
+    return product_of_linear_forms(space, _cross_block_forms(space, mu))
 
 
 def cross_block_chern_class(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
@@ -144,7 +140,7 @@ def cross_block_chern_class(mu: Composition, space: VariableSpace | None = None)
     space = _check_space(mu, space)
     forms = [
         Polynomial.linear_form(space, {space.x(k): 1, space.yfull(l): -1})
-        for (k, l) in RootSystemA(mu.total).cross_block_roots(mu)
+        for (k, l) in cross_block_roots(mu)
     ]
     return product_of_linear_forms(space, forms)
 
@@ -223,23 +219,39 @@ class FactoredClass:
         return head or tail
 
 
-def _ordinary_monomial(mu: Composition, space: VariableSpace, with_half_flag: bool):
+def _ordinary_factored(mu: Composition, space: VariableSpace | None, half_slots: bool) -> FactoredClass:
+    """
+    prod x_i^{right_mass (+ first_half_flag with half slots)} * within-block
+    binomials (x_j + x_k).
+    """
+    if not half_slots and not mu.all_even():
+        raise ValueError(f"symplectic family needs even parts, got {mu}")
+    space = _check_space(mu, space)
     exps = []
     for i in range(1, mu.total + 1):
-        e = mu.right_mass(i) + (mu.first_half_flag(i) if with_half_flag else 0)
+        e = mu.right_mass(i) + (mu.first_half_flag(i) if half_slots else 0)
         if e:
             exps.append((space.x(i), e))
-    return tuple(exps)
+    factors = [f for i in range(1, mu.s + 1) for f in _block_pair_forms(space, mu, i, shift=0)]
+    return FactoredClass(space, 1, tuple(exps), tuple(factors))
 
 
-def _pure_pair_forms(space: VariableSpace, mu: Composition, i: int) -> list[Polynomial]:
-    """Within-block binomials (x_j + x_k) with no z shift."""
-    nu_i, part = mu.nu[i - 1], mu.parts[i - 1]
-    forms = []
-    for j in range(nu_i + 1, nu_i + part + 1):
-        for k in range(j + 1, 2 * nu_i + part - j + 1):
-            forms.append(Polynomial.linear_form(space, {space.x(j): 1, space.x(k): 1}))
-    return forms
+def _equivariant_factored(mu: Composition, space: VariableSpace | None, half_slots: bool) -> FactoredClass:
+    """
+    Cross-block factor * prod of within-block pair factors; with half slots
+    also the half-block factors and one 2 per half-block slot.
+    """
+    if not half_slots and not mu.all_even():
+        raise ValueError(f"symplectic family needs even parts, got {mu}")
+    space = _check_space(mu, space)
+    factors = []
+    for i in range(1, mu.s + 1):
+        if half_slots:
+            factors.extend(_half_block_forms(space, mu, i))
+        factors.extend(_block_pair_forms(space, mu, i))
+    factors.extend(_cross_block_forms(space, mu))
+    scalar = 2 ** mu.half_weight() if half_slots else 1
+    return FactoredClass(space, scalar, (), tuple(factors))
 
 
 def ordinary_class_orthogonal_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
@@ -247,11 +259,7 @@ def ordinary_class_orthogonal_factored(mu: Composition, space: VariableSpace | N
     Factored ordinary orthogonal class (the power of two already divided out):
     prod x_i^{right_mass + first_half_flag} * within-block binomials.
     """
-    space = _check_space(mu, space)
-    factors = []
-    for i in range(1, mu.s + 1):
-        factors.extend(_pure_pair_forms(space, mu, i))
-    return FactoredClass(space, 1, _ordinary_monomial(mu, space, True), tuple(factors))
+    return _ordinary_factored(mu, space, half_slots=True)
 
 
 def ordinary_class_orthogonal(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
@@ -260,13 +268,7 @@ def ordinary_class_orthogonal(mu: Composition, space: VariableSpace | None = Non
 
 def ordinary_class_symplectic_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
     """Factored ordinary symplectic class: prod x_i^{right_mass} * binomials."""
-    if not mu.all_even():
-        raise ValueError(f"symplectic family needs even parts, got {mu}")
-    space = _check_space(mu, space)
-    factors = []
-    for i in range(1, mu.s + 1):
-        factors.extend(_pure_pair_forms(space, mu, i))
-    return FactoredClass(space, 1, _ordinary_monomial(mu, space, False), tuple(factors))
+    return _ordinary_factored(mu, space, half_slots=False)
 
 
 def ordinary_class_symplectic(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
@@ -275,15 +277,7 @@ def ordinary_class_symplectic(mu: Composition, space: VariableSpace | None = Non
 
 def equivariant_class_orthogonal_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
     """2^{half_weight} * cross-block factor * prod of half-block and pair factors."""
-    space = _check_space(mu, space)
-    factors = []
-    for i in range(1, mu.s + 1):
-        factors.extend(_half_block_forms(space, mu, i))
-        factors.extend(_block_pair_forms(space, mu, i))
-    for i in range(1, mu.s + 1):
-        for j in range(i + 1, mu.s + 1):
-            factors.extend(_cross_pair_forms(space, mu, i, j))
-    return FactoredClass(space, 2 ** mu.half_weight(), (), tuple(factors))
+    return _equivariant_factored(mu, space, half_slots=True)
 
 
 def equivariant_class_orthogonal(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
@@ -292,16 +286,7 @@ def equivariant_class_orthogonal(mu: Composition, space: VariableSpace | None = 
 
 def equivariant_class_symplectic_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
     """Cross-block factor * prod of within-block pair factors (even parts)."""
-    if not mu.all_even():
-        raise ValueError(f"symplectic family needs even parts, got {mu}")
-    space = _check_space(mu, space)
-    factors = []
-    for i in range(1, mu.s + 1):
-        factors.extend(_block_pair_forms(space, mu, i))
-    for i in range(1, mu.s + 1):
-        for j in range(i + 1, mu.s + 1):
-            factors.extend(_cross_pair_forms(space, mu, i, j))
-    return FactoredClass(space, 1, (), tuple(factors))
+    return _equivariant_factored(mu, space, half_slots=False)
 
 
 def equivariant_class_symplectic(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
@@ -342,7 +327,7 @@ def fixed_point_weight_product(mu: Composition, w: Permutation, space: VariableS
         return Polynomial.zero(space)
     forms = [
         Polynomial.linear_form(space, {space.yfull(w(k)): 1, space.yfull(w(l)): -1})
-        for (k, l) in RootSystemA(mu.total).cross_block_roots(mu)
+        for (k, l) in cross_block_roots(mu)
     ]
     return product_of_linear_forms(space, forms)
 

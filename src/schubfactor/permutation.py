@@ -137,11 +137,6 @@ def longest_element(n: int) -> Permutation:
     return Permutation(range(n, 0, -1))
 
 
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """compose(u, v)(i) = u(v(i))."""
-    return u * v
-
-
 def from_code(code: Sequence[int]) -> Permutation:
     """
     Inverse of the Lehmer code: the unique w with w.code() == code.

@@ -115,6 +115,35 @@ def _term_key(n: int, exp: tuple[int, ...]):
     )
 
 
+def divided_difference_terms(
+    terms: Mapping[tuple[int, ...], int], i: int
+) -> dict[tuple[int, ...], int]:
+    """
+    The divided difference in x_i, x_{i+1} on a raw exponent-to-coefficient
+    map, without index checks; shared by Polynomial.divided_difference and
+    the Schubert recursion.
+    """
+    xi, xj = i - 1, i
+    out: dict[tuple[int, ...], int] = {}
+    for exp, c in terms.items():
+        a, b = exp[xi], exp[xj]
+        if a == b:
+            continue
+        lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
+        base = list(exp)
+        # (x^a y^b - x^b y^a)/(x - y) = sum_{k=lo}^{hi-1} x^k y^{lo+hi-1-k}
+        for k in range(lo, hi):
+            base[xi] = k
+            base[xj] = lo + hi - 1 - k
+            key = tuple(base)
+            nc = out.get(key, 0) + sign
+            if nc:
+                out[key] = nc
+            elif key in out:
+                del out[key]
+    return out
+
+
 class Polynomial:
     """
     Immutable sparse polynomial: a map from exponent vectors to nonzero ints.
@@ -317,25 +346,8 @@ class Polynomial:
         synthetic division; the numerator is always divisible.  The result is
         symmetric in x_i, x_{i+1}, and applying the operator twice gives 0.
         """
-        xi, xj = self._x_pair(i)
-        out: dict[tuple[int, ...], int] = {}
-        for exp, c in self.terms.items():
-            a, b = exp[xi], exp[xj]
-            if a == b:
-                continue
-            lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
-            base = list(exp)
-            # (x^a y^b - x^b y^a)/(x - y) = sum_{k=lo}^{hi-1} x^k y^{lo+hi-1-k}
-            for k in range(lo, hi):
-                base[xi] = k
-                base[xj] = lo + hi - 1 - k
-                key = tuple(base)
-                nc = out.get(key, 0) + sign
-                if nc:
-                    out[key] = nc
-                elif key in out:
-                    del out[key]
-        return Polynomial(self.space, out)
+        self._x_pair(i)  # range check
+        return Polynomial(self.space, divided_difference_terms(self.terms, i))
 
     def substitute(self, images: Mapping[int, "Polynomial | int"]) -> "Polynomial":
         """

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .permutation import Permutation, from_code
-from .polynomial import Polynomial, VariableSpace, _term_key
+from .polynomial import Polynomial, VariableSpace, _term_key, divided_difference_terms
 
 # word -> {x-exponent tuple (length n): coeff}; shared across all spaces
 _SCHUBERT_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
@@ -41,28 +41,6 @@ def _swap(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     lst = list(word)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     return tuple(lst)
-
-
-def _divdiff_x(terms: dict[tuple[int, ...], int], i: int) -> dict[tuple[int, ...], int]:
-    """Divided difference on raw x-exponent dicts (same formula as Polynomial)."""
-    xi, xj = i - 1, i
-    out: dict[tuple[int, ...], int] = {}
-    for exp, c in terms.items():
-        a, b = exp[xi], exp[xj]
-        if a == b:
-            continue
-        lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
-        base = list(exp)
-        for k in range(lo, hi):
-            base[xi] = k
-            base[xj] = lo + hi - 1 - k
-            key = tuple(base)
-            nc = out.get(key, 0) + sign
-            if nc:
-                out[key] = nc
-            elif key in out:
-                del out[key]
-    return out
 
 
 def _schubert_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -85,7 +63,7 @@ def _schubert_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         cur = _swap(cur, i)
     while chain:
         u, i = chain.pop()
-        _SCHUBERT_CACHE[u] = _divdiff_x(_SCHUBERT_CACHE[_swap(u, i)], i)
+        _SCHUBERT_CACHE[u] = divided_difference_terms(_SCHUBERT_CACHE[_swap(u, i)], i)
     return _SCHUBERT_CACHE[word]
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from .composition import Composition, enumerate_compositions
 from .permutation import Permutation, all_permutations
 from . import cohomology
-from .polynomial import Polynomial, VariableSpace, _term_key
+from .polynomial import Polynomial, VariableSpace
 from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
 from .wset import WSet, w_set_orthogonal, w_set_symplectic
 
@@ -86,13 +86,30 @@ class IdentityReport:
         return line
 
 
+def by_family(family: str, orthogonal, symplectic):
+    """
+    The argument that belongs to `family`; the one place that rejects an
+    unknown family name.  Callers pass module attributes looked up at the
+    call, not a stored table, so a rebound attribute is always honoured.
+    """
+    if family == ORTHOGONAL:
+        return orthogonal
+    if family == SYMPLECTIC:
+        return symplectic
+    raise ValueError(f"unknown family {family!r}")
+
+
+def needs_even_parts(family: str) -> bool:
+    """Symplectic blocks carry no half slots, so every part must be even."""
+    return by_family(family, False, True)
+
+
 def _first_mismatch(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | None:
     """Canonically first monomial whose coefficients differ."""
     diff = lhs - rhs
     if diff.is_zero():
         return None
-    n = lhs.space.n
-    exp = min(diff.terms, key=lambda e: _term_key(n, e))
+    exp, _ = diff.leading_term()
     text = lhs._monomial_text(exp) or "1"
     return (text, str(lhs.terms.get(exp, 0)), str(rhs.terms.get(exp, 0)))
 
@@ -106,19 +123,13 @@ def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polyno
 
 
 def product_side(mu: Composition, family: str, space: VariableSpace | None = None) -> Polynomial:
-    if family == ORTHOGONAL:
-        return cohomology.ordinary_class_orthogonal(mu, space)
-    if family == SYMPLECTIC:
-        return cohomology.ordinary_class_symplectic(mu, space)
-    raise ValueError(f"unknown family {family!r}")
+    return by_family(
+        family, cohomology.ordinary_class_orthogonal, cohomology.ordinary_class_symplectic
+    )(mu, space)
 
 
 def member_set(mu: Composition, family: str) -> WSet:
-    if family == ORTHOGONAL:
-        return w_set_orthogonal(mu)
-    if family == SYMPLECTIC:
-        return w_set_symplectic(mu)
-    raise ValueError(f"unknown family {family!r}")
+    return by_family(family, w_set_orthogonal, w_set_symplectic)(mu)
 
 
 def verify_identity_for_members(
@@ -196,9 +207,8 @@ def verify_equivariant_suite(
     flag) above localization_max_n.
     """
     start = time.perf_counter()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family == SYMPLECTIC and not mu.all_even():
+    half_slots = not needs_even_parts(family)
+    if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
     space = cohomology.space_for(mu)
     n = mu.total
@@ -236,16 +246,12 @@ def verify_equivariant_suite(
     if ok:
         for m in mu.parts:
             single = Composition((m,))
-            if family == ORTHOGONAL:
-                base = cohomology.base_class_orthogonal(m)
-                split = (
-                    cohomology.half_block_factor(single, 1)
-                    * cohomology.block_pair_factor(single, 1)
-                    * (2 ** (m // 2))
-                )
-            else:
-                base = cohomology.base_class_symplectic(m)
-                split = cohomology.block_pair_factor(single, 1)
+            base = by_family(
+                family, cohomology.base_class_orthogonal, cohomology.base_class_symplectic
+            )(m)
+            split = cohomology.block_pair_factor(single, 1)
+            if half_slots:
+                split = cohomology.half_block_factor(single, 1) * split * (2 ** (m // 2))
             if base != split:
                 ok = False
                 witness = _first_mismatch(base, split)
@@ -254,14 +260,12 @@ def verify_equivariant_suite(
 
     # equivariant class specializes to the ordinary class
     if ok:
-        if family == ORTHOGONAL:
-            equivariant = cohomology.equivariant_class_orthogonal(mu, space)
-            ordinary = cohomology.ordinary_class_orthogonal(mu, space) * (
-                2 ** mu.half_weight()
-            )
-        else:
-            equivariant = cohomology.equivariant_class_symplectic(mu, space)
-            ordinary = cohomology.ordinary_class_symplectic(mu, space)
+        equivariant = by_family(
+            family, cohomology.equivariant_class_orthogonal, cohomology.equivariant_class_symplectic
+        )(mu, space)
+        ordinary = product_side(mu, family, space)
+        if half_slots:
+            ordinary = ordinary * (2 ** mu.half_weight())
         specialized = cohomology.zero_equivariant_vars(equivariant)
         if specialized != ordinary:
             ok = False
@@ -288,7 +292,5 @@ def sweep(n: int, family: str) -> list[IdentityReport]:
     verify_identity for every composition of n (even parts for the symplectic
     family), in the deterministic enumeration order.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    compositions = enumerate_compositions(n, even_parts_only=(family == SYMPLECTIC))
+    compositions = enumerate_compositions(n, even_parts_only=needs_even_parts(family))
     return [verify_identity(mu, family) for mu in compositions]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schubfactor.cli import main
 
 
@@ -54,6 +56,44 @@ def test_equivariant_command(capsys):
     code, out, _ = run(capsys, "equivariant", "--mu", "2", "--family", "orthogonal")
     assert code == 0
     assert out.strip() == "2 (x1 - z1)"
+
+
+@pytest.mark.parametrize(
+    "command, mu, family, expected",
+    [
+        ("formula", "2,3", "orthogonal", "x1^4 x2^3 x3 (x3 + x4)"),
+        ("formula", "4,2", "symplectic", "x1^2 x2^2 x3^2 x4^2 (x1 + x2)(x1 + x3)"),
+        (
+            "equivariant",
+            "2,3",
+            "orthogonal",
+            "4 (x1 - z1)(x3 - z2)(x3 + x4 - 2 z2)(x1 - z2)(x1 - y2_1 - z2)(x1 + y2_1 - z2)"
+            "(x2 - z2)(x2 - y2_1 - z2)(x2 + y2_1 - z2)",
+        ),
+        (
+            "equivariant",
+            "2,2",
+            "symplectic",
+            "(x1 - y2_1 - z2)(x1 + y2_1 - z2)(x2 - y2_1 - z2)(x2 + y2_1 - z2)",
+        ),
+    ],
+)
+def test_factored_class_grid(capsys, command, mu, family, expected):
+    code, out, _ = run(capsys, command, "--mu", mu, "--family", family)
+    assert code == 0
+    assert out == expected + "\n"
+
+
+def test_formula_json(capsys):
+    code, out, _ = run(capsys, "formula", "--mu", "3", "--family", "orthogonal", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "space": {"n": 3, "s": 1, "mu": [3]},
+        "terms": [
+            {"exp": [["x1", 1], ["x2", 1]], "coeff": "1"},
+            {"exp": [["x1", 2]], "coeff": "1"},
+        ],
+    }
 
 
 def test_expand_command(capsys):

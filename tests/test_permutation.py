@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from schubfactor.permutation import (
     Permutation,
     all_permutations,
-    compose,
     from_code,
     identity,
     longest_element,
@@ -60,7 +59,7 @@ def test_inverse_and_compose_examples():
     assert Permutation((2, 3, 1)).inverse().word == (3, 1, 2)
     assert (Permutation((2, 1)) * Permutation((2, 1))).word == (1, 2)
     assert (Permutation((2, 3, 1)) * Permutation((3, 1, 2))).word == (1, 2, 3)
-    assert compose(Permutation((2, 3, 1)), Permutation((3, 1, 2))) == identity(3)
+    assert Permutation((2, 3, 1)) * Permutation((3, 1, 2)) == identity(3)
 
 
 def test_compose_size_mismatch():

@@ -9,6 +9,8 @@ from schubfactor.verifier import (
     ORTHOGONAL,
     SYMPLECTIC,
     ASCENDING_LETTER_VARIANT_24,
+    member_set,
+    product_side,
     schubert_sum,
     sweep,
     verify_equivariant_suite,
@@ -88,6 +90,25 @@ def test_wrong_members_produce_witness():
 def test_verify_identity_rejects_unknown_family():
     with pytest.raises(ValueError):
         verify_identity(Composition((2,)), "unitary")
+
+
+FAMILY_CHECKED_CALLS = {
+    "product_side": product_side,
+    "member_set": member_set,
+    "verify_identity": verify_identity,
+    "verify_equivariant_suite": verify_equivariant_suite,
+    "sweep": lambda mu, family: sweep(mu.total, family),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_CHECKED_CALLS))
+@pytest.mark.parametrize(
+    "family, message", [("unknown", "unknown family"), (SYMPLECTIC, "even")]
+)
+def test_family_name_rules(name, family, message):
+    # (3,) has an odd part and an odd total, so symplectic must refuse it
+    with pytest.raises(ValueError, match=message):
+        FAMILY_CHECKED_CALLS[name](Composition((3,)), family)
 
 
 def test_sweep_counts_and_verdicts():
