@@ -49,7 +49,7 @@ def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
 
 
 def space_for(mu: Composition) -> VariableSpace:
-    return VariableSpace.for_composition(mu)
+    return VariableSpace(mu.total, mu.parts)
 
 
 def _check_space(mu: Composition, space: VariableSpace | None) -> VariableSpace:

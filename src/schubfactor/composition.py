@@ -69,12 +69,6 @@ class Composition:
         """Sum of floor(mu_i / 2) over all parts."""
         return sum(p // 2 for p in self.parts)
 
-    def block_range(self, b: int) -> range:
-        """Positions nu_b + 1 .. nu_{b+1} of block b (1-based block index)."""
-        if not 1 <= b <= self.s:
-            raise ValueError(f"block index {b} out of range for {self}")
-        return range(self.nu[b - 1] + 1, self.nu[b] + 1)
-
     def all_even(self) -> bool:
         return all(p % 2 == 0 for p in self.parts)
 

@@ -51,11 +51,6 @@ class VariableSpace:
         names += [f"z{i}" for i in range(1, self.s + 1)]
         self._names = tuple(names)
 
-    @classmethod
-    def for_composition(cls, mu) -> "VariableSpace":
-        """Space carrying the block-torus families of a Composition."""
-        return cls(mu.total, tuple(mu.parts))
-
     def x(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise ValueError(f"x{i} out of range")
@@ -78,9 +73,6 @@ class VariableSpace:
 
     def name(self, vid: int) -> str:
         return self._names[vid]
-
-    def is_x(self, vid: int) -> bool:
-        return vid < self.n
 
     def equivariant_vids(self) -> range:
         """All non-x variables (the ones killed by the ordinary specialization)."""
@@ -146,7 +138,8 @@ def divided_difference_terms(
 
 class Polynomial:
     """
-    Immutable sparse polynomial: a map from exponent vectors to nonzero ints.
+    Sparse polynomial: a map from exponent vectors to nonzero ints.  Every
+    operation returns a new polynomial; callers must not mutate `terms`.
 
     Supports +, -, * (by polynomial or int), ** with nonnegative integer
     exponents, exact substitution, and divided differences.  Mixing spaces
@@ -282,9 +275,6 @@ class Polynomial:
             and self.space == other.space
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
 
     # -- queries -------------------------------------------------------------
 

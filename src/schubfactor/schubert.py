@@ -226,21 +226,21 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
 
     Greedy: the canonical leading monomial x^c of the remainder is the code
     of exactly one w in S_n; subtract coeff * schubert_poly(w) and repeat.
-    Every subtraction strictly raises the leading monomial, so this
-    terminates.
+    Every subtraction strictly raises the leading monomial and keeps the
+    remainder in the span, so this terminates and every leading exponent is
+    a Lehmer code.
     """
+    space = f.space
+    if not 1 <= n <= space.n:
+        raise ValueError(f"need 1 <= n <= {space.n} for this space, got n={n}")
     if not in_staircase_span(f, n):
         raise ValueError(f"polynomial is not in the staircase span for n={n}")
-    space = f.space
     remainder = dict(f.terms)
     coeffs: dict[Permutation, int] = {}
     while remainder:
         exp = min(remainder, key=lambda e: _term_key(space.n, e))
         c = remainder[exp]
-        code = tuple(exp[:n])
-        if any(exp[n:space.n]) or any(code[i] > n - 1 - i for i in range(n)):
-            raise ValueError(f"residual leading exponent {exp} is not a Lehmer code")
-        w = from_code(code)
+        w = from_code(exp[:n])
         for e2, c2 in _schubert_terms(w.word).items():
             key = e2 + (0,) * (space.num_vars - n)
             nc = remainder.get(key, 0) - c * c2

@@ -1,0 +1,34 @@
+"""
+The benchmark's tracer (perfbench/worker.py) wraps program attributes by
+name; every name it wraps must exist, and removing the spans must restore
+the originals.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import worker  # noqa: E402
+from spans import Tracer  # noqa: E402
+
+from schubfactor import cli, cohomology, verifier  # noqa: E402
+from schubfactor.composition import Composition  # noqa: E402
+from schubfactor.polynomial import Polynomial  # noqa: E402
+
+OWNERS = (cli, cohomology, verifier, Polynomial)
+
+
+def test_install_spans_wraps_and_restores_every_attribute():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = Tracer()
+    try:
+        worker.install_spans(tracer)
+        assert [dict(vars(owner)) for owner in OWNERS] != before
+        verifier.verify_identity(Composition((2, 1)), verifier.ORTHOGONAL)
+    finally:
+        tracer.remove()
+    assert [dict(vars(owner)) for owner in OWNERS] == before
+    spans = tracer.summary(1)["spans"]
+    for span in ("verifier", "wset.member_set", "cohomology.product_side", "schubert.expand"):
+        assert spans[span]["calls"] >= 1, span

@@ -144,6 +144,18 @@ def test_expand_rejects_outside_span():
         expand_in_schubert_basis(xvar(sp, 2), 2)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_expand_rejects_n_beyond_space(k):
+    # x1 lies in the staircase span for n = 3, but a space with fewer than
+    # 3 x variables cannot hold the S_3 basis
+    sp = VariableSpace(k)
+    assert in_staircase_span(xvar(sp, 1), 3)
+    with pytest.raises(ValueError, match="n <="):
+        expand_in_schubert_basis(xvar(sp, 1), 3)
+    with pytest.raises(ValueError, match="n <="):
+        expand_in_schubert_basis(Polynomial.one(sp), 0)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_expansion_round_trip(n):
     for w in all_permutations(n):

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from schubfactor.composition import Composition
-from schubfactor.permutation import Permutation
+from schubfactor.composition import Composition, enumerate_compositions
+from schubfactor.permutation import Permutation, all_permutations
 from schubfactor.polynomial import Polynomial
 from schubfactor import cohomology as coh
 from schubfactor.schubert import schubert_poly
@@ -85,6 +87,60 @@ def test_wrong_members_produce_witness():
     assert not report.passed
     monomial, lhs_c, rhs_c = report.witness
     assert lhs_c != rhs_c
+
+
+EXPANSION_FLAG = "Schubert expansion of the product side is not the member set with unit coefficients"
+
+
+def test_member_from_smaller_group_fails_without_witness():
+    # S_312 == S_3124, so the sum equals the product side, but the product
+    # side expands to 3124 in S_4, not to the member 312
+    members = [Permutation((1, 3, 4, 2)), Permutation((3, 1, 2))]
+    report = verify_identity_for_members(Composition((4,)), SYMPLECTIC, members)
+    assert report.verdict == "fail"
+    assert report.witness is None
+    assert report.flags == [EXPANSION_FLAG]
+
+
+def test_duplicated_member_fails_with_witness():
+    mu = Composition((3, 4))
+    members = w_set_orthogonal(mu).members
+    report = verify_identity_for_members(mu, ORTHOGONAL, members + members[:1])
+    assert report.verdict == "fail"
+    assert report.witness == ("x1^5 x2^5 x3^4 x4 x5^2 x6", "2", "1")
+    assert report.flags == []
+    assert (report.degree, report.support) == (18, 7)
+
+
+def _perturbed_member_sets(members, perms, rng):
+    yield members
+    yield []
+    for i in range(len(members)):
+        yield members[:i] + members[i + 1:]
+        yield members + members[i:i + 1]
+    for _ in range(3):
+        yield members + [rng.choice(perms)]
+        yield rng.sample(perms, min(len(perms), len(members)))
+
+
+def test_verdict_agrees_with_schubert_sum_oracle():
+    # the verdict is decided by the Schubert expansion alone; sum == product
+    # (check (a)) is the independent reference it must agree with
+    cases = [(mu, ORTHOGONAL) for n in range(1, 6) for mu in enumerate_compositions(n)]
+    cases += [
+        (mu, SYMPLECTIC) for n in (2, 4, 6) for mu in enumerate_compositions(n, even_parts_only=True)
+    ]
+    rng = random.Random(11)
+    verdicts = set()
+    for mu, family in cases:
+        sp = coh.space_for(mu)
+        product = product_side(mu, family, sp)
+        perms = list(all_permutations(mu.total))
+        for members in _perturbed_member_sets(list(member_set(mu, family).members), perms, rng):
+            report = verify_identity_for_members(mu, family, members)
+            assert report.passed == (schubert_sum(members, sp) == product), (mu, family, members)
+            verdicts.add(report.verdict)
+    assert verdicts == {"pass", "fail"}
 
 
 def test_verify_identity_rejects_unknown_family():
