@@ -27,7 +27,6 @@ from schubfactor import (
 from schubfactor.cohomology import (
     equivariant_class_orthogonal_factored,
     ordinary_class_orthogonal_factored,
-    space_for,
 )
 
 print("== Block factors for mu = (6, 5) ==")
@@ -57,20 +56,19 @@ for m in (2, 3, 4, 5):
 print()
 print("== Localization of the cross-block Chern class, mu = (2, 2) ==")
 mu = Composition((2, 2))
-sp = space_for(mu)
-chern = cross_block_chern_class(mu, sp)
+chern = cross_block_chern_class(mu)
 print(f"  h(x, y) = {chern.text()}")
 hits = 0
 for w in all_permutations(4):
     restricted = restrict_to_fixed_point(chern, w)
-    weights = fixed_point_weight_product(mu, w, sp)
+    weights = fixed_point_weight_product(mu, w)
     assert restricted == weights, w
     if not weights.is_zero():
         hits += 1
 print(f"  restriction equals the weight product at all 24 fixed points"
       f" ({hits} block-preserving, rest vanish)")
 
-rho = restrict_to_block_torus(chern, mu)
+rho = restrict_to_block_torus(chern)
 print("  block-torus restriction equals the cross factor:",
-      rho == cross_block_factor(mu, sp))
+      rho == cross_block_factor(mu))
 print(f"  h(x, y, z) = {rho.text()}")

@@ -21,17 +21,16 @@ from schubfactor import (
     verify_identity_for_members,
     w_set_orthogonal,
 )
-from schubfactor.cohomology import ordinary_class_orthogonal_factored, space_for
+from schubfactor.cohomology import ordinary_class_orthogonal_factored
 from schubfactor.verifier import ASCENDING_LETTER_VARIANT_24
 
 print("== The worked example mu = (3, 4) ==")
 mu = Composition((3, 4))
 wset = w_set_orthogonal(mu)
-sp = space_for(mu)
 print("members:", " ".join(str(w) for w in wset.members))
 print("product:", ordinary_class_orthogonal_factored(mu).text())
-lhs = schubert_sum(wset.members, sp)
-rhs = ordinary_class_orthogonal(mu, sp)
+rhs = ordinary_class_orthogonal(mu)
+lhs = schubert_sum(wset.members, rhs.space)
 print(f"sum of 6 Schubert polynomials == product: {lhs == rhs}"
       f"  ({len(rhs.terms)} monomials, degree {rhs.total_degree()})")
 

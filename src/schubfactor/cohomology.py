@@ -2,7 +2,8 @@
 Factored class representatives and torus localization for type A.
 
 All formulas live over the variable space of a composition mu of n (see
-polynomial.VariableSpace).  Per block i with positions nu_i+1 .. nu_{i+1}:
+polynomial.VariableSpace); mu alone fixes that space, so every builder
+derives it with space_for(mu).  Per block i with positions nu_i+1 .. nu_{i+1}:
 
     half_block_factor(mu, i)   product of (x_j - z_i) over the first
                                floor(mu_i/2) positions j of block i
@@ -22,7 +23,8 @@ family).
 Localization: restrict_to_fixed_point substitutes x_i -> y_{w(i)}; the top
 cross-block Chern class restricts at w to fixed_point_weight_product(mu, w),
 which is zero unless w preserves every block.  restrict_to_block_torus maps
-the full-torus y coordinates onto the block-torus y/z coordinates.
+the full-torus y coordinates onto the block-torus y/z coordinates of the
+composition its polynomial's space carries.
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
 
 def space_for(mu: Composition) -> VariableSpace:
     return VariableSpace(mu.total, mu.parts)
-
-
-def _check_space(mu: Composition, space: VariableSpace | None) -> VariableSpace:
-    if space is None:
-        return space_for(mu)
-    if space.n != mu.total:
-        raise ValueError("space does not match composition total")
-    return space
 
 
 # -- block factors -------------------------------------------------------------
@@ -99,21 +93,21 @@ def _cross_pair_forms(space: VariableSpace, mu: Composition, i: int, j: int) -> 
     return forms
 
 
-def half_block_factor(mu: Composition, i: int, space: VariableSpace | None = None) -> Polynomial:
+def half_block_factor(mu: Composition, i: int) -> Polynomial:
     """First-half factor of block i: product of (x_j - z_i)."""
-    space = _check_space(mu, space)
+    space = space_for(mu)
     return product_of_linear_forms(space, _half_block_forms(space, mu, i))
 
 
-def block_pair_factor(mu: Composition, i: int, space: VariableSpace | None = None) -> Polynomial:
+def block_pair_factor(mu: Composition, i: int) -> Polynomial:
     """Within-block pair factor of block i: product of (x_j + x_k - 2 z_i)."""
-    space = _check_space(mu, space)
+    space = space_for(mu)
     return product_of_linear_forms(space, _block_pair_forms(space, mu, i))
 
 
-def cross_pair_factor(mu: Composition, i: int, j: int, space: VariableSpace | None = None) -> Polynomial:
+def cross_pair_factor(mu: Composition, i: int, j: int) -> Polynomial:
     """Cross factor of the ordered block pair i < j in block-torus coordinates."""
-    space = _check_space(mu, space)
+    space = space_for(mu)
     return product_of_linear_forms(space, _cross_pair_forms(space, mu, i, j))
 
 
@@ -126,18 +120,18 @@ def _cross_block_forms(space: VariableSpace, mu: Composition) -> list[Polynomial
     ]
 
 
-def cross_block_factor(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
+def cross_block_factor(mu: Composition) -> Polynomial:
     """Product of cross_pair_factor over all block pairs i < j."""
-    space = _check_space(mu, space)
+    space = space_for(mu)
     return product_of_linear_forms(space, _cross_block_forms(space, mu))
 
 
-def cross_block_chern_class(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
+def cross_block_chern_class(mu: Composition) -> Polynomial:
     """
     Top equivariant Chern class of the cross-block directions in full-torus
     coordinates: product of (x_k - y_l) over cross-block pairs k < l.
     """
-    space = _check_space(mu, space)
+    space = space_for(mu)
     forms = [
         Polynomial.linear_form(space, {space.x(k): 1, space.yfull(l): -1})
         for (k, l) in cross_block_roots(mu)
@@ -219,14 +213,14 @@ class FactoredClass:
         return head or tail
 
 
-def _ordinary_factored(mu: Composition, space: VariableSpace | None, half_slots: bool) -> FactoredClass:
+def _ordinary_factored(mu: Composition, half_slots: bool) -> FactoredClass:
     """
     prod x_i^{right_mass (+ first_half_flag with half slots)} * within-block
     binomials (x_j + x_k).
     """
     if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
-    space = _check_space(mu, space)
+    space = space_for(mu)
     exps = []
     for i in range(1, mu.total + 1):
         e = mu.right_mass(i) + (mu.first_half_flag(i) if half_slots else 0)
@@ -236,14 +230,14 @@ def _ordinary_factored(mu: Composition, space: VariableSpace | None, half_slots:
     return FactoredClass(space, 1, tuple(exps), tuple(factors))
 
 
-def _equivariant_factored(mu: Composition, space: VariableSpace | None, half_slots: bool) -> FactoredClass:
+def _equivariant_factored(mu: Composition, half_slots: bool) -> FactoredClass:
     """
     Cross-block factor * prod of within-block pair factors; with half slots
     also the half-block factors and one 2 per half-block slot.
     """
     if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
-    space = _check_space(mu, space)
+    space = space_for(mu)
     factors = []
     for i in range(1, mu.s + 1):
         if half_slots:
@@ -254,43 +248,43 @@ def _equivariant_factored(mu: Composition, space: VariableSpace | None, half_slo
     return FactoredClass(space, scalar, (), tuple(factors))
 
 
-def ordinary_class_orthogonal_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
+def ordinary_class_orthogonal_factored(mu: Composition) -> FactoredClass:
     """
     Factored ordinary orthogonal class (the power of two already divided out):
     prod x_i^{right_mass + first_half_flag} * within-block binomials.
     """
-    return _ordinary_factored(mu, space, half_slots=True)
+    return _ordinary_factored(mu, half_slots=True)
 
 
-def ordinary_class_orthogonal(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
-    return ordinary_class_orthogonal_factored(mu, space).expand()
+def ordinary_class_orthogonal(mu: Composition) -> Polynomial:
+    return ordinary_class_orthogonal_factored(mu).expand()
 
 
-def ordinary_class_symplectic_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
+def ordinary_class_symplectic_factored(mu: Composition) -> FactoredClass:
     """Factored ordinary symplectic class: prod x_i^{right_mass} * binomials."""
-    return _ordinary_factored(mu, space, half_slots=False)
+    return _ordinary_factored(mu, half_slots=False)
 
 
-def ordinary_class_symplectic(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
-    return ordinary_class_symplectic_factored(mu, space).expand()
+def ordinary_class_symplectic(mu: Composition) -> Polynomial:
+    return ordinary_class_symplectic_factored(mu).expand()
 
 
-def equivariant_class_orthogonal_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
+def equivariant_class_orthogonal_factored(mu: Composition) -> FactoredClass:
     """2^{half_weight} * cross-block factor * prod of half-block and pair factors."""
-    return _equivariant_factored(mu, space, half_slots=True)
+    return _equivariant_factored(mu, half_slots=True)
 
 
-def equivariant_class_orthogonal(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
-    return equivariant_class_orthogonal_factored(mu, space).expand()
+def equivariant_class_orthogonal(mu: Composition) -> Polynomial:
+    return equivariant_class_orthogonal_factored(mu).expand()
 
 
-def equivariant_class_symplectic_factored(mu: Composition, space: VariableSpace | None = None) -> FactoredClass:
+def equivariant_class_symplectic_factored(mu: Composition) -> FactoredClass:
     """Cross-block factor * prod of within-block pair factors (even parts)."""
-    return _equivariant_factored(mu, space, half_slots=False)
+    return _equivariant_factored(mu, half_slots=False)
 
 
-def equivariant_class_symplectic(mu: Composition, space: VariableSpace | None = None) -> Polynomial:
-    return equivariant_class_symplectic_factored(mu, space).expand()
+def equivariant_class_symplectic(mu: Composition) -> Polynomial:
+    return equivariant_class_symplectic_factored(mu).expand()
 
 
 # -- localization ----------------------------------------------------------------
@@ -317,12 +311,12 @@ def preserves_blocks(w: Permutation, mu: Composition) -> bool:
     )
 
 
-def fixed_point_weight_product(mu: Composition, w: Permutation, space: VariableSpace | None = None) -> Polynomial:
+def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:
     """
     Product of the w-images (y_{w(k)} - y_{w(l)}) of the cross-block roots if
     w preserves every block; the zero polynomial otherwise.
     """
-    space = _check_space(mu, space)
+    space = space_for(mu)
     if not preserves_blocks(w, mu):
         return Polynomial.zero(space)
     forms = [
@@ -332,10 +326,10 @@ def fixed_point_weight_product(mu: Composition, w: Permutation, space: VariableS
     return product_of_linear_forms(space, forms)
 
 
-def restrict_to_block_torus(f: Polynomial, mu: Composition) -> Polynomial:
+def restrict_to_block_torus(f: Polynomial) -> Polynomial:
     """
-    Map full-torus y coordinates onto the block torus: within block i of size
-    p and half m = floor(p/2),
+    Map full-torus y coordinates onto the block torus of the composition
+    carried by f's space: within block i of size p and half m = floor(p/2),
 
         y_{nu_i + k}         -> z_i + y{i}_{k}    for k <= m
         y_{nu_i + m + 1}     -> z_i               when p is odd
@@ -344,8 +338,9 @@ def restrict_to_block_torus(f: Polynomial, mu: Composition) -> Polynomial:
     f must involve only x and full-torus y variables.
     """
     space = f.space
-    if space.mu != mu.parts:
-        raise ValueError("polynomial space does not carry this composition's blocks")
+    if space.mu is None:
+        raise ValueError("polynomial space carries no blocks")
+    mu = Composition(space.mu)
     used = f.variables_used()
     for vid in used:
         if vid >= 2 * space.n:

@@ -186,12 +186,10 @@ class Polynomial:
         return cls(space, {tuple(exp): int(coeff)})
 
     @classmethod
-    def linear_form(cls, space: VariableSpace, coeffs: Mapping[int, int], constant: int = 0) -> "Polynomial":
-        """Sum of coeff * variable plus an integer constant."""
+    def linear_form(cls, space: VariableSpace, coeffs: Mapping[int, int]) -> "Polynomial":
+        """Sum of coeff * variable."""
         terms: dict[tuple[int, ...], int] = {}
         zero = (0,) * space.num_vars
-        if constant:
-            terms[zero] = int(constant)
         for vid, c in coeffs.items():
             if c == 0:
                 continue

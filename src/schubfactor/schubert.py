@@ -230,19 +230,18 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     remainder in the span, so this terminates and every leading exponent is
     a Lehmer code.
     """
-    space = f.space
-    if not 1 <= n <= space.n:
-        raise ValueError(f"need 1 <= n <= {space.n} for this space, got n={n}")
+    if not 1 <= n <= f.space.n:
+        raise ValueError(f"need 1 <= n <= {f.space.n} for this space, got n={n}")
     if not in_staircase_span(f, n):
         raise ValueError(f"polynomial is not in the staircase span for n={n}")
-    remainder = dict(f.terms)
+    # in the span every exponent beyond x_n is 0, so work on x1..x_n alone
+    remainder = {exp[:n]: c for exp, c in f.terms.items()}
     coeffs: dict[Permutation, int] = {}
     while remainder:
-        exp = min(remainder, key=lambda e: _term_key(space.n, e))
+        exp = min(remainder, key=lambda e: _term_key(n, e))
         c = remainder[exp]
-        w = from_code(exp[:n])
-        for e2, c2 in _schubert_terms(w.word).items():
-            key = e2 + (0,) * (space.num_vars - n)
+        w = from_code(exp)
+        for key, c2 in _schubert_terms(w.word).items():
             nc = remainder.get(key, 0) - c * c2
             if nc:
                 remainder[key] = nc

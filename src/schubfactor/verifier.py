@@ -127,10 +127,10 @@ def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polyno
     return total
 
 
-def product_side(mu: Composition, family: str, space: VariableSpace | None = None) -> Polynomial:
+def product_side(mu: Composition, family: str) -> Polynomial:
     return by_family(
         family, cohomology.ordinary_class_orthogonal, cohomology.ordinary_class_symplectic
-    )(mu, space)
+    )(mu)
 
 
 def member_set(mu: Composition, family: str) -> WSet:
@@ -142,9 +142,8 @@ def verify_identity_for_members(
 ) -> IdentityReport:
     """Check sum-equals-product for an explicit member set (see module docstring)."""
     start = time.perf_counter()
-    space = cohomology.space_for(mu)
     n = mu.total
-    rhs = product_side(mu, family, space)
+    rhs = product_side(mu, family)
     ok = (
         len(set(members)) == len(members)
         and in_staircase_span(rhs, n)
@@ -153,7 +152,7 @@ def verify_identity_for_members(
     witness = None
     flags: list[str] = []
     if not ok:
-        witness = _first_mismatch(schubert_sum(members, space), rhs)
+        witness = _first_mismatch(schubert_sum(members, rhs.space), rhs)
         if witness is None:
             flags.append("Schubert expansion of the product side is not the member set with unit coefficients")
 
@@ -209,20 +208,19 @@ def verify_equivariant_suite(
     half_slots = not needs_even_parts(family)
     if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
-    space = cohomology.space_for(mu)
     n = mu.total
     flags: list[str] = []
     witness = None
     ok = True
     checked_points = 0
 
-    chern = cohomology.cross_block_chern_class(mu, space)
+    chern = cohomology.cross_block_chern_class(mu)
 
     # localization: restriction at every fixed point equals the weight product
     if n <= localization_max_n:
         for w in all_permutations(n):
             lhs = cohomology.restrict_to_fixed_point(chern, w)
-            rhs = cohomology.fixed_point_weight_product(mu, w, space)
+            rhs = cohomology.fixed_point_weight_product(mu, w)
             checked_points += 1
             if lhs != rhs:
                 ok = False
@@ -234,8 +232,8 @@ def verify_equivariant_suite(
 
     # block-torus restriction of the Chern class is the cross-block factor
     if ok:
-        restricted = cohomology.restrict_to_block_torus(chern, mu)
-        expected = cohomology.cross_block_factor(mu, space)
+        restricted = cohomology.restrict_to_block_torus(chern)
+        expected = cohomology.cross_block_factor(mu)
         if restricted != expected:
             ok = False
             witness = _first_mismatch(restricted, expected)
@@ -261,8 +259,8 @@ def verify_equivariant_suite(
     if ok:
         equivariant = by_family(
             family, cohomology.equivariant_class_orthogonal, cohomology.equivariant_class_symplectic
-        )(mu, space)
-        ordinary = product_side(mu, family, space)
+        )(mu)
+        ordinary = product_side(mu, family)
         if half_slots:
             ordinary = ordinary * (2 ** mu.half_weight())
         specialized = cohomology.zero_equivariant_vars(equivariant)

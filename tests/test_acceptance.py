@@ -159,26 +159,23 @@ def test_criterion_6_localization_suite():
     for n in range(1, 6):
         perms = list(all_permutations(n))
         for mu in enumerate_compositions(n):
-            sp = coh.space_for(mu)
-            chern = coh.cross_block_chern_class(mu, sp)
+            chern = coh.cross_block_chern_class(mu)
             for w in perms:
-                assert coh.restrict_to_fixed_point(chern, w) == coh.fixed_point_weight_product(mu, w, sp), (mu, w)
+                assert coh.restrict_to_fixed_point(chern, w) == coh.fixed_point_weight_product(mu, w), (mu, w)
                 points += 1
 
     # block-torus restriction and ordinary specialization for all mu of n <= 6
     for n in range(1, 7):
         for mu in enumerate_compositions(n):
-            sp = coh.space_for(mu)
-            chern = coh.cross_block_chern_class(mu, sp)
-            assert coh.restrict_to_block_torus(chern, mu) == coh.cross_block_factor(mu, sp), mu
-            eq = coh.equivariant_class_orthogonal(mu, sp)
-            expected = coh.ordinary_class_orthogonal(mu, sp) * (2 ** mu.half_weight())
+            chern = coh.cross_block_chern_class(mu)
+            assert coh.restrict_to_block_torus(chern) == coh.cross_block_factor(mu), mu
+            eq = coh.equivariant_class_orthogonal(mu)
+            expected = coh.ordinary_class_orthogonal(mu) * (2 ** mu.half_weight())
             assert coh.zero_equivariant_vars(eq) == expected, mu
     for two_n in (2, 4, 6):
         for mu in enumerate_compositions(two_n, even_parts_only=True):
-            sp = coh.space_for(mu)
-            eq = coh.equivariant_class_symplectic(mu, sp)
-            assert coh.zero_equivariant_vars(eq) == coh.ordinary_class_symplectic(mu, sp), mu
+            eq = coh.equivariant_class_symplectic(mu)
+            assert coh.zero_equivariant_vars(eq) == coh.ordinary_class_symplectic(mu), mu
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"{elapsed:.1f}s exceeds 1min budget"

@@ -2,7 +2,7 @@ import pytest
 
 from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations, identity
-from schubfactor.polynomial import Polynomial
+from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor import cohomology as coh
 
 
@@ -46,16 +46,16 @@ def test_root_counts():
 def test_half_block_factor_65():
     mu = Composition((6, 5))
     sp = coh.space_for(mu)
-    f1 = coh.half_block_factor(mu, 1, sp)
+    f1 = coh.half_block_factor(mu, 1)
     assert f1 == (xp(sp, 1) - zp(sp, 1)) * (xp(sp, 2) - zp(sp, 1)) * (xp(sp, 3) - zp(sp, 1))
-    f2 = coh.half_block_factor(mu, 2, sp)
+    f2 = coh.half_block_factor(mu, 2)
     assert f2 == (xp(sp, 7) - zp(sp, 2)) * (xp(sp, 8) - zp(sp, 2))
 
 
 def test_block_pair_factor_65():
     mu = Composition((6, 5))
     sp = coh.space_for(mu)
-    g2 = coh.block_pair_factor(mu, 2, sp)
+    g2 = coh.block_pair_factor(mu, 2)
     expected = Polynomial.one(sp)
     for (j, k) in ((7, 8), (7, 9), (7, 10), (8, 9)):
         expected = expected * (xp(sp, j) + xp(sp, k) - 2 * zp(sp, 2))
@@ -69,7 +69,7 @@ def test_block_pair_factor_65():
 def test_cross_pair_factor_22():
     mu = Composition((2, 2))
     sp = coh.space_for(mu)
-    h = coh.cross_pair_factor(mu, 1, 2, sp)
+    h = coh.cross_pair_factor(mu, 1, 2)
     expected = Polynomial.one(sp)
     for k in (1, 2):
         expected = expected * (xp(sp, k) - ybp(sp, 2, 1) - zp(sp, 2))
@@ -80,7 +80,7 @@ def test_cross_pair_factor_22():
 def test_cross_pair_factor_23_odd_block():
     mu = Composition((2, 3))
     sp = coh.space_for(mu)
-    h = coh.cross_pair_factor(mu, 1, 2, sp)
+    h = coh.cross_pair_factor(mu, 1, 2)
     expected = Polynomial.one(sp)
     for k in (1, 2):
         expected = expected * (xp(sp, k) - zp(sp, 2))
@@ -101,11 +101,11 @@ def test_cross_pair_factor_bad_indices():
 def test_ordinary_orthogonal_examples():
     mu = Composition((2,))
     sp = coh.space_for(mu)
-    assert coh.ordinary_class_orthogonal(mu, sp) == xp(sp, 1)
+    assert coh.ordinary_class_orthogonal(mu) == xp(sp, 1)
 
     mu = Composition((1, 1, 1))
     sp = coh.space_for(mu)
-    assert coh.ordinary_class_orthogonal(mu, sp) == xp(sp, 1) ** 2 * xp(sp, 2)
+    assert coh.ordinary_class_orthogonal(mu) == xp(sp, 1) ** 2 * xp(sp, 2)
 
     mu = Composition((3, 4))
     sp = coh.space_for(mu)
@@ -114,17 +114,17 @@ def test_ordinary_orthogonal_examples():
     )
     for (j, k) in ((1, 2), (4, 5), (4, 6)):
         expected = expected * (xp(sp, j) + xp(sp, k))
-    assert coh.ordinary_class_orthogonal(mu, sp) == expected
+    assert coh.ordinary_class_orthogonal(mu) == expected
 
 
 def test_ordinary_symplectic_examples():
     mu = Composition((2,))
     sp = coh.space_for(mu)
-    assert coh.ordinary_class_symplectic(mu, sp) == Polynomial.one(sp)
+    assert coh.ordinary_class_symplectic(mu) == Polynomial.one(sp)
 
     mu = Composition((4,))
     sp = coh.space_for(mu)
-    assert coh.ordinary_class_symplectic(mu, sp) == (xp(sp, 1) + xp(sp, 2)) * (
+    assert coh.ordinary_class_symplectic(mu) == (xp(sp, 1) + xp(sp, 2)) * (
         xp(sp, 1) + xp(sp, 3)
     )
 
@@ -132,7 +132,7 @@ def test_ordinary_symplectic_examples():
     sp = coh.space_for(mu)
     expected = Polynomial.monomial(sp, {sp.x(1): 4, sp.x(2): 4})
     expected = expected * (xp(sp, 3) + xp(sp, 4)) * (xp(sp, 3) + xp(sp, 5))
-    assert coh.ordinary_class_symplectic(mu, sp) == expected
+    assert coh.ordinary_class_symplectic(mu) == expected
 
 
 def test_ordinary_symplectic_rejects_odd():
@@ -221,7 +221,7 @@ def test_base_class_symplectic_is_pair_factor(m):
 def test_equivariant_orthogonal_single_even_block():
     mu = Composition((2,))
     sp = coh.space_for(mu)
-    assert coh.equivariant_class_orthogonal(mu, sp) == 2 * (xp(sp, 1) - zp(sp, 1))
+    assert coh.equivariant_class_orthogonal(mu) == 2 * (xp(sp, 1) - zp(sp, 1))
 
 
 @pytest.mark.parametrize("family", ("orthogonal", "symplectic"))
@@ -229,13 +229,12 @@ def test_equivariant_specializes_to_ordinary(family):
     totals = range(1, 7) if family == "orthogonal" else (2, 4, 6)
     for n in totals:
         for mu in enumerate_compositions(n, even_parts_only=(family == "symplectic")):
-            sp = coh.space_for(mu)
             if family == "orthogonal":
-                eq = coh.equivariant_class_orthogonal(mu, sp)
-                expected = coh.ordinary_class_orthogonal(mu, sp) * (2 ** mu.half_weight())
+                eq = coh.equivariant_class_orthogonal(mu)
+                expected = coh.ordinary_class_orthogonal(mu) * (2 ** mu.half_weight())
             else:
-                eq = coh.equivariant_class_symplectic(mu, sp)
-                expected = coh.ordinary_class_symplectic(mu, sp)
+                eq = coh.equivariant_class_symplectic(mu)
+                expected = coh.ordinary_class_symplectic(mu)
             assert coh.zero_equivariant_vars(eq) == expected, mu
 
 
@@ -248,11 +247,11 @@ def test_chern_class_examples():
 
     mu = Composition((1, 1))
     sp = coh.space_for(mu)
-    assert coh.cross_block_chern_class(mu, sp) == xp(sp, 1) - yp(sp, 2)
+    assert coh.cross_block_chern_class(mu) == xp(sp, 1) - yp(sp, 2)
 
     mu = Composition((2, 1))
     sp = coh.space_for(mu)
-    assert coh.cross_block_chern_class(mu, sp) == (xp(sp, 1) - yp(sp, 3)) * (
+    assert coh.cross_block_chern_class(mu) == (xp(sp, 1) - yp(sp, 3)) * (
         xp(sp, 2) - yp(sp, 3)
     )
 
@@ -262,15 +261,15 @@ def test_restrict_to_fixed_point_examples():
     sp = coh.space_for(mu)
     assert coh.restrict_to_fixed_point(xp(sp, 1) + xp(sp, 2), identity(2)) == yp(sp, 1) + yp(sp, 2)
     assert coh.restrict_to_fixed_point(xp(sp, 1) - yp(sp, 2), Permutation((2, 1))).is_zero()
-    chern = coh.cross_block_chern_class(mu, sp)
+    chern = coh.cross_block_chern_class(mu)
     assert coh.restrict_to_fixed_point(chern, identity(2)) == yp(sp, 1) - yp(sp, 2)
 
 
 def test_weight_product_examples():
     mu = Composition((1, 1))
     sp = coh.space_for(mu)
-    assert coh.fixed_point_weight_product(mu, identity(2), sp) == yp(sp, 1) - yp(sp, 2)
-    assert coh.fixed_point_weight_product(mu, Permutation((2, 1)), sp).is_zero()
+    assert coh.fixed_point_weight_product(mu, identity(2)) == yp(sp, 1) - yp(sp, 2)
+    assert coh.fixed_point_weight_product(mu, Permutation((2, 1))).is_zero()
 
     mu = Composition((2, 2))
     sp = coh.space_for(mu)
@@ -281,16 +280,15 @@ def test_weight_product_examples():
         * (yp(sp, 1) - yp(sp, 3))
         * (yp(sp, 1) - yp(sp, 4))
     )
-    assert coh.fixed_point_weight_product(mu, w, sp) == expected
+    assert coh.fixed_point_weight_product(mu, w) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_localization_characterization_exhaustive(n):
     for mu in enumerate_compositions(n):
-        sp = coh.space_for(mu)
-        chern = coh.cross_block_chern_class(mu, sp)
+        chern = coh.cross_block_chern_class(mu)
         for w in all_permutations(n):
-            assert coh.restrict_to_fixed_point(chern, w) == coh.fixed_point_weight_product(mu, w, sp)
+            assert coh.restrict_to_fixed_point(chern, w) == coh.fixed_point_weight_product(mu, w)
 
 
 # -- block-torus restriction ------------------------------------------------------------------
@@ -299,33 +297,37 @@ def test_localization_characterization_exhaustive(n):
 def test_restrict_to_block_torus_even_block():
     mu = Composition((2,))
     sp = coh.space_for(mu)
-    assert coh.restrict_to_block_torus(yp(sp, 1), mu) == zp(sp, 1) + ybp(sp, 1, 1)
-    assert coh.restrict_to_block_torus(yp(sp, 2), mu) == zp(sp, 1) - ybp(sp, 1, 1)
+    assert coh.restrict_to_block_torus(yp(sp, 1)) == zp(sp, 1) + ybp(sp, 1, 1)
+    assert coh.restrict_to_block_torus(yp(sp, 2)) == zp(sp, 1) - ybp(sp, 1, 1)
 
 
 def test_restrict_to_block_torus_odd_middle():
     mu = Composition((3,))
     sp = coh.space_for(mu)
-    assert coh.restrict_to_block_torus(yp(sp, 2), mu) == zp(sp, 1)
+    assert coh.restrict_to_block_torus(yp(sp, 2)) == zp(sp, 1)
 
 
 def test_restrict_to_block_torus_matches_cross_factor():
     mu = Composition((2, 2))
-    sp = coh.space_for(mu)
-    chern = coh.cross_block_chern_class(mu, sp)
-    assert coh.restrict_to_block_torus(chern, mu) == coh.cross_pair_factor(mu, 1, 2, sp)
+    chern = coh.cross_block_chern_class(mu)
+    assert coh.restrict_to_block_torus(chern) == coh.cross_pair_factor(mu, 1, 2)
 
 
 def test_restrict_to_block_torus_all_small():
     for n in range(1, 6):
         for mu in enumerate_compositions(n):
-            sp = coh.space_for(mu)
-            chern = coh.cross_block_chern_class(mu, sp)
-            assert coh.restrict_to_block_torus(chern, mu) == coh.cross_block_factor(mu, sp), mu
+            chern = coh.cross_block_chern_class(mu)
+            assert coh.restrict_to_block_torus(chern) == coh.cross_block_factor(mu), mu
 
 
 def test_restrict_to_block_torus_rejects_block_vars():
     mu = Composition((2,))
     sp = coh.space_for(mu)
     with pytest.raises(ValueError):
-        coh.restrict_to_block_torus(zp(sp, 1), mu)
+        coh.restrict_to_block_torus(zp(sp, 1))
+
+
+def test_restrict_to_block_torus_rejects_space_without_blocks():
+    sp = VariableSpace(2)
+    with pytest.raises(ValueError, match="no blocks"):
+        coh.restrict_to_block_torus(yp(sp, 1))

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from schubfactor.cohomology import space_for
+from schubfactor.composition import Composition
 from schubfactor.permutation import Permutation, all_permutations, longest_element
 from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor.schubert import (
@@ -154,6 +156,18 @@ def test_expand_rejects_n_beyond_space(k):
         expand_in_schubert_basis(xvar(sp, 1), 3)
     with pytest.raises(ValueError, match="n <="):
         expand_in_schubert_basis(Polynomial.one(sp), 0)
+
+
+@pytest.mark.parametrize(
+    "sp", [VariableSpace(5), space_for(Composition((2, 3)))], ids=["plain", "blocks"]
+)
+def test_expand_in_smaller_group_than_space(sp):
+    # the x-exponents beyond x_n and every y/z exponent are dropped before
+    # the greedy expansion; only the span check may reject them
+    for w in all_permutations(3):
+        assert expand_in_schubert_basis(schubert_poly(w, sp), 3).coeffs == {w: 1}
+    with pytest.raises(ValueError, match="staircase span"):
+        expand_in_schubert_basis(xvar(sp, 4), 3)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -42,7 +42,7 @@ def test_worked_example_lhs_equals_product():
     mu = Composition((3, 4))
     sp = coh.space_for(mu)
     members = w_set_orthogonal(mu).members
-    assert schubert_sum(members, sp) == coh.ordinary_class_orthogonal(mu, sp)
+    assert schubert_sum(members, sp) == coh.ordinary_class_orthogonal(mu)
 
 
 def test_verify_identity_passes():
@@ -134,7 +134,7 @@ def test_verdict_agrees_with_schubert_sum_oracle():
     verdicts = set()
     for mu, family in cases:
         sp = coh.space_for(mu)
-        product = product_side(mu, family, sp)
+        product = product_side(mu, family)
         perms = list(all_permutations(mu.total))
         for members in _perturbed_member_sets(list(member_set(mu, family).members), perms, rng):
             report = verify_identity_for_members(mu, family, members)
@@ -196,9 +196,8 @@ def test_equivariant_suite_23_matches_displayed_cross_factor():
     mu = Composition((2, 3))
     report = verify_equivariant_suite(mu, ORTHOGONAL)
     assert report.passed
-    sp = coh.space_for(mu)
-    chern = coh.cross_block_chern_class(mu, sp)
-    assert coh.restrict_to_block_torus(chern, mu) == coh.cross_pair_factor(mu, 1, 2, sp)
+    chern = coh.cross_block_chern_class(mu)
+    assert coh.restrict_to_block_torus(chern) == coh.cross_pair_factor(mu, 1, 2)
 
 
 def test_equivariant_suite_skips_localization_above_limit():
