@@ -79,7 +79,7 @@ class VariableSpace:
         return range(self.n, self.num_vars)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, VariableSpace)
             and self.n == other.n
             and self.mu == other.mu
@@ -340,49 +340,45 @@ class Polynomial:
     def substitute(self, images: Mapping[int, "Polynomial | int"]) -> "Polynomial":
         """
         Ring homomorphism sending variable vid to images[vid]; unmapped
-        variables map to themselves.  Image polynomials must live in this
-        polynomial's space.
+        variables map to themselves.  The substitution is simultaneous: an
+        image may mention a substituted variable, which is not substituted
+        again.
+
+        Terms that agree on the exponents of the substituted variables form
+        one group; each group's image prod images[vid]^e is built once, from
+        powers computed on demand, and multiplied once by the group's other
+        factors.  Raises ValueError for an image in another space or a vid
+        outside 0 .. num_vars - 1.
         """
         space = self.space
-        fixed_images: dict[int, Polynomial] = {}
+        powers: dict[int, list[Polynomial]] = {}
         for vid, img in images.items():
+            if not 0 <= vid < space.num_vars:
+                raise ValueError(f"variable id {vid} out of range for {space}")
             if isinstance(img, int):
                 img = Polynomial.integer(space, img)
             if img.space != space:
                 raise ValueError("substitution image in a different variable space")
-            fixed_images[vid] = img
+            powers[vid] = [Polynomial.one(space), img]
 
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def image_power(vid: int, e: int) -> Polynomial:
-            key = (vid, e)
-            p = power_cache.get(key)
-            if p is None:
-                p = fixed_images[vid] ** e
-                power_cache[key] = p
-            return p
-
-        out: dict[tuple[int, ...], int] = {}
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for exp, c in self.terms.items():
             kept = list(exp)
-            factors: list[Polynomial] = []
-            for vid in fixed_images:
-                e = exp[vid]
+            for vid in powers:
+                kept[vid] = 0
+            groups.setdefault(tuple(exp[vid] for vid in powers), {})[tuple(kept)] = c
+
+        out = Polynomial.zero(space)
+        for sub, kept_terms in groups.items():
+            image = None
+            for pw, e in zip(powers.values(), sub):
                 if e:
-                    kept[vid] = 0
-                    factors.append(image_power(vid, e))
-            piece = Polynomial(space, {tuple(kept): c})
-            for f in factors:
-                piece = piece * f
-                if piece.is_zero():
-                    break
-            for e2, c2 in piece.terms.items():
-                nc = out.get(e2, 0) + c2
-                if nc:
-                    out[e2] = nc
-                elif e2 in out:
-                    del out[e2]
-        return Polynomial(space, out)
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * pw[1])
+                    image = pw[e] if image is None else image * pw[e]
+            group = Polynomial(space, kept_terms)
+            out = out + (group if image is None else group * image)
+        return out
 
     # -- rendering ------------------------------------------------------------
 

@@ -224,7 +224,7 @@ def verify_equivariant_suite(
             checked_points += 1
             if lhs != rhs:
                 ok = False
-                witness = witness or _first_mismatch(lhs, rhs)
+                witness = _first_mismatch(lhs, rhs)
                 flags.append(f"localization mismatch at w={w}")
                 break
     else:

@@ -32,3 +32,21 @@ def test_install_spans_wraps_and_restores_every_attribute():
     spans = tracer.summary(1)["spans"]
     for span in ("verifier", "wset.member_set", "cohomology.product_side", "schubert.expand"):
         assert spans[span]["calls"] >= 1, span
+
+
+def test_install_spans_sees_every_restriction_of_the_suite():
+    # the localization workload's substitute_calls counter reads these spans
+    tracer = Tracer()
+    try:
+        worker.install_spans(tracer)
+        verifier.verify_equivariant_suite(Composition((2, 1)), verifier.ORTHOGONAL)
+    finally:
+        tracer.remove()
+    spans = tracer.summary(1)["spans"]
+    calls = {name: span["calls"] for name, span in spans.items()}
+    restrictions = ("cohomology.fixed_point", "cohomology.block_torus", "cohomology.specialize")
+    for span in restrictions + ("polynomial.substitute", "polynomial.mul"):
+        assert calls.get(span, 0) >= 1, span
+    # each restriction substitutes exactly once: 3! fixed points, block torus, specialization
+    assert calls["cohomology.fixed_point"] == 6
+    assert calls["polynomial.substitute"] == sum(calls[span] for span in restrictions)

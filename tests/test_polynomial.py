@@ -211,6 +211,51 @@ def test_substitute_rejects_other_space():
         x(1).substitute({SPACE3.x(1): Polynomial.one(other)})
 
 
+@pytest.mark.parametrize("vid", [-1, SPACE3.num_vars])
+def test_substitute_rejects_out_of_range_vid(vid):
+    with pytest.raises(ValueError):
+        y(3).substitute({vid: y(1)})
+
+
+def test_substitute_is_simultaneous():
+    f = x(1) ** 2 * x(2)
+    swapped = f.substitute({SPACE3.x(1): x(2), SPACE3.x(2): x(1)})
+    assert swapped == x(1) * x(2) ** 2
+
+
+def substitute_oracle(f, images):
+    """The definition: sum of c * monomial(kept) * prod img**e, by +, * and ** alone."""
+    total = Polynomial.zero(f.space)
+    for exp, c in f.terms.items():
+        kept = {vid: e for vid, e in enumerate(exp) if vid not in images}
+        term = Polynomial.monomial(f.space, kept, c)
+        for vid, img in images.items():
+            term = term * img ** exp[vid]
+        total = total + term
+    return total
+
+
+@settings(max_examples=75)
+@given(st.integers(0, 10 ** 6))
+def test_substitute_matches_definition(seed):
+    rng = random.Random(seed)
+    sp = SPACE22  # x, y, y{i}_{j} and z families
+    f = random_poly(rng, sp, max_terms=5, max_exp=2)
+    vids = rng.sample(range(sp.num_vars), rng.randint(1, 4))
+    images = {}
+    for vid in vids:
+        kind = rng.randrange(4)
+        if kind == 0:
+            images[vid] = rng.randint(-3, 3)
+        elif kind == 1:
+            images[vid] = 0
+        elif kind == 2:
+            images[vid] = random_poly(rng, sp, max_terms=3, max_exp=1)
+        else:  # mentions a substituted variable, which must not be substituted again
+            images[vid] = Polynomial.variable(sp, rng.choice(vids)) + rng.randint(-2, 2)
+    assert f.substitute(images) == substitute_oracle(f, images)
+
+
 @settings(max_examples=75)
 @given(st.integers(0, 10 ** 6))
 def test_substitute_is_ring_homomorphism(seed):

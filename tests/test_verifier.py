@@ -212,6 +212,44 @@ def test_equivariant_suite_symplectic_needs_even_parts():
         verify_equivariant_suite(Composition((3, 3)), SYMPLECTIC)
 
 
+def test_equivariant_suite_localization_mismatch(monkeypatch):
+    # negate the weight product at one block-preserving point, the third of S_3
+    weight_product = coh.fixed_point_weight_product
+    perturbed = Permutation((2, 1, 3))
+    monkeypatch.setattr(
+        coh,
+        "fixed_point_weight_product",
+        lambda mu, w: weight_product(mu, w) * (-1 if w == perturbed else 1),
+    )
+    report = verify_equivariant_suite(Composition((2, 1)), ORTHOGONAL)
+    assert report.to_json_dict() == {
+        "family": "orthogonal",
+        "mu": [2, 1],
+        "verdict": "fail",
+        "degree": 2,
+        "support": 3,
+        "witness": ["y3^2", "1", "-1"],
+        "flags": ["localization mismatch at w=213"],
+        "ms": None,
+    }
+
+
+def test_equivariant_suite_block_torus_mismatch(monkeypatch):
+    cross_block_factor = coh.cross_block_factor
+    monkeypatch.setattr(coh, "cross_block_factor", lambda mu: cross_block_factor(mu) * 2)
+    report = verify_equivariant_suite(Composition((2, 1)), ORTHOGONAL)
+    assert report.to_json_dict() == {
+        "family": "orthogonal",
+        "mu": [2, 1],
+        "verdict": "fail",
+        "degree": 2,
+        "support": 6,
+        "witness": ["z2^2", "1", "2"],
+        "flags": ["block-torus restriction of the Chern class mismatches"],
+        "ms": None,
+    }
+
+
 def test_report_json_shape():
     report = verify_identity(Composition((2,)), ORTHOGONAL)
     data = report.to_json_dict()
