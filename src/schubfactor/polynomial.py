@@ -340,15 +340,10 @@ class Polynomial:
     def substitute(self, images: Mapping[int, "Polynomial | int"]) -> "Polynomial":
         """
         Ring homomorphism sending variable vid to images[vid]; unmapped
-        variables map to themselves.  The substitution is simultaneous: an
-        image may mention a substituted variable, which is not substituted
-        again.
-
-        Terms that agree on the exponents of the substituted variables form
-        one group; each group's image prod images[vid]^e is built once, from
-        powers computed on demand, and multiplied once by the group's other
-        factors.  Raises ValueError for an image in another space or a vid
-        outside 0 .. num_vars - 1.
+        variables map to themselves.  It is simultaneous: an image may mention
+        a substituted variable, which is not substituted again.  Terms that
+        agree on the substituted exponents share one image prod images[vid]^e.
+        Raises ValueError for an image in another space or a vid outside it.
         """
         space = self.space
         powers: dict[int, list[Polynomial]] = {}
@@ -363,22 +358,30 @@ class Polynomial:
 
         groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for exp, c in self.terms.items():
-            kept = list(exp)
-            for vid in powers:
-                kept[vid] = 0
-            groups.setdefault(tuple(exp[vid] for vid in powers), {})[tuple(kept)] = c
+            groups.setdefault(tuple(exp[vid] for vid in powers), {})[exp] = c
 
-        out = Polynomial.zero(space)
-        for sub, kept_terms in groups.items():
+        out: dict[tuple[int, ...], int] = {}
+        for sub, terms in groups.items():
             image = None
             for pw, e in zip(powers.values(), sub):
                 if e:
                     while len(pw) <= e:
                         pw.append(pw[-1] * pw[1])
                     image = pw[e] if image is None else image * pw[e]
-            group = Polynomial(space, kept_terms)
-            out = out + (group if image is None else group * image)
-        return out
+            kept: dict[tuple[int, ...], int] = {}  # one group at a time, to bound memory
+            for exp, c in terms.items():
+                k = list(exp)
+                for vid in powers:
+                    k[vid] = 0
+                kept[tuple(k)] = c
+            product = kept if image is None else (Polynomial(space, kept) * image).terms
+            for exp, c in product.items():
+                nc = out.get(exp, 0) + c
+                if nc:
+                    out[exp] = nc
+                elif exp in out:
+                    del out[exp]
+        return Polynomial(space, out)
 
     # -- rendering ------------------------------------------------------------
 
