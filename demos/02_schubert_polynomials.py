@@ -4,9 +4,9 @@ Schubert polynomials two ways, and expansion in the Schubert basis.
 The recursion starts from the staircase monomial of the longest element and
 applies divided differences down the weak order.  The independent oracle
 sums one monomial per reduced pipe dream, enumerated by ladder moves from
-the left-justified diagram of the Lehmer code.  The canonical leading
-monomial of a Schubert polynomial is x^code(w), which drives the greedy
-basis expansion.
+the left-justified diagram of the Lehmer code.  Ladder moves only lift
+crosses to earlier rows, so x^code(w) is the lexicographically smallest
+monomial of a Schubert polynomial, which drives the greedy basis expansion.
 """
 
 from schubfactor import (

@@ -14,7 +14,8 @@ Subcommands:
 Output goes to stdout (--format text|json), diagnostics to stderr.  JSON
 output is byte-identical across runs; pass --timings to verify/sweep to
 include real elapsed milliseconds instead of null.  Exit status: 0 on
-success/pass, 1 on verification failure, 2 on usage errors.
+success/pass, 1 on verification failure, 2 on usage errors, 3 on an
+internal error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from typing import Sequence
 
 from . import cohomology, verifier
@@ -32,6 +34,7 @@ from .schubert import expand_in_schubert_basis, schubert_poly
 from .wset import WSet
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,6 +105,13 @@ class _UsageError(Exception):
     pass
 
 
+def _check_n(args) -> None:
+    if args.n < 1:
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
+    if args.n > args.max_n:
+        raise _UsageError(f"ambient size {args.n} exceeds guard --max-n {args.max_n}")
+
+
 def _parse_mu(args) -> Composition:
     try:
         mu = parse_composition(args.mu)
@@ -142,8 +152,7 @@ def _cmd_wset(args) -> int:
 
 
 def _cmd_schubert(args) -> int:
-    if args.n > args.max_n:
-        raise _UsageError(f"ambient size {args.n} exceeds guard --max-n {args.max_n}")
+    _check_n(args)
     try:
         w = parse_permutation(args.perm)
     except ValueError as exc:
@@ -204,8 +213,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.n > args.max_n:
-        raise _UsageError(f"ambient size {args.n} exceeds guard --max-n {args.max_n}")
+    _check_n(args)
     if verifier.needs_even_parts(args.family) and args.n % 2 != 0:
         raise _UsageError(f"symplectic sweeps need even n, got {args.n}")
     reports = verifier.sweep(args.n, args.family)
@@ -235,9 +243,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # a bug, not bad input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

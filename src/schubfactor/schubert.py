@@ -13,20 +13,21 @@ Both return the same polynomial; the oracle never touches the recursion and
 is used for cross-validation.
 
 The Schubert polynomials of S_n form a Z-basis of the span of monomials
-x^c with c_i <= n - i (the "staircase span").  Within that span, the
-canonical-order leading monomial of a Schubert polynomial is x^{code(w)}
-with coefficient 1, so expansion works by greedy leading-term subtraction.
+x^c with c_i <= n - i (the "staircase span").  Every reduced pipe dream of
+w is reached from the code diagram by ladder moves, and each move lifts a
+cross to an earlier row, raising the row-count vector in plain tuple order
+(Bergeron & Billey, RC-graphs and Schubert polynomials, 1993).  So x^{code(w)}
+is the lexicographically smallest monomial of S_w, with coefficient 1, and
+expansion subtracts at the smallest exponent tuple with no sort key.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .permutation import Permutation, from_code
-from .polynomial import Polynomial, VariableSpace, _term_key, divided_difference_terms
-
-# word -> {x-exponent tuple (length n): coeff}; shared across all spaces
-_SCHUBERT_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+from .polynomial import Polynomial, VariableSpace, divided_difference_terms
 
 
 def _smallest_ascent(word: tuple[int, ...]) -> int | None:
@@ -37,34 +38,19 @@ def _smallest_ascent(word: tuple[int, ...]) -> int | None:
     return None
 
 
-def _swap(word: tuple[int, ...], i: int) -> tuple[int, ...]:
-    lst = list(word)
-    lst[i - 1], lst[i] = lst[i], lst[i - 1]
-    return tuple(lst)
-
-
+@functools.cache
 def _schubert_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """
-    x-exponent map of the Schubert polynomial of `word`, memoized.
-
-    Walks up the chain w, w s_i, w s_i s_j, ... (always the smallest ascent)
-    until hitting the cache or the longest element, then applies divided
-    differences back down.
+    x-exponent map of the Schubert polynomial of `word`, memoized and shared
+    across all spaces: S_w = d_i S_{w s_i} at the smallest ascent i, down
+    from the staircase monomial of the longest element.  The recursion is
+    at most n(n-1)/2 calls deep.
     """
-    chain: list[tuple[tuple[int, ...], int]] = []
-    cur = word
-    while cur not in _SCHUBERT_CACHE:
-        i = _smallest_ascent(cur)
-        if i is None:
-            n = len(cur)
-            _SCHUBERT_CACHE[cur] = {tuple(range(n - 1, -1, -1)): 1}
-            break
-        chain.append((cur, i))
-        cur = _swap(cur, i)
-    while chain:
-        u, i = chain.pop()
-        _SCHUBERT_CACHE[u] = divided_difference_terms(_SCHUBERT_CACHE[_swap(u, i)], i)
-    return _SCHUBERT_CACHE[word]
+    i = _smallest_ascent(word)
+    if i is None:
+        return {tuple(range(len(word) - 1, -1, -1)): 1}
+    up = word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
+    return divided_difference_terms(_schubert_terms(up), i)
 
 
 def _materialize(x_terms: dict[tuple[int, ...], int], space: VariableSpace) -> Polynomial:
@@ -224,11 +210,10 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     The unique expansion of f (which must lie in the staircase span for n)
     as an integer combination of Schubert polynomials of S_n.
 
-    Greedy: the canonical leading monomial x^c of the remainder is the code
-    of exactly one w in S_n; subtract coeff * schubert_poly(w) and repeat.
-    Every subtraction strictly raises the leading monomial and keeps the
-    remainder in the span, so this terminates and every leading exponent is
-    a Lehmer code.
+    Greedy: the smallest exponent tuple c of the remainder, in plain tuple
+    order, is the code of exactly one w in S_n, and ladder moves make every
+    other monomial of S_w larger.  So subtracting coeff * schubert_poly(w)
+    cancels x^c, raises the smallest tuple and stays in the span.
     """
     if not 1 <= n <= f.space.n:
         raise ValueError(f"need 1 <= n <= {f.space.n} for this space, got n={n}")
@@ -238,7 +223,7 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     remainder = {exp[:n]: c for exp, c in f.terms.items()}
     coeffs: dict[Permutation, int] = {}
     while remainder:
-        exp = min(remainder, key=lambda e: _term_key(n, e))
+        exp = min(remainder)
         c = remainder[exp]
         w = from_code(exp)
         for key, c2 in _schubert_terms(w.word).items():

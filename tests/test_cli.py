@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from schubfactor import verifier
 from schubfactor.cli import main
 
 
@@ -172,3 +173,22 @@ def test_usage_errors_exit_2(capsys):
 def test_sweep_symplectic_odd_n(capsys):
     code, _, err = run(capsys, "sweep", "--n", "5", "--family", "symplectic")
     assert code == 2 and "even" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "schubert"])
+def test_n_below_one_is_a_usage_error(capsys, command):
+    extra = ["--family", "orthogonal"] if command == "sweep" else ["--perm", "1"]
+    code, out, err = run(capsys, command, "--n", "0", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: --n must be at least 1, got 0\n"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(verifier, "verify_identity", broken)
+    code, out, err = run(capsys, "verify", "--mu", "3,4", "--family", "orthogonal")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback") and "in broken" in err
+    assert err.endswith("\ninternal error: ValueError: broken invariant\n")

@@ -9,6 +9,7 @@ from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor.schubert import (
     SchubertExpansion,
     _diagram_permutation,
+    _ladder_successors,
     expand_in_schubert_basis,
     in_staircase_span,
     pipe_dreams,
@@ -60,6 +61,10 @@ def test_schubert_homogeneous_positive_with_code_leading_term(n):
         exp, c = f.leading_term()
         assert c == 1
         assert tuple(exp[:n]) == w.code()
+        # the basis expansion takes the smallest tuple, not the canonical order
+        smallest = min(f.terms)
+        assert tuple(smallest[:n]) == w.code()
+        assert f.terms[smallest] == 1
 
 
 def test_oracle_examples():
@@ -80,6 +85,24 @@ def test_pipe_dream_wirings_are_reduced_and_correct():
             assert len(diagram) == w.length
             assert _diagram_permutation(diagram, w.n) == w
             assert all(i + j <= w.n for (i, j) in diagram)
+
+
+def _row_counts(diagram, n):
+    counts = [0] * n
+    for (i, _j) in diagram:
+        counts[i - 1] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ladder_moves_raise_row_counts_lexicographically(n):
+    # the order the basis expansion relies on, checked on the pipe dreams alone:
+    # the code diagram is the smallest, so x^code(w) is the smallest monomial
+    for w in all_permutations(n):
+        for diagram in pipe_dreams(w):
+            counts = _row_counts(diagram, n)
+            for moved in _ladder_successors(diagram):
+                assert _row_counts(moved, n) > counts, (w, sorted(diagram))
 
 
 def test_oracle_random_s7_sample():
@@ -192,6 +215,17 @@ def test_expansion_linearity():
         combined[w] = combined.get(w, 0) + c
     combined = {w: c for w, c in combined.items() if c}
     assert expand_in_schubert_basis(f + g, 4).coeffs == combined
+    # combinations of all of S_5 mix degrees and cancel monomials, so plain
+    # tuple order and the canonical grevlex order pick different steps
+    sp = VariableSpace(5)
+    for seed in range(3):
+        rng = random.Random(seed)
+        coeffs = {w: rng.randint(-3, 3) for w in all_permutations(5)}
+        f = Polynomial.zero(sp)
+        for w, c in coeffs.items():
+            f = f + schubert_poly(w, sp) * c
+        want = {w: c for w, c in coeffs.items() if c}
+        assert expand_in_schubert_basis(f, 5).coeffs == want
 
 
 def test_expansion_reconstructs():
