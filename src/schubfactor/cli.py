@@ -37,79 +37,19 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schubfactor",
-        description="Schubert polynomial sums, factored class formulas, and identity checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, mu=False, family=False, n=False, perm=False):
-        if mu:
-            p.add_argument("--mu", required=True, help="composition, e.g. 3,4")
-        if family:
-            p.add_argument(
-                "--family",
-                required=True,
-                choices=list(verifier.FAMILIES),
-            )
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if perm:
-            p.add_argument("--perm", required=True, help='one-line word, e.g. 321 or "3,2,1"')
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument(
-            "--max-n",
-            type=int,
-            default=9,
-            help="guard: reject ambient sizes above this (default 9)",
-        )
-
-    p = sub.add_parser("wset", help="list the member family of a composition")
-    add_common(p, mu=True, family=True)
-    p.add_argument("--dot", action="store_true", help="emit a DOT graph of isolated labeled vertices")
-    p.set_defaults(run=_cmd_wset)
-
-    p = sub.add_parser("schubert", help="print one Schubert polynomial")
-    add_common(p, n=True, perm=True)
-    p.set_defaults(run=_cmd_schubert)
-
-    p = sub.add_parser("formula", help="factored ordinary class for a composition")
-    add_common(p, mu=True, family=True)
-    p.add_argument("--expand", action="store_true", help="print the expanded polynomial")
-    p.set_defaults(run=functools.partial(_cmd_formula, equivariant=False))
-
-    p = sub.add_parser("equivariant", help="factored equivariant class for a composition")
-    add_common(p, mu=True, family=True)
-    p.add_argument("--expand", action="store_true", help="print the expanded polynomial")
-    p.set_defaults(run=functools.partial(_cmd_formula, equivariant=True))
-
-    p = sub.add_parser("expand", help="Schubert expansion of the ordinary class")
-    add_common(p, mu=True, family=True)
-    p.set_defaults(run=_cmd_expand)
-
-    p = sub.add_parser("verify", help="verify one sum-equals-product identity")
-    add_common(p, mu=True, family=True)
-    p.add_argument("--timings", action="store_true", help="include elapsed ms in JSON output")
-    p.set_defaults(run=_cmd_verify)
-
-    p = sub.add_parser("sweep", help="verify all compositions of n")
-    add_common(p, n=True, family=True)
-    p.add_argument("--timings", action="store_true", help="include elapsed ms in JSON output")
-    p.set_defaults(run=_cmd_sweep)
-
-    return parser
-
-
 class _UsageError(Exception):
     pass
+
+
+def _check_size(args, size: int) -> None:
+    if size > args.max_n:
+        raise _UsageError(f"ambient size {size} exceeds guard --max-n {args.max_n}")
 
 
 def _check_n(args) -> None:
     if args.n < 1:
         raise _UsageError(f"--n must be at least 1, got {args.n}")
-    if args.n > args.max_n:
-        raise _UsageError(f"ambient size {args.n} exceeds guard --max-n {args.max_n}")
+    _check_size(args, args.n)
 
 
 def _parse_mu(args) -> Composition:
@@ -117,10 +57,7 @@ def _parse_mu(args) -> Composition:
         mu = parse_composition(args.mu)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if mu.total > args.max_n:
-        raise _UsageError(
-            f"ambient size {mu.total} exceeds guard --max-n {args.max_n}"
-        )
+    _check_size(args, mu.total)
     if verifier.needs_even_parts(args.family) and not mu.all_even():
         raise _UsageError(f"symplectic family needs even parts, got {mu}")
     return mu
@@ -234,10 +171,60 @@ def _cmd_sweep(args) -> int:
     return 0 if all_pass else 1
 
 
+# Each option is declared once; each subcommand lists the options it takes
+# in the order its --help screen shows them.
+_OPTIONS = {
+    "--mu": dict(required=True, help="composition, e.g. 3,4"),
+    "--family": dict(required=True, choices=list(verifier.FAMILIES)),
+    "--n": dict(type=int, required=True),
+    "--perm": dict(required=True, help='one-line word, e.g. 321 or "3,2,1"'),
+    "--format": dict(choices=["text", "json"], default="text"),
+    "--max-n": dict(
+        type=int, default=9, help="guard: reject ambient sizes above this (default 9)"
+    ),
+    "--dot": dict(action="store_true", help="emit a DOT graph of isolated labeled vertices"),
+    "--expand": dict(action="store_true", help="print the expanded polynomial"),
+    "--timings": dict(action="store_true", help="include elapsed ms in JSON output"),
+}
+_COMMANDS = (  # (name, help, handler, options)
+    ("wset", "list the member family of a composition", _cmd_wset,
+     ("--mu", "--family", "--format", "--max-n", "--dot")),
+    ("schubert", "print one Schubert polynomial", _cmd_schubert,
+     ("--n", "--perm", "--format", "--max-n")),
+    ("formula", "factored ordinary class for a composition",
+     functools.partial(_cmd_formula, equivariant=False),
+     ("--mu", "--family", "--format", "--max-n", "--expand")),
+    ("equivariant", "factored equivariant class for a composition",
+     functools.partial(_cmd_formula, equivariant=True),
+     ("--mu", "--family", "--format", "--max-n", "--expand")),
+    ("expand", "Schubert expansion of the ordinary class", _cmd_expand,
+     ("--mu", "--family", "--format", "--max-n")),
+    ("verify", "verify one sum-equals-product identity", _cmd_verify,
+     ("--mu", "--family", "--format", "--max-n", "--timings")),
+    ("sweep", "verify all compositions of n", _cmd_sweep,
+     ("--family", "--n", "--format", "--max-n", "--timings")),
+)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later main() call."""
+    parser = argparse.ArgumentParser(
+        prog="schubfactor",
+        description="Schubert polynomial sums, factored class formulas, and identity checks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, run, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(run=run)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -341,10 +341,10 @@ def restrict_to_block_torus(f: Polynomial) -> Polynomial:
     if space.mu is None:
         raise ValueError("polynomial space carries no blocks")
     mu = Composition(space.mu)
-    used = f.variables_used()
-    for vid in used:
-        if vid >= 2 * space.n:
-            raise ValueError(f"variable {space.name(vid)} is already a block coordinate")
+    for exp in f.terms:
+        for vid in range(2 * space.n, len(exp)):
+            if exp[vid]:
+                raise ValueError(f"variable {space.name(vid)} is already a block coordinate")
     images: dict[int, Polynomial] = {}
     for i, p in enumerate(mu.parts, start=1):
         base = mu.nu[i - 1]

@@ -15,7 +15,9 @@ Coefficients are Python ints (arbitrary precision); exponent vectors are kept
 as dense tuples internally and serialized sparsely.  The canonical term order
 is graded reverse-lexicographic on the x part (ties broken the same way on
 the remaining families), iterated from the smallest term up; the first term
-under this order is the "leading" term used by the Schubert-basis expansion.
+under this order is the "leading" term.  This order serves text(), the JSON
+form, leading_term() and the verifier's witnesses; the Schubert-basis
+expansion does not use it (it takes the smallest exponent tuple).
 """
 
 from __future__ import annotations
@@ -290,12 +292,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(e[vid] for e in self.terms)
-
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for exp in self.terms:
-            used.update(vid for vid, e in enumerate(exp) if e)
-        return used
 
     def iter_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Terms in canonical order, leading term first."""

@@ -22,7 +22,8 @@ to (a power of two times) the ordinary class.
 
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the
-product side (a member given in a smaller S_m, say).
+product side (a member given in a smaller S_m, say) or cannot be formed in
+the product side's space (a member of a larger S_m).
 """
 
 from __future__ import annotations
@@ -152,7 +153,9 @@ def verify_identity_for_members(
     witness = None
     flags: list[str] = []
     if not ok:
-        witness = _first_mismatch(schubert_sum(members, rhs.space), rhs)
+        # a member of a larger S_m has no Schubert polynomial in rhs's space
+        if all(w.n <= n for w in members):
+            witness = _first_mismatch(schubert_sum(members, rhs.space), rhs)
         if witness is None:
             flags.append("Schubert expansion of the product side is not the member set with unit coefficients")
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schubfactor import verifier
+from schubfactor import cli, verifier
 from schubfactor.cli import main
 
 
@@ -181,6 +181,34 @@ def test_n_below_one_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "--n", "0", *extra)
     assert code == 2 and out == ""
     assert err == "error: --n must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "10", "--family", "orthogonal"],
+        ["schubert", "--n", "10", "--perm", "1,2,3,4,5,6,7,8,10,9"],
+    ],
+)
+def test_n_above_guard_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: ambient size 10 exceeds guard --max-n 9\n"
+
+
+def test_schubert_guard_can_be_lifted(capsys):
+    perm = "1,2,3,4,5,6,7,8,10,9"
+    code, out, _ = run(capsys, "schubert", "--n", "10", "--perm", perm, "--max-n", "10")
+    assert code == 0
+    assert out.strip() == "x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    run(capsys, "schubert", "--n", "3", "--perm", "321")
+    run(capsys, "wset", "--mu", "2", "--family", "orthogonal")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -327,6 +327,13 @@ def test_restrict_to_block_torus_rejects_block_vars():
         coh.restrict_to_block_torus(zp(sp, 1))
 
 
+def test_restrict_to_block_torus_rejects_equivariant_class():
+    # the class already lives on the block torus (it involves z1 and z2)
+    cls = coh.equivariant_class_orthogonal(Composition((2, 1)))
+    with pytest.raises(ValueError, match="is already a block coordinate"):
+        coh.restrict_to_block_torus(cls)
+
+
 def test_restrict_to_block_torus_rejects_space_without_blocks():
     sp = VariableSpace(2)
     with pytest.raises(ValueError, match="no blocks"):

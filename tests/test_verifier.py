@@ -102,6 +102,15 @@ def test_member_from_smaller_group_fails_without_witness():
     assert report.flags == [EXPANSION_FLAG]
 
 
+def test_member_from_larger_group_fails_without_witness():
+    # 3214 lies outside S_3, so no Schubert sum exists in the product side's space
+    members = [Permutation((3, 2, 1, 4))]
+    report = verify_identity_for_members(Composition((2, 1)), ORTHOGONAL, members)
+    assert report.verdict == "fail"
+    assert report.witness is None
+    assert report.flags == [EXPANSION_FLAG]
+
+
 def test_duplicated_member_fails_with_witness():
     mu = Composition((3, 4))
     members = w_set_orthogonal(mu).members
