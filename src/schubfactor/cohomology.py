@@ -25,6 +25,11 @@ cross-block Chern class restricts at w to fixed_point_weight_product(mu, w),
 which is zero unless w preserves every block.  restrict_to_block_torus maps
 the full-torus y coordinates onto the block-torus y/z coordinates of the
 composition its polynomial's space carries.
+
+Every restriction is one Polynomial.substitute call.  Fixed-point
+restriction (each image a variable) and zero_equivariant_vars (each image 0)
+are exponent remaps that move or drop terms without polynomial products; the
+block-torus images z_i +- y{i}_{k} have two terms and take grouped products.
 """
 
 from __future__ import annotations

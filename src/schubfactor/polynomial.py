@@ -81,11 +81,7 @@ class VariableSpace:
         return range(self.n, self.num_vars)
 
     def __eq__(self, other) -> bool:
-        return other is self or (
-            isinstance(other, VariableSpace)
-            and self.n == other.n
-            and self.mu == other.mu
-        )
+        return isinstance(other, VariableSpace) and self.n == other.n and self.mu == other.mu
 
     def __hash__(self) -> int:
         return hash((self.n, self.mu))
@@ -337,12 +333,17 @@ class Polynomial:
         """
         Ring homomorphism sending variable vid to images[vid]; unmapped
         variables map to themselves.  It is simultaneous: an image may mention
-        a substituted variable, which is not substituted again.  Terms that
-        agree on the substituted exponents share one image prod images[vid]^e.
-        Raises ValueError for an image in another space or a vid outside it.
+        a substituted variable, which is not substituted again.  Raises
+        ValueError for an image in another space or a vid outside it.
+
+        When every image has at most one term (a variable, c * monomial, an
+        integer or 0), each term maps to exactly one term, so the map is an
+        exponent remap with no polynomial products.  Otherwise terms that
+        agree on the substituted exponents share one image
+        prod images[vid]^e, built from grouped products.
         """
         space = self.space
-        powers: dict[int, list[Polynomial]] = {}
+        imgs: dict[int, Polynomial] = {}
         for vid, img in images.items():
             if not 0 <= vid < space.num_vars:
                 raise ValueError(f"variable id {vid} out of range for {space}")
@@ -350,8 +351,11 @@ class Polynomial:
                 img = Polynomial.integer(space, img)
             if img.space != space:
                 raise ValueError("substitution image in a different variable space")
-            powers[vid] = [Polynomial.one(space), img]
+            imgs[vid] = img
+        if all(len(img.terms) <= 1 for img in imgs.values()):
+            return self._remap(imgs)
 
+        powers = {vid: [Polynomial.one(space), img] for vid, img in imgs.items()}
         groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for exp, c in self.terms.items():
             groups.setdefault(tuple(exp[vid] for vid in powers), {})[exp] = c
@@ -378,6 +382,40 @@ class Polynomial:
                 elif exp in out:
                     del out[exp]
         return Polynomial(space, out)
+
+    def _remap(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
+        """substitute() for images of at most one term each: c x^a -> c' x^a'."""
+        moves: list[tuple[int, int, int]] = []  # (source, target, multiplicity)
+        scales: list[tuple[int, int]] = []  # a term gains c ** e for source exponent e
+        kills: list[int] = []  # sources whose image is 0
+        for vid, img in images.items():
+            if not img.terms:
+                kills.append(vid)
+                continue
+            ((mono, c),) = img.terms.items()
+            moves.extend((vid, target, m) for target, m in enumerate(mono) if m)
+            if c != 1:
+                scales.append((vid, c))
+        sources = tuple(images)
+
+        out: dict[tuple[int, ...], int] = {}
+        for exp, c in self.terms.items():
+            if kills and any(exp[vid] for vid in kills):
+                continue
+            k = list(exp)
+            for vid in sources:
+                k[vid] = 0
+            for vid, target, m in moves:  # read from exp, so the map is simultaneous
+                k[target] += exp[vid] * m
+            for vid, b in scales:
+                c *= b ** exp[vid]
+            key = tuple(k)
+            nc = out.get(key, 0) + c
+            if nc:
+                out[key] = nc
+            elif key in out:
+                del out[key]
+        return Polynomial(self.space, out)
 
     # -- rendering ------------------------------------------------------------
 

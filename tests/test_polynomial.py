@@ -189,6 +189,12 @@ def test_substitute_rename():
 def test_substitute_collapse():
     f = x(1) - y(2)
     assert f.substitute({SPACE3.x(1): y(2)}).is_zero()
+    # cancelling terms leave no zero coefficient behind
+    neg_y1 = Polynomial.monomial(SPACE3, {SPACE3.yfull(1): 1}, -1)
+    assert (x(1) + x(2)).substitute({SPACE3.x(1): neg_y1, SPACE3.x(2): y(1)}).is_zero()
+    two_y1 = Polynomial.monomial(SPACE3, {SPACE3.yfull(1): 1}, 2)
+    f = x(1) ** 2 - 4 * y(1) ** 2 + x(3)
+    assert f.substitute({SPACE3.x(1): two_y1}).terms == x(3).terms
 
 
 def test_substitute_to_zero():
@@ -254,6 +260,53 @@ def test_substitute_matches_definition(seed):
         else:  # mentions a substituted variable, which must not be substituted again
             images[vid] = Polynomial.variable(sp, rng.choice(vids)) + rng.randint(-2, 2)
     assert f.substitute(images) == substitute_oracle(f, images)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10 ** 6))
+def test_substitute_monomial_images_match_definition(seed):
+    # images of at most one term take the exponent remap, not grouped products
+    rng = random.Random(seed)
+    sp = SPACE22
+    f = random_poly(rng, sp, max_terms=6, max_exp=3)
+    vids = rng.sample(range(sp.num_vars), rng.randint(1, 5))
+    shared = rng.randrange(sp.num_vars)
+    images = {}
+    cycle = vids[: rng.randint(0, len(vids))]  # identity, rename, swap or longer cycle
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        images[a] = Polynomial.variable(sp, b)
+    for vid in vids[len(cycle):]:
+        kind = rng.randrange(4)
+        if kind == 0:  # integer constant, 0 included
+            images[vid] = rng.randint(-3, 3)
+        elif kind == 1:  # two sources onto one target: their exponents add
+            images[vid] = Polynomial.variable(sp, shared)
+        elif kind == 2:  # may name another substituted variable
+            images[vid] = Polynomial.variable(sp, rng.choice(vids))
+        else:  # c * monomial with negative and non-unit c
+            exps = {rng.randrange(sp.num_vars): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+            images[vid] = Polynomial.monomial(sp, exps, rng.choice((-3, -2, -1, 1, 2, 5)))
+    assert all(isinstance(img, int) or len(img.terms) <= 1 for img in images.values())
+    g = f.substitute(images)
+    assert 0 not in g.terms.values()
+    assert g == substitute_oracle(f, images)
+
+
+@pytest.mark.parametrize("image", [0, 3, y(1), Polynomial.monomial(SPACE3, {0: 2}, -5)])
+def test_substitute_monomial_images_reject_out_of_range_vid(image):
+    for vid in (-1, SPACE3.num_vars):
+        with pytest.raises(ValueError, match="out of range"):
+            y(3).substitute({SPACE3.x(1): y(2), vid: image})
+
+
+@pytest.mark.parametrize("image", [
+    Polynomial.zero(VariableSpace(4)),
+    Polynomial.integer(VariableSpace(4), -2),
+    2 * Polynomial.variable(VariableSpace(4), 0),
+])
+def test_substitute_monomial_images_reject_other_space(image):
+    with pytest.raises(ValueError, match="different variable space"):
+        x(1).substitute({SPACE3.x(2): y(1), SPACE3.x(1): image})
 
 
 @settings(max_examples=75)
