@@ -93,6 +93,13 @@ class VariableSpace:
         return {"n": self.n, "s": self.s, "mu": list(self.mu) if self.mu else []}
 
 
+def _checked_vid(space: VariableSpace, vid: int) -> int:
+    """vid itself if it names a variable of space; ValueError otherwise."""
+    if not 0 <= vid < space.num_vars:
+        raise ValueError(f"variable id {vid} out of range for {space}")
+    return vid
+
+
 def _term_key(n: int, exp: tuple[int, ...]):
     """Canonical sort key: graded revlex on x, then on the remaining families."""
     x = exp[:n]
@@ -169,18 +176,18 @@ class Polynomial:
     @classmethod
     def variable(cls, space: VariableSpace, vid: int) -> "Polynomial":
         exp = [0] * space.num_vars
-        exp[vid] = 1
+        exp[_checked_vid(space, vid)] = 1
         return cls(space, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, space: VariableSpace, exps: Mapping[int, int], coeff: int = 1) -> "Polynomial":
-        if coeff == 0:
-            return cls.zero(space)
         exp = [0] * space.num_vars
         for vid, e in exps.items():
             if e < 0:
                 raise ValueError("negative exponent")
-            exp[vid] = e
+            exp[_checked_vid(space, vid)] = e
+        if coeff == 0:
+            return cls.zero(space)
         return cls(space, {tuple(exp): int(coeff)})
 
     @classmethod
@@ -189,6 +196,7 @@ class Polynomial:
         terms: dict[tuple[int, ...], int] = {}
         zero = (0,) * space.num_vars
         for vid, c in coeffs.items():
+            _checked_vid(space, vid)
             if c == 0:
                 continue
             exp = list(zero)
@@ -285,6 +293,7 @@ class Polynomial:
 
     def degree_in(self, vid: int) -> int:
         """Largest exponent of one variable."""
+        _checked_vid(self.space, vid)
         if not self.terms:
             return 0
         return max(e[vid] for e in self.terms)
@@ -345,8 +354,7 @@ class Polynomial:
         space = self.space
         imgs: dict[int, Polynomial] = {}
         for vid, img in images.items():
-            if not 0 <= vid < space.num_vars:
-                raise ValueError(f"variable id {vid} out of range for {space}")
+            _checked_vid(space, vid)
             if isinstance(img, int):
                 img = Polynomial.integer(space, img)
             if img.space != space:
@@ -468,6 +476,11 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
+        """
+        Inverse of to_json_dict.  Raises ValueError for an unknown variable
+        name, a negative exponent, a zero coefficient, or a variable or
+        monomial listed twice, none of which to_json_dict produces.
+        """
         sp = data["space"]
         space = VariableSpace(sp["n"], tuple(sp["mu"]) or None)
         name_to_vid = {space.name(vid): vid for vid in range(space.num_vars)}
@@ -475,8 +488,19 @@ class Polynomial:
         for term in data["terms"]:
             exp = [0] * space.num_vars
             for name, e in term["exp"]:
+                if name not in name_to_vid:
+                    raise ValueError(f"unknown variable {name!r} for {space}")
+                if exp[name_to_vid[name]]:
+                    raise ValueError(f"variable {name} listed twice in {term['exp']}")
+                if int(e) < 0:
+                    raise ValueError(f"negative exponent {e} of {name}")
                 exp[name_to_vid[name]] = int(e)
-            terms[tuple(exp)] = int(term["coeff"])
+            key, c = tuple(exp), int(term["coeff"])
+            if c == 0:
+                raise ValueError("zero coefficient")
+            if key in terms:
+                raise ValueError(f"monomial {term['exp']} listed twice")
+            terms[key] = c
         return cls(space, terms)
 
     def to_json(self) -> str:

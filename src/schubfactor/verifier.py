@@ -16,9 +16,10 @@ computed only for a failing report's witness.
 
 verify_equivariant_suite checks the block-torus machinery for one
 composition: fixed-point localization of the cross-block Chern class,
-compatibility of the block-torus restriction, factorization of the
-single-block base classes, and the specialization of the equivariant class
-to (a power of two times) the ordinary class.
+compatibility of the block-torus restriction, agreement of each
+single-block base class (an independent product of linear forms) with the
+one-block equivariant class that cohomology builds, and the specialization
+of the equivariant class to (a power of two times) the ordinary class.
 
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the
@@ -203,88 +204,67 @@ def verify_equivariant_suite(
     mu: Composition, family: str = ORTHOGONAL, localization_max_n: int = 5
 ) -> IdentityReport:
     """
-    Exhaustive block-torus checks for one composition (see module docstring).
-    Fixed-point localization enumerates all of S_n and is skipped (with a
-    flag) above localization_max_n.
+    Exhaustive block-torus checks for one composition (see module docstring),
+    in order, stopping at the first mismatch.  Fixed-point localization
+    enumerates all of S_n and is skipped (with a flag) above
+    localization_max_n.
     """
     start = time.perf_counter()
     half_slots = not needs_even_parts(family)
     if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
+    base_class, equivariant_class = by_family(
+        family,
+        (cohomology.base_class_orthogonal, cohomology.equivariant_class_orthogonal),
+        (cohomology.base_class_symplectic, cohomology.equivariant_class_symplectic),
+    )
     n = mu.total
-    flags: list[str] = []
-    witness = None
-    ok = True
-    checked_points = 0
-
     chern = cohomology.cross_block_chern_class(mu)
+    report = IdentityReport(family, mu, "pass", chern.total_degree(), support=0)
 
-    # localization: restriction at every fixed point equals the weight product
-    if n <= localization_max_n:
-        for w in all_permutations(n):
-            lhs = cohomology.restrict_to_fixed_point(chern, w)
-            rhs = cohomology.fixed_point_weight_product(mu, w)
-            checked_points += 1
-            if lhs != rhs:
-                ok = False
-                witness = _first_mismatch(lhs, rhs)
-                flags.append(f"localization mismatch at w={w}")
-                break
-    else:
-        flags.append(f"localization skipped (n={n} > {localization_max_n})")
+    def mismatch(lhs: Polynomial, rhs: Polynomial, flag: str) -> bool:
+        if lhs == rhs:
+            return False
+        report.verdict = "fail"
+        report.witness = _first_mismatch(lhs, rhs)
+        report.flags.append(flag)
+        return True
 
-    # block-torus restriction of the Chern class is the cross-block factor
-    if ok:
+    try:  # every return below is the report, stamped with its time in `finally`
+        # localization: restriction at every fixed point equals the weight product
+        if n <= localization_max_n:
+            for w in all_permutations(n):
+                report.support += 1
+                lhs = cohomology.restrict_to_fixed_point(chern, w)
+                rhs = cohomology.fixed_point_weight_product(mu, w)
+                if mismatch(lhs, rhs, f"localization mismatch at w={w}"):
+                    return report
+        else:
+            report.flags.append(f"localization skipped (n={n} > {localization_max_n})")
+
+        # block-torus restriction of the Chern class is the cross-block factor
         restricted = cohomology.restrict_to_block_torus(chern)
         expected = cohomology.cross_block_factor(mu)
-        if restricted != expected:
-            ok = False
-            witness = _first_mismatch(restricted, expected)
-            flags.append("block-torus restriction of the Chern class mismatches")
+        if mismatch(restricted, expected, "block-torus restriction of the Chern class mismatches"):
+            return report
 
-    # single-block base classes factor through the block factors
-    if ok:
+        # each single-block base class is the one-block equivariant class
         for m in mu.parts:
-            single = Composition((m,))
-            base = by_family(
-                family, cohomology.base_class_orthogonal, cohomology.base_class_symplectic
-            )(m)
-            split = cohomology.block_pair_factor(single, 1)
-            if half_slots:
-                split = cohomology.half_block_factor(single, 1) * split * (2 ** (m // 2))
-            if base != split:
-                ok = False
-                witness = _first_mismatch(base, split)
-                flags.append(f"base-class factorization fails for part {m}")
-                break
+            one_block = equivariant_class(Composition((m,)))
+            if mismatch(base_class(m), one_block, f"base-class factorization fails for part {m}"):
+                return report
 
-    # equivariant class specializes to the ordinary class
-    if ok:
-        equivariant = by_family(
-            family, cohomology.equivariant_class_orthogonal, cohomology.equivariant_class_symplectic
-        )(mu)
+        # equivariant class specializes to (a power of two times) the ordinary class
+        equivariant = equivariant_class(mu)
+        report.degree = equivariant.total_degree()
         ordinary = product_side(mu, family)
         if half_slots:
             ordinary = ordinary * (2 ** mu.half_weight())
         specialized = cohomology.zero_equivariant_vars(equivariant)
-        if specialized != ordinary:
-            ok = False
-            witness = _first_mismatch(specialized, ordinary)
-            flags.append("equivariant class does not specialize to the ordinary class")
-        degree = equivariant.total_degree()
-    else:
-        degree = chern.total_degree()
-
-    return IdentityReport(
-        family=family,
-        mu=mu,
-        verdict="pass" if ok else "fail",
-        degree=degree,
-        support=checked_points,
-        witness=witness,
-        flags=flags,
-        ms=(time.perf_counter() - start) * 1000.0,
-    )
+        mismatch(specialized, ordinary, "equivariant class does not specialize to the ordinary class")
+        return report
+    finally:
+        report.ms = (time.perf_counter() - start) * 1000.0
 
 
 def sweep(n: int, family: str) -> list[IdentityReport]:

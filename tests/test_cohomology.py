@@ -208,12 +208,14 @@ def test_base_class_orthogonal_factors_through_blocks(m):
         * (2 ** (m // 2))
     )
     assert lhs == rhs
+    assert coh.equivariant_class_orthogonal(single) == rhs
 
 
 @pytest.mark.parametrize("m", (2, 4, 6, 8))
 def test_base_class_symplectic_is_pair_factor(m):
     single = Composition((m,))
     assert coh.base_class_symplectic(m) == coh.block_pair_factor(single, 1)
+    assert coh.equivariant_class_symplectic(single) == coh.block_pair_factor(single, 1)
 
 
 # -- equivariant classes ----------------------------------------------------------------

@@ -299,6 +299,23 @@ def test_substitute_monomial_images_reject_out_of_range_vid(image):
             y(3).substitute({SPACE3.x(1): y(2), vid: image})
 
 
+OUT_OF_RANGE_USES = {
+    "variable": lambda vid: Polynomial.variable(SPACE3, vid),
+    "monomial": lambda vid: Polynomial.monomial(SPACE3, {vid: 2}),
+    "zero-monomial": lambda vid: Polynomial.monomial(SPACE3, {vid: 2}, 0),
+    "linear_form": lambda vid: Polynomial.linear_form(SPACE3, {vid: 1}),
+    "degree_in": lambda vid: (x(1) + y(3)).degree_in(vid),
+}
+
+
+@pytest.mark.parametrize("vid", [-1, -2, SPACE3.num_vars])
+@pytest.mark.parametrize("use", list(OUT_OF_RANGE_USES))
+def test_out_of_range_vid_is_rejected(use, vid):
+    # a negative id must not index from the end (y3 for -1 in SPACE3)
+    with pytest.raises(ValueError, match="out of range"):
+        OUT_OF_RANGE_USES[use](vid)
+
+
 @pytest.mark.parametrize("image", [
     Polynomial.zero(VariableSpace(4)),
     Polynomial.integer(VariableSpace(4), -2),
@@ -369,3 +386,19 @@ def test_json_round_trip_and_determinism():
     assert f.to_json() == blob  # byte-stable
     coeffs = [t["coeff"] for t in data["terms"]]
     assert all(isinstance(c, str) for c in coeffs)
+
+
+def _space3_json(*terms):
+    return {"space": {"n": 3, "s": 0, "mu": []}, "terms": list(terms)}
+
+
+@pytest.mark.parametrize("data, message", [
+    (_space3_json({"exp": [["x1", 1]], "coeff": "0"}), "zero coefficient"),
+    (_space3_json({"exp": [["x1", 1]], "coeff": "2"}, {"exp": [["x1", 1]], "coeff": "3"}), "listed twice"),
+    (_space3_json({"exp": [["x1", -1]], "coeff": "1"}), "negative exponent"),
+    (_space3_json({"exp": [["w1", 1]], "coeff": "1"}), "unknown variable"),
+    (_space3_json({"exp": [["x1", 1], ["x1", 2]], "coeff": "1"}), "listed twice"),
+], ids=["zero-coefficient", "repeated-monomial", "negative-exponent", "unknown-variable", "repeated-variable"])
+def test_from_json_dict_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        Polynomial.from_json_dict(data)

@@ -259,6 +259,41 @@ def test_equivariant_suite_block_torus_mismatch(monkeypatch):
     }
 
 
+SPECIALIZATION_FLAG = "equivariant class does not specialize to the ordinary class"
+
+
+@pytest.mark.parametrize(
+    "attr, perturb, parts, family, degree, support, witness, flags",
+    [
+        ("base_class_orthogonal", lambda f: f * 2, (2, 1), ORTHOGONAL, 2, 6,
+         ["z1", "-4", "-2"], ["base-class factorization fails for part 2"]),
+        ("base_class_symplectic", lambda f: f + 1, (2, 2), SYMPLECTIC, 4, 24,
+         ["1", "2", "1"], ["base-class factorization fails for part 2"]),
+        ("zero_equivariant_vars", lambda f: -f, (2, 1), ORTHOGONAL, 3, 6,
+         ["x1^2 x2", "-2", "2"], [SPECIALIZATION_FLAG]),
+        ("zero_equivariant_vars", lambda f: -f, (3, 3), ORTHOGONAL, 13, 0,
+         ["x1^4 x2^4 x3^3 x4 x5", "-4", "4"], ["localization skipped (n=6 > 5)", SPECIALIZATION_FLAG]),
+    ],
+)
+def test_equivariant_suite_later_stage_mismatch(
+    monkeypatch, attr, perturb, parts, family, degree, support, witness, flags
+):
+    # perturb one stage's left-hand side; every earlier stage still passes
+    original = getattr(coh, attr)
+    monkeypatch.setattr(coh, attr, lambda arg: perturb(original(arg)))
+    report = verify_equivariant_suite(Composition(parts), family)
+    assert report.to_json_dict() == {
+        "family": family,
+        "mu": list(parts),
+        "verdict": "fail",
+        "degree": degree,
+        "support": support,
+        "witness": witness,
+        "flags": flags,
+        "ms": None,
+    }
+
+
 def test_report_json_shape():
     report = verify_identity(Composition((2,)), ORTHOGONAL)
     data = report.to_json_dict()
