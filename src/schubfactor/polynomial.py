@@ -23,6 +23,8 @@ expansion does not use it (it takes the smallest exponent tuple).
 from __future__ import annotations
 
 import json
+import re
+import types
 from typing import Iterable, Iterator, Mapping
 
 
@@ -100,6 +102,16 @@ def _checked_vid(space: VariableSpace, vid: int) -> int:
     return vid
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient strings to_json_dict writes
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer (not a boolean); ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _term_key(n: int, exp: tuple[int, ...]):
     """Canonical sort key: graded revlex on x, then on the remaining families."""
     x = exp[:n]
@@ -143,8 +155,9 @@ def divided_difference_terms(
 
 class Polynomial:
     """
-    Sparse polynomial: a map from exponent vectors to nonzero ints.  Every
-    operation returns a new polynomial; callers must not mutate `terms`.
+    Sparse polynomial: a map from exponent vectors to nonzero ints.  `terms`
+    is a read-only view of the constructor's own copy of its argument, with
+    zero coefficients dropped; every operation returns a new polynomial.
 
     Supports +, -, * (by polynomial or int), ** with nonnegative integer
     exponents, exact substitution, and divided differences.  Mixing spaces
@@ -155,7 +168,12 @@ class Polynomial:
 
     def __init__(self, space: VariableSpace, terms: Mapping[tuple[int, ...], int]):
         self.space = space
-        self.terms = dict(terms)
+        # exponent tuples do not cache their hash, so filter only when needed
+        terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
+        self.terms = types.MappingProxyType(terms)
+
+    def __reduce__(self):
+        return Polynomial, (self.space, dict(self.terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -165,8 +183,6 @@ class Polynomial:
 
     @classmethod
     def integer(cls, space: VariableSpace, k: int) -> "Polynomial":
-        if k == 0:
-            return cls.zero(space)
         return cls(space, {(0,) * space.num_vars: int(k)})
 
     @classmethod
@@ -186,8 +202,6 @@ class Polynomial:
             if e < 0:
                 raise ValueError("negative exponent")
             exp[_checked_vid(space, vid)] = e
-        if coeff == 0:
-            return cls.zero(space)
         return cls(space, {tuple(exp): int(coeff)})
 
     @classmethod
@@ -197,8 +211,6 @@ class Polynomial:
         zero = (0,) * space.num_vars
         for vid, c in coeffs.items():
             _checked_vid(space, vid)
-            if c == 0:
-                continue
             exp = list(zero)
             exp[vid] = 1
             terms[tuple(exp)] = int(c)
@@ -218,11 +230,7 @@ class Polynomial:
         self._require_same_space(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            nc = out.get(exp, 0) + c
-            if nc:
-                out[exp] = nc
-            elif exp in out:
-                del out[exp]
+            out[exp] = out.get(exp, 0) + c
         return Polynomial(self.space, out)
 
     __radd__ = __add__
@@ -231,15 +239,17 @@ class Polynomial:
         return Polynomial(self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-other if isinstance(other, Polynomial) else -int(other))
+        if not isinstance(other, (int, Polynomial)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other) -> "Polynomial":
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero(self.space)
             return Polynomial(self.space, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -249,11 +259,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in items:
                 e = tuple(map(int.__add__, e1, e2))
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                elif e in out:
-                    del out[e]
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.space, out)
 
     __rmul__ = __mul__
@@ -384,11 +390,7 @@ class Polynomial:
                 kept[tuple(k)] = c
             product = kept if image is None else (Polynomial(space, kept) * image).terms
             for exp, c in product.items():
-                nc = out.get(exp, 0) + c
-                if nc:
-                    out[exp] = nc
-                elif exp in out:
-                    del out[exp]
+                out[exp] = out.get(exp, 0) + c
         return Polynomial(space, out)
 
     def _remap(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
@@ -418,11 +420,7 @@ class Polynomial:
             for vid, b in scales:
                 c *= b ** exp[vid]
             key = tuple(k)
-            nc = out.get(key, 0) + c
-            if nc:
-                out[key] = nc
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + c
         return Polynomial(self.space, out)
 
     # -- rendering ------------------------------------------------------------
@@ -478,11 +476,15 @@ class Polynomial:
     def from_json_dict(cls, data: dict) -> "Polynomial":
         """
         Inverse of to_json_dict.  Raises ValueError for an unknown variable
-        name, a negative exponent, a zero coefficient, or a variable or
-        monomial listed twice, none of which to_json_dict produces.
+        name, an exponent that is not a nonnegative JSON integer, a
+        coefficient that is not a nonzero JSON integer or decimal string, a
+        variable or monomial listed twice, or a block count `s` other than
+        len(mu), none of which to_json_dict produces.
         """
         sp = data["space"]
         space = VariableSpace(sp["n"], tuple(sp["mu"]) or None)
+        if sp["s"] != space.s:
+            raise ValueError(f"space lists s = {sp['s']!r} for {len(sp['mu'])} blocks")
         name_to_vid = {space.name(vid): vid for vid in range(space.num_vars)}
         terms: dict[tuple[int, ...], int] = {}
         for term in data["terms"]:
@@ -492,10 +494,13 @@ class Polynomial:
                     raise ValueError(f"unknown variable {name!r} for {space}")
                 if exp[name_to_vid[name]]:
                     raise ValueError(f"variable {name} listed twice in {term['exp']}")
-                if int(e) < 0:
+                if _json_int(e, f"exponent of {name}") < 0:
                     raise ValueError(f"negative exponent {e} of {name}")
-                exp[name_to_vid[name]] = int(e)
-            key, c = tuple(exp), int(term["coeff"])
+                exp[name_to_vid[name]] = e
+            coeff = term["coeff"]
+            if isinstance(coeff, str) and _DECIMAL.fullmatch(coeff):
+                coeff = int(coeff)
+            key, c = tuple(exp), _json_int(coeff, "coefficient")
             if c == 0:
                 raise ValueError("zero coefficient")
             if key in terms:

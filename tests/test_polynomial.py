@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -101,6 +103,39 @@ def test_no_zero_coefficients_stored():
     f = (x(1) + x(2)) * (x(1) - x(2)) - x(1) * x(1)
     assert all(c != 0 for c in f.terms.values())
     assert f == -(x(2) * x(2))
+
+
+def test_terms_are_a_read_only_zero_free_copy():
+    sp = VariableSpace(2)
+    e, f = (1, 0, 0, 0), (0, 1, 0, 0)
+    # canonical form: the constructor drops zero coefficients
+    zero = Polynomial(sp, {e: 0})
+    assert zero.is_zero() and zero == 0 and zero.text() == "0"
+    assert zero.total_degree() == 0 and zero.to_json_dict()["terms"] == []
+    assert Polynomial(sp, {e: 0, f: 2}) == Polynomial(sp, {f: 2})
+    # read-only
+    p = Polynomial(sp, {e: 1})
+    with pytest.raises(TypeError):
+        p.terms[e] = 1
+    with pytest.raises(TypeError):
+        del p.terms[e]
+    # the constructor's argument is copied, and round trips keep working
+    source = {e: 3}
+    q = Polynomial(sp, source)
+    source[e] = 0
+    source[f] = 1
+    assert q.terms == {e: 3}
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert copy.deepcopy(q) == q
+
+
+@pytest.mark.parametrize("other", [2.5, "3", None])
+def test_sub_rejects_what_add_rejects(other):
+    for a, b in ((x(1), other), (other, x(1))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError, match="for -"):
+            a - b
 
 
 @settings(max_examples=150)
@@ -259,7 +294,9 @@ def test_substitute_matches_definition(seed):
             images[vid] = random_poly(rng, sp, max_terms=3, max_exp=1)
         else:  # mentions a substituted variable, which must not be substituted again
             images[vid] = Polynomial.variable(sp, rng.choice(vids)) + rng.randint(-2, 2)
-    assert f.substitute(images) == substitute_oracle(f, images)
+    r = f.substitute(images)
+    assert 0 not in r.terms.values()
+    assert r == substitute_oracle(f, images)
 
 
 @settings(max_examples=150)
@@ -336,8 +373,13 @@ def test_substitute_is_ring_homomorphism(seed):
         SPACE3.x(1): random_poly(rng, SPACE3, max_terms=2, max_exp=1),
         SPACE3.yfull(2): random_poly(rng, SPACE3, max_terms=2, max_exp=1),
     }
-    assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
-    assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
+    fs, gs = f.substitute(images), g.substitute(images)
+    sums = ((f + g).substitute(images), fs + gs)
+    products = ((f * g).substitute(images), fs * gs)
+    for r in sums + products:
+        assert 0 not in r.terms.values()
+    assert sums[0] == sums[1]
+    assert products[0] == products[1]
 
 
 # -- product of linear forms ------------------------------------------------------
@@ -398,7 +440,17 @@ def _space3_json(*terms):
     (_space3_json({"exp": [["x1", -1]], "coeff": "1"}), "negative exponent"),
     (_space3_json({"exp": [["w1", 1]], "coeff": "1"}), "unknown variable"),
     (_space3_json({"exp": [["x1", 1], ["x1", 2]], "coeff": "1"}), "listed twice"),
-], ids=["zero-coefficient", "repeated-monomial", "negative-exponent", "unknown-variable", "repeated-variable"])
+    (_space3_json({"exp": [["x1", 1.7]], "coeff": "1"}), "not an integer"),
+    (_space3_json({"exp": [["x1", True]], "coeff": "1"}), "not an integer"),
+    (_space3_json({"exp": [["x1", "2"]], "coeff": "1"}), "not an integer"),
+    (_space3_json({"exp": [["x1", 1]], "coeff": 2.5}), "not an integer"),
+    (_space3_json({"exp": [["x1", 1]], "coeff": True}), "not an integer"),
+    ({"space": {"n": 3, "s": 5, "mu": []}, "terms": []}, "s = 5"),
+], ids=[
+    "zero-coefficient", "repeated-monomial", "negative-exponent", "unknown-variable", "repeated-variable",
+    "float-exponent", "boolean-exponent", "string-exponent", "float-coefficient", "boolean-coefficient",
+    "wrong-block-count",
+])
 def test_from_json_dict_rejects_malformed_input(data, message):
     with pytest.raises(ValueError, match=message):
         Polynomial.from_json_dict(data)
