@@ -198,24 +198,22 @@ class FactoredClass:
     monomial: tuple[tuple[int, int], ...]  # (vid, exponent) pairs
     factors: tuple[Polynomial, ...]
 
+    def _head(self) -> Polynomial:
+        """scalar * monomial, the one-term part before the factors."""
+        return Polynomial.monomial(self.space, dict(self.monomial), self.scalar)
+
     def expand(self) -> Polynomial:
-        poly = Polynomial.monomial(self.space, dict(self.monomial), self.scalar)
+        poly = self._head()
         for f in self.factors:
             poly = poly * f
         return poly
 
     def text(self) -> str:
-        pieces = []
-        if self.scalar != 1 or (not self.monomial and not self.factors):
-            pieces.append(str(self.scalar))
-        for vid, e in self.monomial:
-            name = self.space.name(vid)
-            pieces.append(name if e == 1 else f"{name}^{e}")
-        head = " ".join(pieces)
+        head = self._head().text()
         tail = "".join(f"({f.text()})" for f in self.factors)
-        if head and tail:
-            return f"{head} {tail}"
-        return head or tail
+        if not tail:
+            return head
+        return tail if head == "1" else f"{head} {tail}"
 
 
 def _ordinary_factored(mu: Composition, half_slots: bool) -> FactoredClass:
@@ -346,10 +344,10 @@ def restrict_to_block_torus(f: Polynomial) -> Polynomial:
     if space.mu is None:
         raise ValueError("polynomial space carries no blocks")
     mu = Composition(space.mu)
-    for exp in f.terms:
-        for vid in range(2 * space.n, len(exp)):
-            if exp[vid]:
-                raise ValueError(f"variable {space.name(vid)} is already a block coordinate")
+    halves = [space.yblock(i, k) for i, h in enumerate(space.halves, start=1) for k in range(1, h + 1)]
+    for vid in halves + [space.z(i) for i in range(1, space.s + 1)]:
+        if f.degree_in(vid):
+            raise ValueError(f"variable {space.name(vid)} is already a block coordinate")
     images: dict[int, Polynomial] = {}
     for i, p in enumerate(mu.parts, start=1):
         base = mu.nu[i - 1]

@@ -102,6 +102,16 @@ def _checked_vid(space: VariableSpace, vid: int) -> int:
     return vid
 
 
+def _exponent(space: VariableSpace, exps: Mapping[int, int]) -> tuple[int, ...]:
+    """The exponent vector of prod x_vid^e; the one place that builds one from {vid: e}."""
+    exp = [0] * space.num_vars
+    for vid, e in exps.items():
+        if e < 0:
+            raise ValueError("negative exponent")
+        exp[_checked_vid(space, vid)] = e
+    return tuple(exp)
+
+
 _DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient strings to_json_dict writes
 
 
@@ -156,21 +166,28 @@ def divided_difference_terms(
 class Polynomial:
     """
     Sparse polynomial: a map from exponent vectors to nonzero ints.  `terms`
-    is a read-only view of the constructor's own copy of its argument, with
-    zero coefficients dropped; every operation returns a new polynomial.
+    is a read-only attribute and a read-only view of the constructor's own
+    copy of its argument, with zero coefficients dropped; every operation
+    returns a new polynomial.  Outside this module an exponent vector is an
+    opaque key: read it back through text(), degree_in() or the JSON form.
 
     Supports +, -, * (by polynomial or int), ** with nonnegative integer
     exponents, exact substitution, and divided differences.  Mixing spaces
     raises ValueError.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "_terms", "_degrees")
 
     def __init__(self, space: VariableSpace, terms: Mapping[tuple[int, ...], int]):
         self.space = space
         # exponent tuples do not cache their hash, so filter only when needed
         terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
-        self.terms = types.MappingProxyType(terms)
+        self._terms = types.MappingProxyType(terms)
+        self._degrees: tuple[int, ...] | None = None  # per-variable degrees, on first degree_in
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        return self._terms
 
     def __reduce__(self):
         return Polynomial, (self.space, dict(self.terms))
@@ -183,38 +200,25 @@ class Polynomial:
 
     @classmethod
     def integer(cls, space: VariableSpace, k: int) -> "Polynomial":
-        return cls(space, {(0,) * space.num_vars: int(k)})
+        return cls.monomial(space, {}, k)
 
     @classmethod
     def one(cls, space: VariableSpace) -> "Polynomial":
-        return cls.integer(space, 1)
+        return cls.monomial(space, {})
 
     @classmethod
     def variable(cls, space: VariableSpace, vid: int) -> "Polynomial":
-        exp = [0] * space.num_vars
-        exp[_checked_vid(space, vid)] = 1
-        return cls(space, {tuple(exp): 1})
+        return cls.monomial(space, {vid: 1})
 
     @classmethod
     def monomial(cls, space: VariableSpace, exps: Mapping[int, int], coeff: int = 1) -> "Polynomial":
-        exp = [0] * space.num_vars
-        for vid, e in exps.items():
-            if e < 0:
-                raise ValueError("negative exponent")
-            exp[_checked_vid(space, vid)] = e
-        return cls(space, {tuple(exp): int(coeff)})
+        """coeff * prod x_vid^e over the {vid: e} map exps."""
+        return cls(space, {_exponent(space, exps): int(coeff)})
 
     @classmethod
     def linear_form(cls, space: VariableSpace, coeffs: Mapping[int, int]) -> "Polynomial":
         """Sum of coeff * variable."""
-        terms: dict[tuple[int, ...], int] = {}
-        zero = (0,) * space.num_vars
-        for vid, c in coeffs.items():
-            _checked_vid(space, vid)
-            exp = list(zero)
-            exp[vid] = 1
-            terms[tuple(exp)] = int(c)
-        return cls(space, terms)
+        return cls(space, {_exponent(space, {vid: 1}): int(c) for vid, c in coeffs.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -299,10 +303,9 @@ class Polynomial:
 
     def degree_in(self, vid: int) -> int:
         """Largest exponent of one variable."""
-        _checked_vid(self.space, vid)
-        if not self.terms:
-            return 0
-        return max(e[vid] for e in self.terms)
+        if self._degrees is None:  # one transposed pass serves every variable
+            self._degrees = tuple(map(max, zip(*self._terms))) or (0,) * self.space.num_vars
+        return self._degrees[_checked_vid(self.space, vid)]
 
     def iter_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Terms in canonical order, leading term first."""
@@ -323,12 +326,8 @@ class Polynomial:
     def swap_x(self, i: int) -> "Polynomial":
         """The simple-reflection action exchanging x_i and x_{i+1}."""
         xi, xj = self._x_pair(i)
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[xi], e[xj] = e[xj], e[xi]
-            out[tuple(e)] = c
-        return Polynomial(self.space, out)
+        space = self.space
+        return self.substitute({xi: Polynomial.variable(space, xj), xj: Polynomial.variable(space, xi)})
 
     def _x_pair(self, i: int) -> tuple[int, int]:
         if not 1 <= i <= self.space.n - 1:
@@ -425,14 +424,11 @@ class Polynomial:
 
     # -- rendering ------------------------------------------------------------
 
+    def _named_exponents(self, exp: tuple[int, ...]) -> list[tuple[str, int]]:
+        return [(self.space.name(vid), e) for vid, e in enumerate(exp) if e]
+
     def _monomial_text(self, exp: tuple[int, ...]) -> str:
-        parts = []
-        for vid, e in enumerate(exp):
-            if e == 1:
-                parts.append(self.space.name(vid))
-            elif e > 1:
-                parts.append(f"{self.space.name(vid)}^{e}")
-        return " ".join(parts)
+        return " ".join(name if e == 1 else f"{name}^{e}" for name, e in self._named_exponents(exp))
 
     def text(self) -> str:
         """Human-readable form, terms in descending canonical order."""
@@ -465,7 +461,7 @@ class Polynomial:
             "space": self.space.to_json_dict(),
             "terms": [
                 {
-                    "exp": [[self.space.name(vid), e] for vid, e in enumerate(exp) if e],
+                    "exp": [[name, e] for name, e in self._named_exponents(exp)],
                     "coeff": str(c),
                 }
                 for exp, c in self.iter_terms()
@@ -475,32 +471,32 @@ class Polynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
         """
-        Inverse of to_json_dict.  Raises ValueError for an unknown variable
-        name, an exponent that is not a nonnegative JSON integer, a
-        coefficient that is not a nonzero JSON integer or decimal string, a
-        variable or monomial listed twice, or a block count `s` other than
-        len(mu), none of which to_json_dict produces.
+        Inverse of to_json_dict.  Raises ValueError for a space size, block
+        size or exponent that is not a JSON integer, an unknown variable
+        name, a negative exponent, a coefficient that is not a nonzero JSON
+        integer or decimal string, a variable or monomial listed twice, or a
+        block count `s` other than len(mu), none of which to_json_dict
+        produces.
         """
         sp = data["space"]
-        space = VariableSpace(sp["n"], tuple(sp["mu"]) or None)
-        if sp["s"] != space.s:
+        n = _json_int(sp["n"], "space size n")
+        space = VariableSpace(n, tuple(_json_int(p, "block size") for p in sp["mu"]) or None)
+        if _json_int(sp["s"], "block count s") != space.s:
             raise ValueError(f"space lists s = {sp['s']!r} for {len(sp['mu'])} blocks")
         name_to_vid = {space.name(vid): vid for vid in range(space.num_vars)}
         terms: dict[tuple[int, ...], int] = {}
         for term in data["terms"]:
-            exp = [0] * space.num_vars
+            exps: dict[int, int] = {}
             for name, e in term["exp"]:
                 if name not in name_to_vid:
                     raise ValueError(f"unknown variable {name!r} for {space}")
-                if exp[name_to_vid[name]]:
+                if name_to_vid[name] in exps:
                     raise ValueError(f"variable {name} listed twice in {term['exp']}")
-                if _json_int(e, f"exponent of {name}") < 0:
-                    raise ValueError(f"negative exponent {e} of {name}")
-                exp[name_to_vid[name]] = e
+                exps[name_to_vid[name]] = _json_int(e, f"exponent of {name}")
             coeff = term["coeff"]
             if isinstance(coeff, str) and _DECIMAL.fullmatch(coeff):
                 coeff = int(coeff)
-            key, c = tuple(exp), _json_int(coeff, "coefficient")
+            key, c = _exponent(space, exps), _json_int(coeff, "coefficient")
             if c == 0:
                 raise ValueError("zero coefficient")
             if key in terms:

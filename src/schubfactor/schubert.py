@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, divided_difference_terms
@@ -53,11 +54,14 @@ def _schubert_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return divided_difference_terms(_schubert_terms(up), i)
 
 
-def _materialize(x_terms: dict[tuple[int, ...], int], space: VariableSpace) -> Polynomial:
-    """Place an x-exponent map (length <= space.n) into a full space."""
-    width = len(next(iter(x_terms), ()))
-    pad = (0,) * (space.num_vars - width)
-    return Polynomial(space, {exp + pad: c for exp, c in x_terms.items()})
+def _materialize(w: Permutation, space: VariableSpace | None, x_terms: Callable) -> Polynomial:
+    """Check space (by default S_{w.n}'s), then place w's x-exponent map x_terms(w) into it."""
+    if space is None:
+        space = VariableSpace(w.n)
+    if space.n < w.n:
+        raise ValueError(f"space has {space.n} x variables, need {w.n}")
+    pad = (0,) * (space.num_vars - w.n)
+    return Polynomial(space, {exp + pad: c for exp, c in x_terms(w).items()})
 
 
 def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynomial:
@@ -71,11 +75,7 @@ def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynom
     >>> schubert_poly(Permutation((1, 3, 2))).text()
     'x1 + x2'
     """
-    if space is None:
-        space = VariableSpace(w.n)
-    if space.n < w.n:
-        raise ValueError(f"space has {space.n} x variables, need {w.n}")
-    return _materialize(_schubert_terms(w.word), space)
+    return _materialize(w, space, lambda v: _schubert_terms(v.word))
 
 
 # -- independent oracle: reduced pipe dreams ---------------------------------
@@ -143,10 +143,11 @@ def schubert_poly_oracle(w: Permutation, space: VariableSpace | None = None) -> 
     Schubert polynomial built monomial-by-monomial from reduced pipe dreams;
     never uses the divided-difference recursion.
     """
-    if space is None:
-        space = VariableSpace(w.n)
-    if space.n < w.n:
-        raise ValueError(f"space has {space.n} x variables, need {w.n}")
+    return _materialize(w, space, _pipe_dream_terms)
+
+
+def _pipe_dream_terms(w: Permutation) -> dict[tuple[int, ...], int]:
+    """x-exponent map of w: each reduced pipe dream adds x^(its crosses per row)."""
     terms: dict[tuple[int, ...], int] = {}
     for diagram in pipe_dreams(w):
         exp = [0] * w.n
@@ -154,7 +155,7 @@ def schubert_poly_oracle(w: Permutation, space: VariableSpace | None = None) -> 
             exp[i - 1] += 1
         key = tuple(exp)
         terms[key] = terms.get(key, 0) + 1
-    return _materialize(terms, space)
+    return terms
 
 
 # -- staircase span and basis expansion ---------------------------------------
@@ -164,17 +165,13 @@ def in_staircase_span(f: Polynomial, n: int) -> bool:
     """
     True iff every monomial of f has x_i exponent at most n - i for all i
     (with variables beyond x_n unused).  Raises if f involves any non-x
-    variable.
+    variable, whatever else it holds.
     """
     space = f.space
-    for exp in f.terms:
-        for vid in space.equivariant_vids():
-            if exp[vid]:
-                raise ValueError(f"non-x variable {space.name(vid)} present")
-        for idx in range(space.n):
-            if exp[idx] and exp[idx] > n - idx - 1:
-                return False
-    return True
+    for vid in space.equivariant_vids():
+        if f.degree_in(vid):
+            raise ValueError(f"non-x variable {space.name(vid)} present")
+    return all(f.degree_in(space.x(i)) <= max(n - i, 0) for i in range(1, space.n + 1))
 
 
 @dataclass

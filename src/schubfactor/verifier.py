@@ -117,7 +117,7 @@ def _first_mismatch(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | 
     if diff.is_zero():
         return None
     exp, _ = diff.leading_term()
-    text = lhs._monomial_text(exp) or "1"
+    text = Polynomial(lhs.space, {exp: 1}).text()
     return (text, str(lhs.terms.get(exp, 0)), str(rhs.terms.get(exp, 0)))
 
 

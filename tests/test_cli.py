@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from schubfactor import cli, verifier
 from schubfactor.cli import main
+from schubfactor.polynomial import Polynomial
 
 
 def run(capsys, *argv):
@@ -41,6 +43,17 @@ def test_schubert_size_mismatch(capsys):
     code, _, err = run(capsys, "schubert", "--n", "4", "--perm", "321")
     assert code == 2
     assert "error" in err
+
+
+def test_schubert_json(capsys):
+    code, out, _ = run(capsys, "schubert", "--n", "3", "--perm", "132", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["terms"] == [
+        {"exp": [["x2", 1]], "coeff": "1"},
+        {"exp": [["x1", 1]], "coeff": "1"},
+    ]
+    assert Polynomial.from_json_dict(data).text() == "x1 + x2"
 
 
 def test_formula_factored_and_expanded(capsys):
@@ -123,6 +136,14 @@ def test_verify_pass_and_json(capsys):
     assert data["degree"] == 18
     assert data["support"] == 6
     assert data["ms"] is None
+
+
+def test_verify_text(capsys):
+    code, out, _ = run(capsys, "verify", "--mu", "2,4", "--family", "symplectic")
+    assert code == 0
+    head, note = out.splitlines()
+    assert re.fullmatch(r"symplectic mu=2,4: pass \(degree 10, support 2, [0-9]+\.[0-9] ms\)", head)
+    assert note.startswith("  note: letter-order check: ascending-letter variant {123564, 125346} fails")
 
 
 def test_verify_json_byte_identical(capsys):

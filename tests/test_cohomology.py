@@ -166,6 +166,25 @@ def test_factored_text_and_expand_agree():
     assert fc.expand() == coh.ordinary_class_orthogonal(mu)
 
 
+@pytest.mark.parametrize("scalar, monomial, with_factor, expected", [
+    (1, (), False, "1"),
+    (4, (), False, "4"),
+    (1, (), True, "(x1 + x2)"),
+    (4, (), True, "4 (x1 + x2)"),
+    (1, ((0, 2), (2, 1)), True, "x1^2 x3 (x1 + x2)"),
+    (2, ((1, 1),), False, "2 x2"),
+])
+def test_factored_text_head(scalar, monomial, with_factor, expected):
+    # the head scalar * monomial renders as its one-term polynomial, and a
+    # bare 1 is left out in front of factors
+    sp = VariableSpace(3)
+    factor = Polynomial.linear_form(sp, {sp.x(1): 1, sp.x(2): 1})
+    fc = coh.FactoredClass(sp, scalar, monomial, (factor,) if with_factor else ())
+    assert fc.text() == expected
+    head = Polynomial.monomial(sp, dict(monomial), scalar)
+    assert fc.expand() == (head * factor if with_factor else head)
+
+
 # -- base classes --------------------------------------------------------------------
 
 

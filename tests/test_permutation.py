@@ -86,6 +86,11 @@ def test_parse_and_str():
     assert parse_permutation(str(big)) == big
 
 
+def test_parse_rejects_non_digits():
+    with pytest.raises(ValueError, match="cannot parse permutation"):
+        parse_permutation("21a")
+
+
 def test_json_form():
     assert Permutation((2, 4, 3, 1)).to_json() == [2, 4, 3, 1]
 
@@ -101,6 +106,12 @@ def test_code_bijective_and_sums_to_length(n):
         seen.add(c)
         assert from_code(c) == w
     assert len(seen) == len(list(all_permutations(n)))
+
+
+@pytest.mark.parametrize("code", [(0, 2), (1, 1), (-1, 0)])
+def test_from_code_rejects_invalid_codes(code):
+    with pytest.raises(ValueError, match="not a valid code"):
+        from_code(code)
 
 
 @given(st.permutations(list(range(1, 8))))

@@ -127,6 +127,10 @@ def test_terms_are_a_read_only_zero_free_copy():
     assert q.terms == {e: 3}
     assert pickle.loads(pickle.dumps(q)) == q
     assert copy.deepcopy(q) == q
+    # the attribute itself cannot be rebound either
+    with pytest.raises(AttributeError):
+        q.terms = {e: 0}
+    assert q.terms == {e: 3} and q.text() == "3 x1"
 
 
 @pytest.mark.parametrize("other", [2.5, "3", None])
@@ -446,10 +450,15 @@ def _space3_json(*terms):
     (_space3_json({"exp": [["x1", 1]], "coeff": 2.5}), "not an integer"),
     (_space3_json({"exp": [["x1", 1]], "coeff": True}), "not an integer"),
     ({"space": {"n": 3, "s": 5, "mu": []}, "terms": []}, "s = 5"),
+    (_space3_json({"exp": [["x1", 0], ["x1", 2]], "coeff": "1"}), "listed twice"),
+    ({"space": {"n": 2.5, "s": 0, "mu": []}, "terms": []}, "not an integer"),
+    ({"space": {"n": True, "s": 0, "mu": []}, "terms": []}, "not an integer"),
+    ({"space": {"n": 3, "s": 1, "mu": [3.0]}, "terms": []}, "not an integer"),
 ], ids=[
     "zero-coefficient", "repeated-monomial", "negative-exponent", "unknown-variable", "repeated-variable",
     "float-exponent", "boolean-exponent", "string-exponent", "float-coefficient", "boolean-coefficient",
-    "wrong-block-count",
+    "wrong-block-count", "repeated-variable-first-with-exponent-0", "float-space-size",
+    "boolean-space-size", "float-block-size",
 ])
 def test_from_json_dict_rejects_malformed_input(data, message):
     with pytest.raises(ValueError, match=message):

@@ -5,6 +5,7 @@ import pytest
 from schubfactor.cohomology import space_for
 from schubfactor.composition import Composition
 from schubfactor.permutation import Permutation, all_permutations, longest_element
+from schubfactor import schubert
 from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor.schubert import (
     SchubertExpansion,
@@ -72,6 +73,21 @@ def test_oracle_examples():
     assert schubert_poly_oracle(Permutation((2, 1))).text() == "x1"
 
 
+def test_too_small_space_is_rejected_before_any_work(monkeypatch):
+    w = Permutation((1, 2, 3, 4, 5, 6, 7, 8))  # the recursion would walk down from w0 in S_8
+    misses = schubert._schubert_terms.cache_info().misses
+    with pytest.raises(ValueError, match="space has 3 x variables, need 8"):
+        schubert_poly(w, VariableSpace(3))
+    assert schubert._schubert_terms.cache_info().misses == misses
+
+    def no_pipe_dreams(_w):
+        raise AssertionError("pipe dreams enumerated before the size check")
+
+    monkeypatch.setattr(schubert, "pipe_dreams", no_pipe_dreams)
+    with pytest.raises(ValueError, match="space has 3 x variables, need 8"):
+        schubert_poly_oracle(w, VariableSpace(3))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_oracle_matches_recursion_exhaustively(n):
     for w in all_permutations(n):
@@ -136,6 +152,18 @@ def test_in_staircase_span_rejects_non_x():
     sp = VariableSpace(2)
     with pytest.raises(ValueError):
         in_staircase_span(Polynomial.variable(sp, sp.yfull(1)), 2)
+
+
+def test_non_x_variable_raises_whatever_the_term_order():
+    # x2 alone is outside the span for n = 2, so an early "not in span" answer
+    # would hide y1 when x2's term comes first
+    sp = VariableSpace(2)
+    x2, y1 = xvar(sp, 2), Polynomial.variable(sp, sp.yfull(1))
+    for f in (x2 + y1, y1 + x2):
+        with pytest.raises(ValueError, match="non-x variable y1"):
+            in_staircase_span(f, 2)
+        with pytest.raises(ValueError, match="non-x variable y1"):
+            expand_in_schubert_basis(f, 2)
 
 
 # -- expansion -------------------------------------------------------------------

@@ -121,6 +121,19 @@ def test_duplicated_member_fails_with_witness():
     assert (report.degree, report.support) == (18, 7)
 
 
+def test_report_text_shows_witness_and_notes():
+    mu = Composition((2, 1))
+    members = w_set_orthogonal(mu).members
+    report = verify_identity_for_members(mu, ORTHOGONAL, members + members)
+    report.ms = 1.0
+    assert report.text() == (
+        "orthogonal mu=2,1: fail (degree 3, support 2, 1.0 ms)\n"
+        "  witness x1^2 x2: lhs=2 rhs=1"
+    )
+    report = verify_identity_for_members(mu, ORTHOGONAL, [Permutation((3, 2, 1, 4))])
+    assert report.text().splitlines()[1:] == [f"  note: {EXPANSION_FLAG}"]
+
+
 def _perturbed_member_sets(members, perms, rng):
     yield members
     yield []
