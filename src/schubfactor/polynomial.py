@@ -28,16 +28,23 @@ import types
 from typing import Iterable, Iterator, Mapping
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is an int (not a bool); ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 class VariableSpace:
     """Variable universe shared by every polynomial that may be combined."""
 
     __slots__ = ("n", "mu", "s", "halves", "num_vars", "_names", "_yblock_base", "_z_base")
 
     def __init__(self, n: int, mu: tuple[int, ...] | None = None):
-        if n < 1:
+        if _integer(n, "space size n") < 1:
             raise ValueError("need at least one x variable")
         if mu is not None:
-            mu = tuple(mu)
+            mu = tuple(_integer(p, "block size") for p in mu)
             if sum(mu) != n or any(p < 1 for p in mu):
                 raise ValueError(f"blocks {mu} do not partition 1..{n}")
         self.n = n
@@ -115,13 +122,6 @@ def _exponent(space: VariableSpace, exps: Mapping[int, int]) -> tuple[int, ...]:
 _DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient strings to_json_dict writes
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer (not a boolean); ValueError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
-
-
 def _term_key(n: int, exp: tuple[int, ...]):
     """Canonical sort key: graded revlex on x, then on the remaining families."""
     x = exp[:n]
@@ -165,32 +165,37 @@ def divided_difference_terms(
 
 class Polynomial:
     """
-    Sparse polynomial: a map from exponent vectors to nonzero ints.  `terms`
-    is a read-only attribute and a read-only view of the constructor's own
-    copy of its argument, with zero coefficients dropped; every operation
-    returns a new polynomial.  Outside this module an exponent vector is an
-    opaque key: read it back through text(), degree_in() or the JSON form.
+    Sparse polynomial: a map from exponent vectors to nonzero ints.  `space`
+    and `terms` are read-only attributes, and `terms` is a read-only view of
+    the constructor's own copy of its argument, with zero coefficients
+    dropped; every operation returns a new polynomial.  Outside this module
+    an exponent vector is an opaque key: read it back through text(),
+    degree_in() or the JSON form.
 
     Supports +, -, * (by polynomial or int), ** with nonnegative integer
     exponents, exact substitution, and divided differences.  Mixing spaces
     raises ValueError.
     """
 
-    __slots__ = ("space", "_terms", "_degrees")
+    __slots__ = ("_space", "_terms", "_degrees")
 
     def __init__(self, space: VariableSpace, terms: Mapping[tuple[int, ...], int]):
-        self.space = space
+        self._space = space
         # exponent tuples do not cache their hash, so filter only when needed
         terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
         self._terms = types.MappingProxyType(terms)
         self._degrees: tuple[int, ...] | None = None  # per-variable degrees, on first degree_in
 
     @property
+    def space(self) -> VariableSpace:
+        return self._space
+
+    @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
         return self._terms
 
     def __reduce__(self):
-        return Polynomial, (self.space, dict(self.terms))
+        return Polynomial, (self._space, dict(self.terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -223,24 +228,24 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def _require_same_space(self, other: "Polynomial") -> None:
-        if self.space != other.space:
-            raise ValueError(f"variable space mismatch: {self.space} vs {other.space}")
+        if self._space != other._space:
+            raise ValueError(f"variable space mismatch: {self._space} vs {other._space}")
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            other = Polynomial.integer(self.space, other)
+            other = Polynomial.integer(self._space, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
             out[exp] = out.get(exp, 0) + c
-        return Polynomial(self.space, out)
+        return Polynomial(self._space, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.space, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self._space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, (int, Polynomial)):
@@ -254,7 +259,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial(self.space, {e: c * other for e, c in self.terms.items()})
+            return Polynomial(self._space, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
@@ -264,14 +269,14 @@ class Polynomial:
             for e2, c2 in items:
                 e = tuple(map(int.__add__, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.space, out)
+        return Polynomial(self._space, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.space)
+        result = Polynomial.one(self._space)
         base = self
         while k:
             if k & 1:
@@ -283,10 +288,10 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == Polynomial.integer(self.space, other).terms
+            return self.terms == Polynomial.integer(self._space, other).terms
         return (
             isinstance(other, Polynomial)
-            and self.space == other.space
+            and self._space == other._space
             and self.terms == other.terms
         )
 
@@ -304,12 +309,12 @@ class Polynomial:
     def degree_in(self, vid: int) -> int:
         """Largest exponent of one variable."""
         if self._degrees is None:  # one transposed pass serves every variable
-            self._degrees = tuple(map(max, zip(*self._terms))) or (0,) * self.space.num_vars
-        return self._degrees[_checked_vid(self.space, vid)]
+            self._degrees = tuple(map(max, zip(*self._terms))) or (0,) * self._space.num_vars
+        return self._degrees[_checked_vid(self._space, vid)]
 
     def iter_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Terms in canonical order, leading term first."""
-        n = self.space.n
+        n = self._space.n
         for exp in sorted(self.terms, key=lambda e: _term_key(n, e)):
             yield exp, self.terms[exp]
 
@@ -317,7 +322,7 @@ class Polynomial:
         """First term in canonical order; raises on the zero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        n = self.space.n
+        n = self._space.n
         exp = min(self.terms, key=lambda e: _term_key(n, e))
         return exp, self.terms[exp]
 
@@ -326,11 +331,11 @@ class Polynomial:
     def swap_x(self, i: int) -> "Polynomial":
         """The simple-reflection action exchanging x_i and x_{i+1}."""
         xi, xj = self._x_pair(i)
-        space = self.space
+        space = self._space
         return self.substitute({xi: Polynomial.variable(space, xj), xj: Polynomial.variable(space, xi)})
 
     def _x_pair(self, i: int) -> tuple[int, int]:
-        if not 1 <= i <= self.space.n - 1:
+        if not 1 <= i <= self._space.n - 1:
             raise ValueError(f"index {i} out of range for divided difference")
         return i - 1, i
 
@@ -341,7 +346,7 @@ class Polynomial:
         symmetric in x_i, x_{i+1}, and applying the operator twice gives 0.
         """
         self._x_pair(i)  # range check
-        return Polynomial(self.space, divided_difference_terms(self.terms, i))
+        return Polynomial(self._space, divided_difference_terms(self.terms, i))
 
     def substitute(self, images: Mapping[int, "Polynomial | int"]) -> "Polynomial":
         """
@@ -356,13 +361,13 @@ class Polynomial:
         agree on the substituted exponents share one image
         prod images[vid]^e, built from grouped products.
         """
-        space = self.space
+        space = self._space
         imgs: dict[int, Polynomial] = {}
         for vid, img in images.items():
             _checked_vid(space, vid)
             if isinstance(img, int):
                 img = Polynomial.integer(space, img)
-            if img.space != space:
+            if img._space != space:
                 raise ValueError("substitution image in a different variable space")
             imgs[vid] = img
         if all(len(img.terms) <= 1 for img in imgs.values()):
@@ -420,12 +425,12 @@ class Polynomial:
                 c *= b ** exp[vid]
             key = tuple(k)
             out[key] = out.get(key, 0) + c
-        return Polynomial(self.space, out)
+        return Polynomial(self._space, out)
 
     # -- rendering ------------------------------------------------------------
 
     def _named_exponents(self, exp: tuple[int, ...]) -> list[tuple[str, int]]:
-        return [(self.space.name(vid), e) for vid, e in enumerate(exp) if e]
+        return [(self._space.name(vid), e) for vid, e in enumerate(exp) if e]
 
     def _monomial_text(self, exp: tuple[int, ...]) -> str:
         return " ".join(name if e == 1 else f"{name}^{e}" for name, e in self._named_exponents(exp))
@@ -458,7 +463,7 @@ class Polynomial:
     def to_json_dict(self) -> dict:
         """Canonical sparse form with decimal-string coefficients."""
         return {
-            "space": self.space.to_json_dict(),
+            "space": self._space.to_json_dict(),
             "terms": [
                 {
                     "exp": [[name, e] for name, e in self._named_exponents(exp)],
@@ -479,9 +484,8 @@ class Polynomial:
         produces.
         """
         sp = data["space"]
-        n = _json_int(sp["n"], "space size n")
-        space = VariableSpace(n, tuple(_json_int(p, "block size") for p in sp["mu"]) or None)
-        if _json_int(sp["s"], "block count s") != space.s:
+        space = VariableSpace(sp["n"], tuple(sp["mu"]) or None)
+        if _integer(sp["s"], "block count s") != space.s:
             raise ValueError(f"space lists s = {sp['s']!r} for {len(sp['mu'])} blocks")
         name_to_vid = {space.name(vid): vid for vid in range(space.num_vars)}
         terms: dict[tuple[int, ...], int] = {}
@@ -492,11 +496,11 @@ class Polynomial:
                     raise ValueError(f"unknown variable {name!r} for {space}")
                 if name_to_vid[name] in exps:
                     raise ValueError(f"variable {name} listed twice in {term['exp']}")
-                exps[name_to_vid[name]] = _json_int(e, f"exponent of {name}")
+                exps[name_to_vid[name]] = _integer(e, f"exponent of {name}")
             coeff = term["coeff"]
             if isinstance(coeff, str) and _DECIMAL.fullmatch(coeff):
                 coeff = int(coeff)
-            key, c = _exponent(space, exps), _json_int(coeff, "coefficient")
+            key, c = _exponent(space, exps), _integer(coeff, "coefficient")
             if c == 0:
                 raise ValueError("zero coefficient")
             if key in terms:

@@ -15,11 +15,13 @@ and (c) for distinct members prove (a) and decide the verdict alone; (a) is
 computed only for a failing report's witness.
 
 verify_equivariant_suite checks the block-torus machinery for one
-composition: fixed-point localization of the cross-block Chern class,
-compatibility of the block-torus restriction, agreement of each
-single-block base class (an independent product of linear forms) with the
-one-block equivariant class that cohomology builds, and the specialization
-of the equivariant class to (a power of two times) the ordinary class.
+composition: fixed-point localization of the cross-block Chern class at
+every w of S_n (restrictions taken down cohomology's shared-prefix tree,
+each compared with the weight product built on its own), compatibility of
+the block-torus restriction, agreement of each single-block base class (an
+independent product of linear forms) with the one-block equivariant class
+that cohomology builds, and the specialization of the equivariant class to
+(a power of two times) the ordinary class.
 
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .composition import Composition, enumerate_compositions
-from .permutation import Permutation, all_permutations
+from .permutation import Permutation
 from . import cohomology
 from .polynomial import Polynomial, VariableSpace
 from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
@@ -233,9 +235,8 @@ def verify_equivariant_suite(
     try:  # every return below is the report, stamped with its time in `finally`
         # localization: restriction at every fixed point equals the weight product
         if n <= localization_max_n:
-            for w in all_permutations(n):
+            for w, lhs in cohomology.fixed_point_restrictions(chern):
                 report.support += 1
-                lhs = cohomology.restrict_to_fixed_point(chern, w)
                 rhs = cohomology.fixed_point_weight_product(mu, w)
                 if mismatch(lhs, rhs, f"localization mismatch at w={w}"):
                     return report

@@ -6,6 +6,7 @@ lines; every check is exact (integer polynomial identities, exact set
 equality), with wall-clock ceilings asserted where stated.
 """
 
+import math
 import random
 import time
 
@@ -24,6 +25,7 @@ from schubfactor.verifier import (
     ASCENDING_LETTER_VARIANT_24,
     schubert_sum,
     sweep,
+    verify_equivariant_suite,
     verify_identity_for_members,
 )
 from schubfactor.wset import (
@@ -257,4 +259,29 @@ def test_criterion_8_divided_difference_algebra():
     print(
         "criterion 8: PASS - square-zero, far-commutation and braid relations on "
         f"1000 random polynomials ({elapsed:.1f} s)"
+    )
+
+
+def test_criterion_9_localization_suites_to_n6():
+    start = time.perf_counter()
+
+    # every suite of n <= 6 with fixed-point localization at all n! points
+    cases = [(mu, ORTHOGONAL) for n in range(1, 7) for mu in enumerate_compositions(n)]
+    cases += [
+        (mu, SYMPLECTIC)
+        for two_n in (2, 4, 6)
+        for mu in enumerate_compositions(two_n, even_parts_only=True)
+    ]
+    points = 0
+    for mu, family in cases:
+        report = verify_equivariant_suite(mu, family, localization_max_n=6)
+        assert report.passed, report.text()
+        assert report.support == math.factorial(mu.total), (mu, family)
+        points += report.support
+
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, f"{elapsed:.1f}s exceeds 1min budget"
+    print(
+        f"criterion 9: PASS - {len(cases)} equivariant suites of n <= 6 localized at "
+        f"{points} fixed points ({elapsed:.1f} s)"
     )

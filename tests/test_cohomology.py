@@ -323,6 +323,24 @@ def test_restrict_to_fixed_point_matches_oracle_exhaustive(n):
             assert coh.restrict_to_fixed_point(chern, w) == substitute_oracle(chern, images), (mu, w)
 
 
+@pytest.mark.parametrize(
+    "family, n", [("orthogonal", n) for n in range(1, 6)] + [("symplectic", n) for n in (2, 4)]
+)
+def test_fixed_point_tree_matches_single_restrictions_exhaustive(family, n):
+    # the equivariant class also carries the y{i}_{j} and z variables the tree never substitutes
+    equivariant_class = {
+        "orthogonal": coh.equivariant_class_orthogonal,
+        "symplectic": coh.equivariant_class_symplectic,
+    }[family]
+    perms = list(all_permutations(n))
+    for mu in enumerate_compositions(n, even_parts_only=family == "symplectic"):
+        for f in (coh.cross_block_chern_class(mu), equivariant_class(mu)):
+            pairs = list(coh.fixed_point_restrictions(f))
+            assert [w for w, _ in pairs] == perms, mu
+            for w, restricted in pairs:
+                assert restricted == coh.restrict_to_fixed_point(f, w), (mu, w)
+
+
 def test_zero_equivariant_vars_matches_oracle():
     classes = [
         coh.equivariant_class_orthogonal(mu) for n in range(1, 5) for mu in enumerate_compositions(n)

@@ -61,6 +61,19 @@ def test_space_bad_block_indices():
         sp.z(3)
 
 
+@pytest.mark.parametrize("n, mu", [
+    (True, None),
+    (2.0, None),
+    ("2", None),
+    (2, (1.0, 1.0)),
+    (2, (True, True)),
+    (3, (2, "1")),
+])
+def test_space_rejects_non_integer_sizes(n, mu):
+    with pytest.raises(ValueError, match="not an integer"):
+        VariableSpace(n, mu)
+
+
 def test_space_equality():
     assert VariableSpace(3) == VariableSpace(3)
     assert VariableSpace(3) != VariableSpace(4)
@@ -125,12 +138,15 @@ def test_terms_are_a_read_only_zero_free_copy():
     source[e] = 0
     source[f] = 1
     assert q.terms == {e: 3}
-    assert pickle.loads(pickle.dumps(q)) == q
-    assert copy.deepcopy(q) == q
-    # the attribute itself cannot be rebound either
+    for back in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+        assert back == q and back.space == sp
+    # the attributes themselves cannot be rebound either
     with pytest.raises(AttributeError):
         q.terms = {e: 0}
-    assert q.terms == {e: 3} and q.text() == "3 x1"
+    with pytest.raises(AttributeError):
+        q.space = VariableSpace(3)
+    assert q.terms == {e: 3} and q.text() == "3 x1" and q.space == sp
+    assert q + q == Polynomial(sp, {e: 6})
 
 
 @pytest.mark.parametrize("other", [2.5, "3", None])
