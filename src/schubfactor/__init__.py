@@ -25,6 +25,7 @@ from .schubert import (
     pipe_dreams,
     schubert_poly,
     schubert_poly_oracle,
+    schubert_sum,
 )
 from .wset import (
     WSet,
@@ -61,7 +62,6 @@ from .verifier import (
     ORTHOGONAL,
     SYMPLECTIC,
     IdentityReport,
-    schubert_sum,
     sweep,
     verify_equivariant_suite,
     verify_identity,

@@ -52,12 +52,12 @@ def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
     Positive roots e_k - e_l (k < l) of GL_n, as pairs (k, l), that straddle
     two different blocks; count = sum_{i<j} mu_i mu_j.
     """
-    n = mu.total
+    n, blocks = mu.total, mu.blocks
     return [
         (k, l)
         for k in range(1, n + 1)
         for l in range(k + 1, n + 1)
-        if mu.block_of(k) != mu.block_of(l)
+        if blocks[k - 1] != blocks[l - 1]
     ]
 
 
@@ -340,9 +340,8 @@ def preserves_blocks(w: Permutation, mu: Composition) -> bool:
     """True iff w maps every block of mu onto itself."""
     if w.n != mu.total:
         raise ValueError("size mismatch")
-    return all(
-        mu.block_of(w(i)) == mu.block_of(i) for i in range(1, mu.total + 1)
-    )
+    blocks = mu.blocks
+    return all(blocks[v - 1] == b for v, b in zip(w.word, blocks))
 
 
 def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:

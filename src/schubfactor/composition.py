@@ -22,16 +22,18 @@ from typing import Iterable
 class Composition:
     parts: tuple[int, ...]
     nu: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    blocks: tuple[int, ...] = field(init=False, compare=False, repr=False)  # blocks[i - 1] == block_of(i)
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        if not parts or any(p < 1 for p in parts):
+        parts = tuple(parts)
+        if not parts or any(type(p) is not int or p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
         nu = [0]
         for p in parts:
             nu.append(nu[-1] + p)
         object.__setattr__(self, "nu", tuple(nu))
+        object.__setattr__(self, "blocks", tuple(j for j, p in enumerate(parts, start=1) for _ in range(p)))
 
     @property
     def s(self) -> int:
@@ -42,26 +44,18 @@ class Composition:
     def total(self) -> int:
         return self.nu[-1]
 
-    def _check(self, i: int) -> None:
-        if not 1 <= i <= self.total:
-            raise ValueError(f"position {i} out of range for {self}")
-
     def block_of(self, i: int) -> int:
-        """Smallest j with nu_{j+1} >= i, i.e. the block containing position i."""
-        self._check(i)
-        for j in range(1, self.s + 1):
-            if self.nu[j] >= i:
-                return j
-        raise AssertionError("unreachable")
+        """The block containing position i."""
+        if type(i) is not int or not 1 <= i <= self.total:
+            raise ValueError(f"position {i!r} out of range for {self}")
+        return self.blocks[i - 1]
 
     def right_mass(self, i: int) -> int:
         """Total size of the blocks strictly to the right of position i's block."""
-        self._check(i)
         return self.total - self.nu[self.block_of(i)]
 
     def first_half_flag(self, i: int) -> int:
         """1 iff position i lies in the first floor(mu_b / 2) slots of its block."""
-        self._check(i)
         b = self.block_of(i)
         return 1 if (i - self.nu[b - 1]) <= self.parts[b - 1] // 2 else 0
 

@@ -27,24 +27,25 @@ class Permutation:
     '123'
     """
 
-    __slots__ = ("word", "length")
+    __slots__ = ("word",)
 
     def __init__(self, word: Iterable[int]):
         word = tuple(word)
         n = len(word)
         if n == 0:
             raise ValueError("empty permutation word")
-        if sorted(word) != list(range(1, n + 1)):
+        if sorted(word) != list(range(1, n + 1)) or set(map(type, word)) != {int}:
             raise ValueError(f"not a permutation of 1..{n}: {word}")
         self.word = word
-        # number of inversion pairs i<j with w(i)>w(j)
-        self.length = sum(
-            1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
-        )
 
     @property
     def n(self) -> int:
         return len(self.word)
+
+    @property
+    def length(self) -> int:
+        """Number of inversion pairs i < j with w(i) > w(j)."""
+        return sum(self.code())
 
     def __call__(self, i: int) -> int:
         """Value w(i), 1-based."""

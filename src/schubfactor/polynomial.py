@@ -113,7 +113,7 @@ def _exponent(space: VariableSpace, exps: Mapping[int, int]) -> tuple[int, ...]:
     """The exponent vector of prod x_vid^e; the one place that builds one from {vid: e}."""
     exp = [0] * space.num_vars
     for vid, e in exps.items():
-        if e < 0:
+        if _integer(e, "exponent") < 0:
             raise ValueError("negative exponent")
         exp[_checked_vid(space, vid)] = e
     return tuple(exp)
@@ -218,12 +218,12 @@ class Polynomial:
     @classmethod
     def monomial(cls, space: VariableSpace, exps: Mapping[int, int], coeff: int = 1) -> "Polynomial":
         """coeff * prod x_vid^e over the {vid: e} map exps."""
-        return cls(space, {_exponent(space, exps): int(coeff)})
+        return cls(space, {_exponent(space, exps): _integer(coeff, "coefficient")})
 
     @classmethod
     def linear_form(cls, space: VariableSpace, coeffs: Mapping[int, int]) -> "Polynomial":
         """Sum of coeff * variable."""
-        return cls(space, {_exponent(space, {vid: 1}): int(c) for vid, c in coeffs.items()})
+        return cls(space, {_exponent(space, {v: 1}): _integer(c, "coefficient") for v, c in coeffs.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -233,7 +233,7 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            other = Polynomial.integer(self._space, other)
+            other = Polynomial.integer(self._space, int(other))  # int() turns a bool into 0 or 1
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
@@ -288,7 +288,7 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == Polynomial.integer(self._space, other).terms
+            return self.terms == Polynomial.integer(self._space, int(other)).terms
         return (
             isinstance(other, Polynomial)
             and self._space == other._space
@@ -496,7 +496,7 @@ class Polynomial:
                     raise ValueError(f"unknown variable {name!r} for {space}")
                 if name_to_vid[name] in exps:
                     raise ValueError(f"variable {name} listed twice in {term['exp']}")
-                exps[name_to_vid[name]] = _integer(e, f"exponent of {name}")
+                exps[name_to_vid[name]] = e
             coeff = term["coeff"]
             if isinstance(coeff, str) and _DECIMAL.fullmatch(coeff):
                 coeff = int(coeff)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, divided_difference_terms
@@ -54,14 +54,32 @@ def _schubert_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return divided_difference_terms(_schubert_terms(up), i)
 
 
-def _materialize(w: Permutation, space: VariableSpace | None, x_terms: Callable) -> Polynomial:
-    """Check space (by default S_{w.n}'s), then place w's x-exponent map x_terms(w) into it."""
-    if space is None:
-        space = VariableSpace(w.n)
-    if space.n < w.n:
-        raise ValueError(f"space has {space.n} x variables, need {w.n}")
-    pad = (0,) * (space.num_vars - w.n)
-    return Polynomial(space, {exp + pad: c for exp, c in x_terms(w).items()})
+def _add_terms(terms: dict, x_terms: Mapping, c: int, pad: tuple[int, ...]) -> None:
+    """terms += c * x_terms, each exponent extended by pad; sums that reach 0 are dropped."""
+    for exp, c2 in x_terms.items():
+        key = exp + pad
+        nc = terms.get(key, 0) + c * c2
+        if nc:
+            terms[key] = nc
+        elif key in terms:
+            del terms[key]
+
+
+def _combination(pairs: Iterable, space: VariableSpace, x_terms: Callable = _schubert_terms) -> Polynomial:
+    """sum c * S_w over (w, c) pairs, a repeat counted each time; x_terms(w.word) is S_w's x-exponent map."""
+    pairs = list(pairs)
+    need = max((w.n for w, _ in pairs), default=1)
+    if space.n < need:
+        raise ValueError(f"space has {space.n} x variables, need {need}")
+    terms: dict[tuple[int, ...], int] = {}
+    for w, c in pairs:
+        _add_terms(terms, x_terms(w.word), c, (0,) * (space.num_vars - w.n))
+    return Polynomial(space, terms)
+
+
+def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:
+    """Exact sum of the Schubert polynomials of all members; a repeated member counts each time."""
+    return _combination(((w, 1) for w in members), space)
 
 
 def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynomial:
@@ -75,7 +93,7 @@ def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynom
     >>> schubert_poly(Permutation((1, 3, 2))).text()
     'x1 + x2'
     """
-    return _materialize(w, space, lambda v: _schubert_terms(v.word))
+    return _combination([(w, 1)], space or VariableSpace(w.n))
 
 
 # -- independent oracle: reduced pipe dreams ---------------------------------
@@ -143,14 +161,14 @@ def schubert_poly_oracle(w: Permutation, space: VariableSpace | None = None) -> 
     Schubert polynomial built monomial-by-monomial from reduced pipe dreams;
     never uses the divided-difference recursion.
     """
-    return _materialize(w, space, _pipe_dream_terms)
+    return _combination([(w, 1)], space or VariableSpace(w.n), _pipe_dream_terms)
 
 
-def _pipe_dream_terms(w: Permutation) -> dict[tuple[int, ...], int]:
-    """x-exponent map of w: each reduced pipe dream adds x^(its crosses per row)."""
+def _pipe_dream_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """x-exponent map of S_word: each reduced pipe dream adds x^(its crosses per row)."""
     terms: dict[tuple[int, ...], int] = {}
-    for diagram in pipe_dreams(w):
-        exp = [0] * w.n
+    for diagram in pipe_dreams(Permutation(word)):
+        exp = [0] * len(word)
         for (i, _j) in diagram:
             exp[i - 1] += 1
         key = tuple(exp)
@@ -185,12 +203,7 @@ class SchubertExpansion:
         return set(self.coeffs)
 
     def to_polynomial(self, space: VariableSpace | None = None) -> Polynomial:
-        if space is None:
-            space = VariableSpace(self.n)
-        total = Polynomial.zero(space)
-        for w, c in self.coeffs.items():
-            total = total + schubert_poly(w, space) * c
-        return total
+        return _combination(self.coeffs.items(), space or VariableSpace(self.n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,11 +236,6 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
         exp = min(remainder)
         c = remainder[exp]
         w = from_code(exp)
-        for key, c2 in _schubert_terms(w.word).items():
-            nc = remainder.get(key, 0) - c * c2
-            if nc:
-                remainder[key] = nc
-            elif key in remainder:
-                del remainder[key]
+        _add_terms(remainder, _schubert_terms(w.word), -c, ())
         coeffs[w] = c
     return SchubertExpansion(n, coeffs)

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
 from .permutation import Permutation
 from . import cohomology
-from .polynomial import Polynomial, VariableSpace
-from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
+from .polynomial import Polynomial
+# perfbench wraps verifier.schubert_sum and verifier.schubert_poly by name, so both stay imported here
+from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly, schubert_sum
 from .wset import WSet, w_set_orthogonal, w_set_symplectic
 
 ORTHOGONAL = "orthogonal"
@@ -121,14 +122,6 @@ def _first_mismatch(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | 
     exp, _ = diff.leading_term()
     text = Polynomial(lhs.space, {exp: 1}).text()
     return (text, str(lhs.terms.get(exp, 0)), str(rhs.terms.get(exp, 0)))
-
-
-def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:
-    """Exact sum of the Schubert polynomials of all members."""
-    total = Polynomial.zero(space)
-    for w in members:
-        total = total + schubert_poly(w, space)
-    return total
 
 
 def product_side(mu: Composition, family: str) -> Polynomial:

@@ -41,7 +41,7 @@ def test_half_weight_examples():
 
 def test_out_of_range():
     mu = Composition((2, 2))
-    for bad in (0, 5):
+    for bad in (0, 5, 1.5, 2.0, True):
         with pytest.raises(ValueError):
             mu.block_of(bad)
         with pytest.raises(ValueError):
@@ -55,6 +55,18 @@ def test_invalid_parts():
         Composition(())
     with pytest.raises(ValueError):
         Composition((2, 0))
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), (True, 2)])
+def test_non_integer_parts_are_rejected_not_truncated(parts):
+    with pytest.raises(ValueError, match="positive integers"):
+        Composition(parts)
+
+
+def test_blocks_are_stored_per_position():
+    mu = Composition((3, 1, 2))
+    assert mu.blocks == (1, 1, 1, 2, 3, 3)
+    assert [mu.block_of(i) for i in range(1, 7)] == list(mu.blocks)
 
 
 def test_enumerate_compositions():

@@ -73,6 +73,12 @@ def test_invalid_words():
             Permutation(bad)
 
 
+@pytest.mark.parametrize("word", [(True, 2), (1.0, 2.0)])
+def test_non_integer_entries_are_rejected(word):
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation(word)
+
+
 def test_sizes_never_equal():
     assert Permutation((1, 2)) != Permutation((1, 2, 3))
 

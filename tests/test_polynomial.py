@@ -99,6 +99,23 @@ def test_scale():
     assert 2 * x(1) == x(1) * 2
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polynomial.monomial(SPACE3, {SPACE3.x(1): 1}, 2.7), "coefficient 2.7"),
+    (lambda: Polynomial.linear_form(SPACE3, {SPACE3.x(1): 0.5, SPACE3.x(2): 1}), "coefficient 0.5"),
+    (lambda: Polynomial.monomial(SPACE3, {SPACE3.x(1): 1.5}), "exponent 1.5"),
+], ids=["monomial-coefficient", "linear-form-coefficient", "monomial-exponent"])
+def test_constructors_reject_non_integers_instead_of_truncating(build, message):
+    with pytest.raises(ValueError, match=f"{message} is not an integer"):
+        build()
+
+
+def test_integer_operands_still_work_and_equality_never_raises():
+    assert (x(1) + 1) - 1 == x(1)
+    assert Polynomial.one(SPACE3) == 1 and Polynomial.one(SPACE3) == True  # noqa: E712
+    assert x(1) + True == x(1) + 1
+    assert not x(1) == 1.5 and not x(1) == "x1" and not Polynomial.zero(SPACE3) == 0.0
+
+
 def test_space_mismatch_raises():
     with pytest.raises(ValueError):
         x(1) + x(1, VariableSpace(4))

@@ -263,6 +263,44 @@ def test_expansion_reconstructs():
     assert exp.to_polynomial(sp) == f
 
 
+def _oracle_fold(pairs, space):
+    """sum c * S_w as a Polynomial + fold over pipe-dream polynomials; asserts the memo is untouched."""
+    memo = schubert._schubert_terms.cache_info()
+    total = Polynomial.zero(space)
+    for w, c in pairs:
+        total = total + schubert_poly_oracle(w, space) * c
+    assert schubert._schubert_terms.cache_info() == memo
+    return total
+
+
+def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups():
+    sp = VariableSpace(5, (2, 3))
+    members = [
+        Permutation((2, 1, 5, 3, 4)),
+        Permutation((3, 1, 2)),  # padded from S_3
+        Permutation((2, 1, 5, 3, 4)),  # a repeat counts twice
+        Permutation((1, 4, 2, 3, 5)),
+        Permutation((2, 1)),
+    ]
+    want = _oracle_fold([(w, 1) for w in members], sp)
+    assert schubert.schubert_sum(members, sp) == want
+    assert schubert.schubert_sum(iter(members), sp) == want
+    assert schubert.schubert_sum([], sp).is_zero()
+
+
+def test_to_polynomial_matches_oracle_fold_with_signed_coefficients():
+    rng = random.Random(3)
+    coeffs = {w: rng.choice([-3, -1, 1, 2, 5]) for w in rng.sample(list(all_permutations(5)), 15)}
+    # S_213 - S_132 = x1 - (x1 + x2): the shared monomial cancels
+    coeffs.update({Permutation((2, 1, 3, 4, 5)): 1, Permutation((1, 3, 2, 4, 5)): -1})
+    expansion = SchubertExpansion(5, coeffs)
+    for sp in (VariableSpace(5), VariableSpace(5, (3, 2)), VariableSpace(6)):
+        assert expansion.to_polynomial(sp) == _oracle_fold(coeffs.items(), sp)
+    assert expansion.to_polynomial() == _oracle_fold(coeffs.items(), VariableSpace(5))
+    with pytest.raises(ValueError, match="space has 4 x variables, need 5"):
+        expansion.to_polynomial(VariableSpace(4))
+
+
 def test_expansion_json():
     exp = SchubertExpansion(3, {Permutation((1, 3, 2)): 1, Permutation((2, 1, 3)): 2})
     assert exp.to_json_dict() == {

@@ -89,6 +89,14 @@ def test_wrong_members_produce_witness():
     assert lhs_c != rhs_c
 
 
+def test_dropped_member_of_orthogonal_9_keeps_its_witness():
+    mu = Composition((9,))
+    members = w_set_orthogonal(mu).members
+    report = verify_identity_for_members(mu, ORTHOGONAL, members[1:])
+    assert report.verdict == "fail" and report.flags == []
+    assert report.witness == ("x1 x2^2 x3^3 x4^4 x5^4 x6^3 x7^2 x8", "0", "1")
+
+
 EXPANSION_FLAG = "Schubert expansion of the product side is not the member set with unit coefficients"
 
 
