@@ -3,7 +3,8 @@ Factored class representatives and torus localization for type A.
 
 All formulas live over the variable space of a composition mu of n (see
 polynomial.VariableSpace); mu alone fixes that space, so every builder
-derives it with space_for(mu).  Per block i with positions nu_i+1 .. nu_{i+1}:
+derives it with space_for(mu), which builds it once per composition.  Per
+block i with positions nu_i+1 .. nu_{i+1}:
 
     half_block_factor(mu, i)   product of (x_j - z_i) over the first
                                floor(mu_i/2) positions j of block i
@@ -39,6 +40,7 @@ block-torus images z_i +- y{i}_{k} have two terms and take grouped products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -61,7 +63,9 @@ def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
     ]
 
 
+@functools.cache
 def space_for(mu: Composition) -> VariableSpace:
+    """The variable space of mu, built once per composition and shared."""
     return VariableSpace(mu.total, mu.parts)
 
 
@@ -209,10 +213,7 @@ class FactoredClass:
         return Polynomial.monomial(self.space, dict(self.monomial), self.scalar)
 
     def expand(self) -> Polynomial:
-        poly = self._head()
-        for f in self.factors:
-            poly = poly * f
-        return poly
+        return self._head() * product_of_linear_forms(self.space, self.factors)
 
     def text(self) -> str:
         head = self._head().text()

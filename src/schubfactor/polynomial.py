@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import types
 from typing import Iterable, Iterator, Mapping
 
@@ -36,7 +37,11 @@ def _integer(value, what: str) -> int:
 
 
 class VariableSpace:
-    """Variable universe shared by every polynomial that may be combined."""
+    """
+    Variable universe shared by every polynomial that may be combined.
+    Immutable: one space may serve many callers, so its attributes cannot be
+    rebound after construction.
+    """
 
     __slots__ = ("n", "mu", "s", "halves", "num_vars", "_names", "_yblock_base", "_z_base")
 
@@ -47,20 +52,33 @@ class VariableSpace:
             mu = tuple(_integer(p, "block size") for p in mu)
             if sum(mu) != n or any(p < 1 for p in mu):
                 raise ValueError(f"blocks {mu} do not partition 1..{n}")
-        self.n = n
-        self.mu = mu
-        self.s = len(mu) if mu else 0
-        self.halves = tuple(p // 2 for p in mu) if mu else ()
-        self._yblock_base = 2 * n
-        self._z_base = 2 * n + sum(self.halves)
-        self.num_vars = self._z_base + self.s
-
+        s = len(mu) if mu else 0
+        halves = tuple(p // 2 for p in mu) if mu else ()
+        z_base = 2 * n + sum(halves)
         names = [f"x{i}" for i in range(1, n + 1)]
         names += [f"y{i}" for i in range(1, n + 1)]
-        for i, h in enumerate(self.halves, start=1):
+        for i, h in enumerate(halves, start=1):
             names += [f"y{i}_{j}" for j in range(1, h + 1)]
-        names += [f"z{i}" for i in range(1, self.s + 1)]
-        self._names = tuple(names)
+        names += [f"z{i}" for i in range(1, s + 1)]
+        init = object.__setattr__  # the only writer: __setattr__ refuses every assignment
+        init(self, "n", n)
+        init(self, "mu", mu)
+        init(self, "s", s)
+        init(self, "halves", halves)
+        init(self, "_yblock_base", 2 * n)
+        init(self, "_z_base", z_base)
+        init(self, "num_vars", z_base + s)
+        # interned: cohomology.space_for keeps one space per composition, and they share names
+        init(self, "_names", tuple(map(sys.intern, names)))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"VariableSpace is immutable; cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"VariableSpace is immutable; cannot delete {attr}")
+
+    def __reduce__(self):
+        return VariableSpace, (self.n, self.mu)
 
     def x(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -90,7 +108,9 @@ class VariableSpace:
         return range(self.n, self.num_vars)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VariableSpace) and self.n == other.n and self.mu == other.mu
+        return other is self or (
+            isinstance(other, VariableSpace) and self.n == other.n and self.mu == other.mu
+        )
 
     def __hash__(self) -> int:
         return hash((self.n, self.mu))
@@ -213,7 +233,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, space: VariableSpace, vid: int) -> "Polynomial":
-        return cls.monomial(space, {vid: 1})
+        exp = [0] * space.num_vars
+        exp[_checked_vid(space, vid)] = 1
+        return cls(space, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, space: VariableSpace, exps: Mapping[int, int], coeff: int = 1) -> "Polynomial":
@@ -513,10 +535,39 @@ class Polynomial:
 
 
 def product_of_linear_forms(space: VariableSpace, forms: Iterable[Polynomial]) -> Polynomial:
-    """Exact product of affine-linear forms; the empty product is 1."""
-    result = Polynomial.one(space)
+    """
+    Exact product of affine-linear forms; the empty product is 1.  Raises
+    ValueError for a factor of degree above 1 or from another space.
+
+    Each form c + sum a_v x_v multiplies the running term map in one step: a
+    term yields its own key times c and, per variable v, its key with the one
+    exponent of v raised, times a_v.  Entries that cancel are dropped before
+    the next form.
+    """
+    terms: dict[tuple[int, ...], int] = {(0,) * space.num_vars: 1}
     for form in forms:
-        if form.total_degree() > 1:
-            raise ValueError(f"non-linear factor of degree {form.total_degree()}")
-        result = result * form
-    return result
+        const = 0
+        bumps: list[tuple[int, int]] = []  # (vid, coefficient)
+        for exp, c in form._terms.items():
+            degree = sum(exp)
+            if degree > 1:
+                raise ValueError(f"non-linear factor of degree {form.total_degree()}")
+            if degree:
+                bumps.append((exp.index(1), c))
+            else:
+                const = c
+        if form._space != space:
+            raise ValueError(f"variable space mismatch: {space} vs {form._space}")
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for exp, c in terms.items():
+            if const:
+                out[exp] = get(exp, 0) + c * const
+            key = list(exp)
+            for vid, a in bumps:
+                key[vid] += 1
+                k = tuple(key)
+                key[vid] -= 1
+                out[k] = get(k, 0) + c * a
+        terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
+    return Polynomial(space, terms)

@@ -23,6 +23,17 @@ def ybp(space, i, j):
     return Polynomial.variable(space, space.yblock(i, j))
 
 
+def test_space_for_builds_each_space_once():
+    mu = Composition((2, 3))
+    sp = coh.space_for(mu)
+    assert coh.space_for(Composition(mu.parts)) is sp
+    assert sp == VariableSpace(5, (2, 3))
+    with pytest.raises(AttributeError):
+        sp.n = 4
+    assert coh.space_for(mu).n == 5
+    assert coh.fixed_point_weight_product(mu, identity(5)).space is sp
+
+
 # -- root system -----------------------------------------------------------------
 
 
@@ -164,6 +175,23 @@ def test_factored_text_and_expand_agree():
     fc = coh.ordinary_class_orthogonal_factored(mu)
     assert fc.text() == "x1^5 x2^4 x3^4 x4 x5 (x1 + x2)(x4 + x5)(x4 + x6)"
     assert fc.expand() == coh.ordinary_class_orthogonal(mu)
+
+
+@pytest.mark.parametrize("build", [
+    coh.ordinary_class_orthogonal_factored,
+    coh.equivariant_class_orthogonal_factored,
+    coh.ordinary_class_symplectic_factored,
+    coh.equivariant_class_symplectic_factored,
+])
+def test_expand_matches_generic_fold(build):
+    symplectic = "symplectic" in build.__name__
+    for n in (2, 4, 6) if symplectic else range(1, 6):
+        for mu in enumerate_compositions(n, even_parts_only=symplectic):
+            fc = build(mu)
+            expected = fc._head()
+            for f in fc.factors:
+                expected = expected * f
+            assert dict(fc.expand().terms) == dict(expected.terms)
 
 
 @pytest.mark.parametrize("scalar, monomial, with_factor, expected", [

@@ -81,6 +81,20 @@ def test_space_equality():
     assert VariableSpace(4, (2, 2)) != VariableSpace(4)
 
 
+def test_space_is_immutable_and_round_trips():
+    sp = VariableSpace(4, (2, 2))
+    for attr, value in (("n", 4), ("mu", (4,)), ("num_vars", 3), ("_names", ())):
+        with pytest.raises(AttributeError):
+            setattr(sp, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(sp, attr)
+    assert sp.n == 4 and sp.mu == (2, 2) and sp.num_vars == 12 and sp.name(11) == "z2"
+    p = Polynomial.linear_form(sp, {sp.x(1): 2, sp.yblock(2, 1): -1, sp.z(2): 3}) * x(4, sp)
+    for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert back == p and back.space == sp and back.text() == p.text()
+        assert back.space.num_vars == sp.num_vars and back + p == 2 * p
+
+
 # -- ring arithmetic -----------------------------------------------------------
 
 
@@ -430,8 +444,42 @@ def test_product_of_linear_forms():
 
 
 def test_product_of_linear_forms_rejects_quadratic():
-    with pytest.raises(ValueError):
-        product_of_linear_forms(SPACE3, [x(1) * x(1)])
+    for forms in ([x(1) * x(1)], [x(1) + 1, y(2) - x(3), x(1) * y(3)]):
+        with pytest.raises(ValueError, match="non-linear factor of degree 2"):
+            product_of_linear_forms(SPACE3, forms)
+
+
+def test_product_of_linear_forms_rejects_other_space():
+    for forms in ([x(1, SPACE22)], [x(1) - 2, y(3), Polynomial.integer(SPACE22, 2)]):
+        with pytest.raises(ValueError, match="variable space mismatch"):
+            product_of_linear_forms(SPACE3, forms)
+
+
+SPACE21 = VariableSpace(3, (2, 1))  # x, y, one y-block and two z variables
+_vid = st.integers(0, SPACE21.num_vars - 1)
+_coefficient = st.integers(-3, 3)
+_affine_form = st.builds(
+    lambda coeffs, const: [Polynomial.linear_form(SPACE21, coeffs) + const],
+    st.dictionaries(_vid, _coefficient, max_size=3),  # empty: a constant form
+    _coefficient,
+)
+_cancelling_pair = st.builds(  # (a u - b v)(a u + b v): the cross terms cancel
+    lambda u, v, a, b: [
+        Polynomial.linear_form(SPACE21, {u: a, v: -b}),
+        Polynomial.linear_form(SPACE21, {u: a, v: b}),
+    ],
+    _vid, _vid, _coefficient, _coefficient,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_affine_form, _cancelling_pair), max_size=4))
+def test_product_of_linear_forms_matches_generic_fold(groups):
+    forms = [form for group in groups for form in group]
+    expected = Polynomial.one(SPACE21)
+    for form in forms:
+        expected = expected * form
+    assert dict(product_of_linear_forms(SPACE21, forms).terms) == dict(expected.terms)
 
 
 # -- ordering, rendering, serialization -------------------------------------------
