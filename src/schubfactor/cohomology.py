@@ -213,7 +213,12 @@ class FactoredClass:
         return Polynomial.monomial(self.space, dict(self.monomial), self.scalar)
 
     def expand(self) -> Polynomial:
-        return self._head() * product_of_linear_forms(self.space, self.factors)
+        """One product of linear forms: the scalar as a constant form, x^e as e copies of x, then the factors."""
+        space = self.space
+        head = [Polynomial.integer(space, self.scalar)]
+        for vid, e in self.monomial:
+            head += [Polynomial.variable(space, vid)] * e
+        return product_of_linear_forms(space, head + list(self.factors))
 
     def text(self) -> str:
         head = self._head().text()

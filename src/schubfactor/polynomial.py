@@ -11,22 +11,34 @@ carry the block-torus coordinates of a composition (one z per block, one
 y{i}_{j} per half-block slot).  A space built without a composition has only
 the x and y families.
 
-Coefficients are Python ints (arbitrary precision); exponent vectors are kept
-as dense tuples internally and serialized sparsely.  The canonical term order
-is graded reverse-lexicographic on the x part (ties broken the same way on
-the remaining families), iterated from the smallest term up; the first term
-under this order is the "leading" term.  This order serves text(), the JSON
-form, leading_term() and the verifier's witnesses; the Schubert-basis
-expansion does not use it (it takes the smallest exponent tuple).
+Coefficients are Python ints (arbitrary precision).  Each monomial is one
+Python int, its key, with an 8-bit field per variable and x1 in the most
+significant field, so multiplying monomials adds their keys, and int order
+on keys is lexicographic order on exponent vectors (Monagan & Pearce,
+Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors, 2007).  An exponent may be at most MAX_EXPONENT = 127, so the sum
+of two fields never carries into the next one; every step that may go past
+127 raises ValueError instead.  Keys are decoded only to render, serialize,
+sort canonically and read degrees.
+
+The canonical term order is graded reverse-lexicographic on the x part (ties
+broken the same way on the remaining families), iterated from the smallest
+term up; the first term under this order is the "leading" term.  This order
+serves text(), the JSON form, leading_term() and the verifier's witnesses;
+the Schubert-basis expansion does not use it (it takes the smallest key).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 import types
-from typing import Iterable, Iterator, Mapping
+from functools import reduce
+from typing import Iterable, Iterator, Mapping, Sequence
+
+MAX_EXPONENT = 127  # the largest exponent an 8-bit field holds with its guard bit clear
 
 
 def _integer(value, what: str) -> int:
@@ -43,7 +55,7 @@ class VariableSpace:
     rebound after construction.
     """
 
-    __slots__ = ("n", "mu", "s", "halves", "num_vars", "_names", "_yblock_base", "_z_base")
+    __slots__ = ("n", "mu", "s", "halves", "num_vars", "_names", "_yblock_base", "_z_base", "_guard")
 
     def __init__(self, n: int, mu: tuple[int, ...] | None = None):
         if _integer(n, "space size n") < 1:
@@ -68,6 +80,7 @@ class VariableSpace:
         init(self, "_yblock_base", 2 * n)
         init(self, "_z_base", z_base)
         init(self, "num_vars", z_base + s)
+        init(self, "_guard", int.from_bytes(b"\x80" * (z_base + s), "big"))  # the top bit of every field
         # interned: cohomology.space_for keeps one space per composition, and they share names
         init(self, "_names", tuple(map(sys.intern, names)))
 
@@ -129,68 +142,80 @@ def _checked_vid(space: VariableSpace, vid: int) -> int:
     return vid
 
 
-def _exponent(space: VariableSpace, exps: Mapping[int, int]) -> tuple[int, ...]:
-    """The exponent vector of prod x_vid^e; the one place that builds one from {vid: e}."""
-    exp = [0] * space.num_vars
+def packed_key(exponents: Sequence[int]) -> int:
+    """
+    The key of the monomial with these exponents, the first variable in the
+    most significant field.  Raises ValueError for an exponent outside
+    0..MAX_EXPONENT.
+    """
+    if max(exponents, default=0) > MAX_EXPONENT:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in {list(exponents)}")
+    return int.from_bytes(bytes(exponents), "big")  # bytes() rejects a negative entry
+
+
+def _exponent(space: VariableSpace, exps: Mapping[int, int]) -> int:
+    """The key of prod x_vid^e; the one place that builds one from {vid: e}."""
+    key = 0
     for vid, e in exps.items():
         if _integer(e, "exponent") < 0:
             raise ValueError("negative exponent")
-        exp[_checked_vid(space, vid)] = e
-    return tuple(exp)
+        if e > MAX_EXPONENT:
+            raise ValueError(f"exponent {e} above {MAX_EXPONENT}")
+        key += e << 8 * (space.num_vars - 1 - _checked_vid(space, vid))
+    return key
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient strings to_json_dict writes
 
 
-def _term_key(n: int, exp: tuple[int, ...]):
-    """Canonical sort key: graded revlex on x, then on the remaining families."""
-    x = exp[:n]
-    rest = exp[n:]
-    return (
-        sum(x),
-        tuple(-e for e in reversed(x)),
-        sum(rest),
-        tuple(-e for e in reversed(rest)),
-    )
+def _canonical_order(space: VariableSpace):
+    """Canonical sort key of a term's key: graded revlex on x, then on the remaining families."""
+    n, width = space.n, space.num_vars
+
+    def sort_key(key: int):
+        exp = key.to_bytes(width, "big")
+        x, rest = exp[:n], exp[n:]
+        return (sum(x), tuple(-e for e in reversed(x)), sum(rest), tuple(-e for e in reversed(rest)))
+
+    return sort_key
 
 
-def divided_difference_terms(
-    terms: Mapping[tuple[int, ...], int], i: int
-) -> dict[tuple[int, ...], int]:
+def divided_difference_terms(terms: Mapping[int, int], i: int, width: int) -> dict[int, int]:
     """
-    The divided difference in x_i, x_{i+1} on a raw exponent-to-coefficient
-    map, without index checks; shared by Polynomial.divided_difference and
-    the Schubert recursion.
+    The divided difference in x_i, x_{i+1} on a raw key-to-coefficient map
+    whose keys have `width` fields, without index checks; shared by
+    Polynomial.divided_difference and the Schubert recursion.  Every output
+    field is below the larger of its two inputs, so it cannot overflow.
     """
-    xi, xj = i - 1, i
-    out: dict[tuple[int, ...], int] = {}
-    for exp, c in terms.items():
-        a, b = exp[xi], exp[xj]
+    sa = 8 * (width - i)  # the field of x_i; x_{i+1} is the next one down
+    sb = sa - 8
+    step = (1 << sa) - (1 << sb)  # x_i up one, x_{i+1} down one
+    out: dict[int, int] = {}
+    for key, c in terms.items():
+        a, b = key >> sa & 255, key >> sb & 255
         if a == b:
             continue
         lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
-        base = list(exp)
-        # (x^a y^b - x^b y^a)/(x - y) = sum_{k=lo}^{hi-1} x^k y^{lo+hi-1-k}
-        for k in range(lo, hi):
-            base[xi] = k
-            base[xj] = lo + hi - 1 - k
-            key = tuple(base)
-            nc = out.get(key, 0) + sign
+        # (x^a y^b - x^b y^a)/(x - y) = sum_{k=lo}^{hi-1} x^k y^{lo+hi-1-k}, from x^lo y^{hi-1} up
+        k = key + ((lo - a) << sa) + ((hi - 1 - b) << sb)
+        for _ in range(hi - lo):
+            nc = out.get(k, 0) + sign
             if nc:
-                out[key] = nc
-            elif key in out:
-                del out[key]
+                out[k] = nc
+            elif k in out:
+                del out[k]
+            k += step
     return out
 
 
 class Polynomial:
     """
-    Sparse polynomial: a map from exponent vectors to nonzero ints.  `space`
+    Sparse polynomial: a map from monomial keys to nonzero ints.  `space`
     and `terms` are read-only attributes, and `terms` is a read-only view of
     the constructor's own copy of its argument, with zero coefficients
     dropped; every operation returns a new polynomial.  Outside this module
-    an exponent vector is an opaque key: read it back through text(),
-    degree_in() or the JSON form.
+    a key is opaque: read it back through text(), degree_in() or the JSON
+    form.
 
     Supports +, -, * (by polynomial or int), ** with nonnegative integer
     exponents, exact substitution, and divided differences.  Mixing spaces
@@ -199,9 +224,9 @@ class Polynomial:
 
     __slots__ = ("_space", "_terms", "_degrees")
 
-    def __init__(self, space: VariableSpace, terms: Mapping[tuple[int, ...], int]):
+    def __init__(self, space: VariableSpace, terms: Mapping[int, int]):
         self._space = space
-        # exponent tuples do not cache their hash, so filter only when needed
+        # one C-level copy when no coefficient is 0
         terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
         self._terms = types.MappingProxyType(terms)
         self._degrees: tuple[int, ...] | None = None  # per-variable degrees, on first degree_in
@@ -211,7 +236,7 @@ class Polynomial:
         return self._space
 
     @property
-    def terms(self) -> Mapping[tuple[int, ...], int]:
+    def terms(self) -> Mapping[int, int]:
         return self._terms
 
     def __reduce__(self):
@@ -225,17 +250,15 @@ class Polynomial:
 
     @classmethod
     def integer(cls, space: VariableSpace, k: int) -> "Polynomial":
-        return cls.monomial(space, {}, k)
+        return cls(space, {0: _integer(k, "coefficient")})  # 0 is the key of the empty monomial
 
     @classmethod
     def one(cls, space: VariableSpace) -> "Polynomial":
-        return cls.monomial(space, {})
+        return cls(space, {0: 1})
 
     @classmethod
     def variable(cls, space: VariableSpace, vid: int) -> "Polynomial":
-        exp = [0] * space.num_vars
-        exp[_checked_vid(space, vid)] = 1
-        return cls(space, {tuple(exp): 1})
+        return cls(space, {1 << 8 * (space.num_vars - 1 - _checked_vid(space, vid)): 1})
 
     @classmethod
     def monomial(cls, space: VariableSpace, exps: Mapping[int, int], coeff: int = 1) -> "Polynomial":
@@ -285,12 +308,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
-        out: dict[tuple[int, ...], int] = {}
-        items = list(other.terms.items())
-        for e1, c1 in self.terms.items():
+        out: dict[int, int] = {}
+        get = out.get
+        items = list(other._terms.items())
+        for e1, c1 in self._terms.items():
             for e2, c2 in items:
-                e = tuple(map(int.__add__, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        # a field of a key is the sum of two below 128, so it cannot carry, and it passes 127 iff its guard bit is set
+        if reduce(operator.or_, out, 0) & self._space._guard:
+            raise ValueError(f"exponent above {MAX_EXPONENT}")
         return Polynomial(self._space, out)
 
     __rmul__ = __mul__
@@ -324,29 +351,28 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Total degree over all families; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        width = self._space.num_vars
+        return max((sum(key.to_bytes(width, "big")) for key in self._terms), default=0)
 
     def degree_in(self, vid: int) -> int:
         """Largest exponent of one variable."""
         if self._degrees is None:  # one transposed pass serves every variable
-            self._degrees = tuple(map(max, zip(*self._terms))) or (0,) * self._space.num_vars
+            width = self._space.num_vars
+            exps = (key.to_bytes(width, "big") for key in self._terms)
+            self._degrees = tuple(map(max, zip(*exps))) or (0,) * width
         return self._degrees[_checked_vid(self._space, vid)]
 
-    def iter_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def iter_terms(self) -> Iterator[tuple[int, int]]:
         """Terms in canonical order, leading term first."""
-        n = self._space.n
-        for exp in sorted(self.terms, key=lambda e: _term_key(n, e)):
-            yield exp, self.terms[exp]
+        for key in sorted(self._terms, key=_canonical_order(self._space)):
+            yield key, self._terms[key]
 
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        """First term in canonical order; raises on the zero polynomial."""
-        if not self.terms:
+    def leading_term(self) -> tuple[int, int]:
+        """First term in canonical order, as (opaque key, coefficient); raises on the zero polynomial."""
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        n = self._space.n
-        exp = min(self.terms, key=lambda e: _term_key(n, e))
-        return exp, self.terms[exp]
+        key = min(self._terms, key=_canonical_order(self._space))
+        return key, self._terms[key]
 
     # -- operators specific to this package ----------------------------------
 
@@ -368,7 +394,7 @@ class Polynomial:
         symmetric in x_i, x_{i+1}, and applying the operator twice gives 0.
         """
         self._x_pair(i)  # range check
-        return Polynomial(self._space, divided_difference_terms(self.terms, i))
+        return Polynomial(self._space, divided_difference_terms(self._terms, i, self._space.num_vars))
 
     def substitute(self, images: Mapping[int, "Polynomial | int"]) -> "Polynomial":
         """
@@ -381,7 +407,9 @@ class Polynomial:
         integer or 0), each term maps to exactly one term, so the map is an
         exponent remap with no polynomial products.  Otherwise terms that
         agree on the substituted exponents share one image
-        prod images[vid]^e, built from grouped products.
+        prod images[vid]^e, built from grouped products.  Raises ValueError
+        when the image of some term would hold an exponent above
+        MAX_EXPONENT, even if the sum of the images cancels it.
         """
         space = self._space
         imgs: dict[int, Polynomial] = {}
@@ -395,75 +423,101 @@ class Polynomial:
         if all(len(img.terms) <= 1 for img in imgs.values()):
             return self._remap(imgs)
 
-        powers = {vid: [Polynomial.one(space), img] for vid, img in imgs.items()}
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for exp, c in self.terms.items():
-            groups.setdefault(tuple(exp[vid] for vid in powers), {})[exp] = c
+        # (field shift, powers [1, img, img^2, ...] extended on demand) per substituted variable
+        powers = [(8 * (space.num_vars - 1 - vid), [Polynomial.one(space), img]) for vid, img in imgs.items()]
+        mask = sum(255 << shift for shift, _ in powers)
+        kill = sum(255 << shift for shift, pw in powers if not pw[1]._terms)  # sent to 0: the term vanishes
+        groups: dict[int, dict[int, int]] = {}  # substituted fields -> {the other fields: c}
+        for key, c in self._terms.items():
+            if key & kill:
+                continue
+            sub = key & mask
+            groups.setdefault(sub, {})[key - sub] = c
 
-        out: dict[tuple[int, ...], int] = {}
-        for sub, terms in groups.items():
+        out: dict[int, int] = {}
+        for sub, kept in groups.items():
             image = None
-            for pw, e in zip(powers.values(), sub):
+            for shift, pw in powers:
+                e = sub >> shift & 255
                 if e:
                     while len(pw) <= e:
                         pw.append(pw[-1] * pw[1])
                     image = pw[e] if image is None else image * pw[e]
-            kept: dict[tuple[int, ...], int] = {}  # one group at a time, to bound memory
-            for exp, c in terms.items():
-                k = list(exp)
-                for vid in powers:
-                    k[vid] = 0
-                kept[tuple(k)] = c
-            product = kept if image is None else (Polynomial(space, kept) * image).terms
-            for exp, c in product.items():
-                out[exp] = out.get(exp, 0) + c
+            product = kept if image is None else (Polynomial(space, kept) * image)._terms
+            for key, c in product.items():
+                out[key] = out.get(key, 0) + c
         return Polynomial(space, out)
 
     def _remap(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """substitute() for images of at most one term each: c x^a -> c' x^a'."""
-        moves: list[tuple[int, int, int]] = []  # (source, target, multiplicity)
-        scales: list[tuple[int, int]] = []  # a term gains c ** e for source exponent e
-        kills: list[int] = []  # sources whose image is 0
-        for vid, img in images.items():
-            if not img.terms:
-                kills.append(vid)
-                continue
-            ((mono, c),) = img.terms.items()
-            moves.extend((vid, target, m) for target, m in enumerate(mono) if m)
-            if c != 1:
-                scales.append((vid, c))
-        sources = tuple(images)
+        """
+        substitute() for images of at most one term each: c x^a -> c' x^a'.
+        A source field with exponent e adds e times its image's key; read
+        from the original key, so the map is simultaneous.
 
-        out: dict[tuple[int, ...], int] = {}
-        for exp, c in self.terms.items():
-            if kills and any(exp[vid] for vid in kills):
+        Overflow: OR-ing every key gives fields at least as large as any
+        term's, so summing them into each target bounds that target's
+        exponent; only a target whose bound passes MAX_EXPONENT is checked
+        term by term.
+        """
+        width = self._space.num_vars
+        top = reduce(operator.or_, self._terms, 0).to_bytes(width, "big")
+        keep = (1 << 8 * width) - 1  # the fields a term keeps: all but the sources'
+        kill = 0  # the fields of sources whose image is 0; a term with any of them drops
+        moves: list[tuple[int, int]] = []  # (source shift, image key)
+        scales: list[tuple[int, int]] = []  # (source shift, b): a term gains b ** e
+        into: dict[int, list[tuple[int, int]]] = {}  # target vid -> (source vid, multiplicity) adding into it
+        for vid, img in images.items():
+            s = 8 * (width - 1 - vid)
+            keep ^= 255 << s
+            if not img._terms:
+                kill |= 255 << s
+            elif top[vid]:  # no move when no term has the variable: its image is x^0 = 1
+                ((mono, c),) = img._terms.items()
+                if mono:
+                    moves.append((s, mono))
+                    for target, m in enumerate(mono.to_bytes(width, "big")):
+                        if m:
+                            into.setdefault(target, []).append((vid, m))
+                if c != 1:
+                    scales.append((s, c))
+        for target, fields in into.items():
+            if target not in images:
+                fields.append((target, 1))
+            if sum(top[v] * m for v, m in fields) > MAX_EXPONENT:
+                fields = [(8 * (width - 1 - v), m) for v, m in fields]
+                for key in self._terms:
+                    if not key & kill and sum((key >> s & 255) * m for s, m in fields) > MAX_EXPONENT:
+                        raise ValueError(f"exponent above {MAX_EXPONENT} in {self._space.name(target)}")
+
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in self._terms.items():
+            if key & kill:
                 continue
-            k = list(exp)
-            for vid in sources:
-                k[vid] = 0
-            for vid, target, m in moves:  # read from exp, so the map is simultaneous
-                k[target] += exp[vid] * m
-            for vid, b in scales:
-                c *= b ** exp[vid]
-            key = tuple(k)
-            out[key] = out.get(key, 0) + c
+            k = key & keep
+            for s, mono in moves:
+                k += (key >> s & 255) * mono
+            for s, b in scales:
+                c *= b ** (key >> s & 255)
+            out[k] = get(k, 0) + c
         return Polynomial(self._space, out)
 
     # -- rendering ------------------------------------------------------------
 
-    def _named_exponents(self, exp: tuple[int, ...]) -> list[tuple[str, int]]:
+    def _named_exponents(self, key: int) -> list[tuple[str, int]]:
+        exp = key.to_bytes(self._space.num_vars, "big")
         return [(self._space.name(vid), e) for vid, e in enumerate(exp) if e]
 
-    def _monomial_text(self, exp: tuple[int, ...]) -> str:
-        return " ".join(name if e == 1 else f"{name}^{e}" for name, e in self._named_exponents(exp))
+    def _monomial_text(self, key: int) -> str:
+        return " ".join(name if e == 1 else f"{name}^{e}" for name, e in self._named_exponents(key))
 
     def text(self) -> str:
         """Human-readable form, terms in descending canonical order."""
         if not self.terms:
             return "0"
         pieces = []
-        for exp, c in reversed(list(self.iter_terms())):
-            mono = self._monomial_text(exp)
+        for key, c in reversed(list(self.iter_terms())):
+            mono = self._monomial_text(key)
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -488,10 +542,10 @@ class Polynomial:
             "space": self._space.to_json_dict(),
             "terms": [
                 {
-                    "exp": [[name, e] for name, e in self._named_exponents(exp)],
+                    "exp": [[name, e] for name, e in self._named_exponents(key)],
                     "coeff": str(c),
                 }
-                for exp, c in self.iter_terms()
+                for key, c in self.iter_terms()
             ],
         }
 
@@ -500,7 +554,8 @@ class Polynomial:
         """
         Inverse of to_json_dict.  Raises ValueError for a space size, block
         size or exponent that is not a JSON integer, an unknown variable
-        name, a negative exponent, a coefficient that is not a nonzero JSON
+        name, an exponent outside 0..MAX_EXPONENT (127, the most a key's
+        field holds), a coefficient that is not a nonzero JSON
         integer or decimal string, a variable or monomial listed twice, or a
         block count `s` other than len(mu), none of which to_json_dict
         produces.
@@ -510,7 +565,7 @@ class Polynomial:
         if _integer(sp["s"], "block count s") != space.s:
             raise ValueError(f"space lists s = {sp['s']!r} for {len(sp['mu'])} blocks")
         name_to_vid = {space.name(vid): vid for vid in range(space.num_vars)}
-        terms: dict[tuple[int, ...], int] = {}
+        terms: dict[int, int] = {}
         for term in data["terms"]:
             exps: dict[int, int] = {}
             for name, e in term["exp"]:
@@ -537,37 +592,57 @@ class Polynomial:
 def product_of_linear_forms(space: VariableSpace, forms: Iterable[Polynomial]) -> Polynomial:
     """
     Exact product of affine-linear forms; the empty product is 1.  Raises
-    ValueError for a factor of degree above 1 or from another space.
+    ValueError for a factor of degree above 1 or from another space, and
+    when a variable's exponent in the product would exceed MAX_EXPONENT.
 
     Each form c + sum a_v x_v multiplies the running term map in one step: a
-    term yields its own key times c and, per variable v, its key with the one
-    exponent of v raised, times a_v.  Entries that cancel are dropped before
-    the next form.
+    term yields its own key times c and, per variable v, its key plus the
+    unit key of v, times a_v.  Entries that cancel are dropped before the
+    next form.  A one-term form (c or c x_v) adds no terms, so all of them
+    are multiplied in at the end, by one pass over the keys.
+
+    Overflow: over the integers the degree in v of a nonzero product is the
+    number of its forms that mention v.  Adding up the keys of every form
+    counts those in one key, a field per variable, so its guard bits show
+    the first exponent above MAX_EXPONENT before any field can carry.
     """
-    terms: dict[tuple[int, ...], int] = {(0,) * space.num_vars: 1}
+    guard = space._guard
+    terms: dict[int, int] = {0: 1}
+    shift, scale = 0, 1  # the product of the one-term forms
+    degrees = 0  # per field, the forms so far that mention its variable
+    last = None
     for form in forms:
-        const = 0
-        bumps: list[tuple[int, int]] = []  # (vid, coefficient)
-        for exp, c in form._terms.items():
-            degree = sum(exp)
-            if degree > 1:
-                raise ValueError(f"non-linear factor of degree {form.total_degree()}")
-            if degree:
-                bumps.append((exp.index(1), c))
-            else:
-                const = c
-        if form._space != space:
-            raise ValueError(f"variable space mismatch: {space} vs {form._space}")
-        out: dict[tuple[int, ...], int] = {}
+        if form is not last:  # a run of one form, such as x^e passed as e copies of x, is read once
+            if form._space is not space and form._space != space:
+                raise ValueError(f"variable space mismatch: {space} vs {form._space}")
+            const = 0
+            bumps: list[tuple[int, int]] = []  # (unit key, coefficient)
+            for key, c in form._terms.items():
+                if not key:
+                    const = c
+                elif key & (key - 1) or (key.bit_length() - 1) % 8:  # not one variable to the first power
+                    raise ValueError(f"non-linear factor of degree {form.total_degree()}")
+                else:
+                    bumps.append((key, c))
+            units = sum(form._terms)
+            single = next(iter(form._terms.items())) if len(form._terms) == 1 else None
+            last = form
+        degrees += units
+        if degrees & guard and terms:
+            raise ValueError(f"exponent above {MAX_EXPONENT} in a product of linear forms")
+        if single:
+            shift += single[0]
+            scale *= single[1]
+            continue
+        out: dict[int, int] = {}
         get = out.get
-        for exp, c in terms.items():
+        for key, c in terms.items():
             if const:
-                out[exp] = get(exp, 0) + c * const
-            key = list(exp)
-            for vid, a in bumps:
-                key[vid] += 1
-                k = tuple(key)
-                key[vid] -= 1
+                out[key] = get(key, 0) + c * const
+            for unit, a in bumps:
+                k = key + unit
                 out[k] = get(k, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
+    if shift or scale != 1:
+        terms = {key + shift: c * scale for key, c in terms.items()}
     return Polynomial(space, terms)

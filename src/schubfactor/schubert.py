@@ -15,10 +15,14 @@ is used for cross-validation.
 The Schubert polynomials of S_n form a Z-basis of the span of monomials
 x^c with c_i <= n - i (the "staircase span").  Every reduced pipe dream of
 w is reached from the code diagram by ladder moves, and each move lifts a
-cross to an earlier row, raising the row-count vector in plain tuple order
+cross to an earlier row, raising the row-count vector in lexicographic order
 (Bergeron & Billey, RC-graphs and Schubert polynomials, 1993).  So x^{code(w)}
-is the lexicographically smallest monomial of S_w, with coefficient 1, and
-expansion subtracts at the smallest exponent tuple with no sort key.
+is the lexicographically smallest monomial of S_w, with coefficient 1.  A
+monomial key orders like its exponent vector (see polynomial), so expansion
+subtracts at the smallest key with no sort key.
+
+The raw x-only maps below key S_w of S_m by m-field keys; a space with more
+variables takes them shifted up past its remaining fields.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .permutation import Permutation, from_code
-from .polynomial import Polynomial, VariableSpace, divided_difference_terms
+from .polynomial import Polynomial, VariableSpace, divided_difference_terms, packed_key
 
 
 def _smallest_ascent(word: tuple[int, ...]) -> int | None:
@@ -40,24 +44,24 @@ def _smallest_ascent(word: tuple[int, ...]) -> int | None:
 
 
 @functools.cache
-def _schubert_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _schubert_terms(word: tuple[int, ...]) -> dict[int, int]:
     """
-    x-exponent map of the Schubert polynomial of `word`, memoized and shared
+    x-only key map of the Schubert polynomial of `word`, memoized and shared
     across all spaces: S_w = d_i S_{w s_i} at the smallest ascent i, down
     from the staircase monomial of the longest element.  The recursion is
     at most n(n-1)/2 calls deep.
     """
     i = _smallest_ascent(word)
     if i is None:
-        return {tuple(range(len(word) - 1, -1, -1)): 1}
+        return {packed_key(range(len(word) - 1, -1, -1)): 1}
     up = word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
-    return divided_difference_terms(_schubert_terms(up), i)
+    return divided_difference_terms(_schubert_terms(up), i, len(word))
 
 
-def _add_terms(terms: dict, x_terms: Mapping, c: int, pad: tuple[int, ...]) -> None:
-    """terms += c * x_terms, each exponent extended by pad; sums that reach 0 are dropped."""
-    for exp, c2 in x_terms.items():
-        key = exp + pad
+def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
+    """terms += c * x_terms, each key shifted up by `shift` bits; sums that reach 0 are dropped."""
+    for key, c2 in x_terms.items():
+        key <<= shift
         nc = terms.get(key, 0) + c * c2
         if nc:
             terms[key] = nc
@@ -66,14 +70,14 @@ def _add_terms(terms: dict, x_terms: Mapping, c: int, pad: tuple[int, ...]) -> N
 
 
 def _combination(pairs: Iterable, space: VariableSpace, x_terms: Callable = _schubert_terms) -> Polynomial:
-    """sum c * S_w over (w, c) pairs, a repeat counted each time; x_terms(w.word) is S_w's x-exponent map."""
+    """sum c * S_w over (w, c) pairs, a repeat counted each time; x_terms(w.word) is S_w's x-only key map."""
     pairs = list(pairs)
     need = max((w.n for w, _ in pairs), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     for w, c in pairs:
-        _add_terms(terms, x_terms(w.word), c, (0,) * (space.num_vars - w.n))
+        _add_terms(terms, x_terms(w.word), c, 8 * (space.num_vars - w.n))
     return Polynomial(space, terms)
 
 
@@ -164,14 +168,14 @@ def schubert_poly_oracle(w: Permutation, space: VariableSpace | None = None) -> 
     return _combination([(w, 1)], space or VariableSpace(w.n), _pipe_dream_terms)
 
 
-def _pipe_dream_terms(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """x-exponent map of S_word: each reduced pipe dream adds x^(its crosses per row)."""
-    terms: dict[tuple[int, ...], int] = {}
+def _pipe_dream_terms(word: tuple[int, ...]) -> dict[int, int]:
+    """x-only key map of S_word: each reduced pipe dream adds x^(its crosses per row)."""
+    terms: dict[int, int] = {}
     for diagram in pipe_dreams(Permutation(word)):
         exp = [0] * len(word)
         for (i, _j) in diagram:
             exp[i - 1] += 1
-        key = tuple(exp)
+        key = packed_key(exp)
         terms[key] = terms.get(key, 0) + 1
     return terms
 
@@ -220,22 +224,24 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     The unique expansion of f (which must lie in the staircase span for n)
     as an integer combination of Schubert polynomials of S_n.
 
-    Greedy: the smallest exponent tuple c of the remainder, in plain tuple
-    order, is the code of exactly one w in S_n, and ladder moves make every
-    other monomial of S_w larger.  So subtracting coeff * schubert_poly(w)
-    cancels x^c, raises the smallest tuple and stays in the span.
+    Greedy: the exponent vector c of the remainder's smallest key (int
+    order on keys is lexicographic order on exponent vectors) is the code of
+    exactly one w in S_n, and ladder moves make every other monomial of S_w
+    larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
+    smallest key and stays in the span.
     """
     if not 1 <= n <= f.space.n:
         raise ValueError(f"need 1 <= n <= {f.space.n} for this space, got n={n}")
     if not in_staircase_span(f, n):
         raise ValueError(f"polynomial is not in the staircase span for n={n}")
-    # in the span every exponent beyond x_n is 0, so work on x1..x_n alone
-    remainder = {exp[:n]: c for exp, c in f.terms.items()}
+    # in the span every field beyond x_n is 0, so shift them out and work on x1..x_n alone
+    drop = 8 * (f.space.num_vars - n)
+    remainder = {key >> drop: c for key, c in f.terms.items()}
     coeffs: dict[Permutation, int] = {}
     while remainder:
-        exp = min(remainder)
-        c = remainder[exp]
-        w = from_code(exp)
-        _add_terms(remainder, _schubert_terms(w.word), -c, ())
+        key = min(remainder)
+        c = remainder[key]
+        w = from_code(key.to_bytes(n, "big"))
+        _add_terms(remainder, _schubert_terms(w.word), -c, 0)
         coeffs[w] = c
     return SchubertExpansion(n, coeffs)

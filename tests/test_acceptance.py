@@ -217,17 +217,17 @@ def test_criterion_8_divided_difference_algebra():
     spaces = {n: VariableSpace(n) for n in range(2, 7)}
 
     def random_poly(space):
-        terms = {}
+        f = Polynomial.zero(space)
         for _ in range(rng.randint(1, 6)):
-            exp = [0] * space.num_vars
+            exps = {}
             budget = rng.randint(0, 8)
             for _ in range(budget):
-                exp[rng.randrange(space.n)] += 1
+                vid = rng.randrange(space.n)
+                exps[vid] = exps.get(vid, 0) + 1
             c = rng.randint(-9, 9)
-            key = tuple(exp)
             if c:
-                terms[key] = terms.get(key, 0) + c
-        return Polynomial(space, {e: c for e, c in terms.items() if c})
+                f = f + Polynomial.monomial(space, exps, c)
+        return f
 
     for _ in range(1000):
         n = rng.randint(2, 6)

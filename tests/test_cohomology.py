@@ -194,6 +194,22 @@ def test_expand_matches_generic_fold(build):
             assert dict(fc.expand().terms) == dict(expected.terms)
 
 
+@pytest.mark.parametrize("scalar, monomial, factors", [
+    (1, (), 0),  # the empty class: 1
+    (3, ((0, 2), (2, 5)), 0),  # no factors: the head alone
+    (2 ** 5, ((1, 1),), 3),
+    (2 ** 70, ((0, 4),), 2),  # a scalar past 64 bits
+])
+def test_expand_folds_the_head_into_the_product(scalar, monomial, factors):
+    sp = VariableSpace(3)
+    forms = [Polynomial.linear_form(sp, {sp.x(1): 1, sp.x(k): -1}) + k for k in (2, 3, 1)][:factors]
+    fc = coh.FactoredClass(sp, scalar, monomial, tuple(forms))
+    expected = fc._head()
+    for f in fc.factors:
+        expected = expected * f
+    assert dict(fc.expand().terms) == dict(expected.terms)
+
+
 @pytest.mark.parametrize("scalar, monomial, with_factor, expected", [
     (1, (), False, "1"),
     (4, (), False, "4"),

@@ -26,16 +26,28 @@ def y(i, space=SPACE3):
 
 
 def random_poly(rng, space, max_terms=6, max_exp=3, max_coeff=9):
-    terms = {}
+    f = Polynomial.zero(space)
     for _ in range(rng.randint(0, max_terms)):
-        exp = tuple(
-            rng.randint(0, max_exp) if rng.random() < 0.5 else 0
-            for _ in range(space.num_vars)
-        )
+        exps = {
+            vid: rng.randint(0, max_exp) if rng.random() < 0.5 else 0
+            for vid in range(space.num_vars)
+        }
         c = rng.randint(-max_coeff, max_coeff)
         if c:
-            terms[exp] = terms.get(exp, 0) + c
-    return Polynomial(space, {e: c for e, c in terms.items() if c})
+            f = f + Polynomial.monomial(space, exps, c)
+    return f
+
+
+def key_of(space, exps):
+    """The opaque terms key of the monomial prod x_vid^e, read from a public constructor."""
+    (key,) = Polynomial.monomial(space, exps).terms
+    return key
+
+
+def exponents(space, key):
+    """{vid: e} of an opaque terms key, read back through degree_in."""
+    one = Polynomial(space, {key: 1})
+    return {vid: one.degree_in(vid) for vid in range(space.num_vars) if one.degree_in(vid)}
 
 
 # -- variable space ------------------------------------------------------------
@@ -151,7 +163,7 @@ def test_no_zero_coefficients_stored():
 
 def test_terms_are_a_read_only_zero_free_copy():
     sp = VariableSpace(2)
-    e, f = (1, 0, 0, 0), (0, 1, 0, 0)
+    e, f = key_of(sp, {sp.x(1): 1}), key_of(sp, {sp.x(2): 1})
     # canonical form: the constructor drops zero coefficients
     zero = Polynomial(sp, {e: 0})
     assert zero.is_zero() and zero == 0 and zero.text() == "0"
@@ -208,9 +220,7 @@ def test_big_coefficients_exact():
     f = (x(1) + 1) ** 70
     assert f.degree_in(SPACE3.x(1)) == 70
     # middle binomial coefficient C(70, 35) exceeds 64-bit range
-    exp = [0] * SPACE3.num_vars
-    exp[SPACE3.x(1)] = 35
-    assert f.terms[tuple(exp)] == math.comb(70, 35)
+    assert f.terms[key_of(SPACE3, {SPACE3.x(1): 35})] == math.comb(70, 35)
     assert math.comb(70, 35) > 2 ** 63
 
 
@@ -318,11 +328,12 @@ def test_substitute_is_simultaneous():
 def substitute_oracle(f, images):
     """The definition: sum of c * monomial(kept) * prod img**e, by +, * and ** alone."""
     total = Polynomial.zero(f.space)
-    for exp, c in f.terms.items():
-        kept = {vid: e for vid, e in enumerate(exp) if vid not in images}
+    for key, c in f.terms.items():
+        exp = exponents(f.space, key)
+        kept = {vid: e for vid, e in exp.items() if vid not in images}
         term = Polynomial.monomial(f.space, kept, c)
         for vid, img in images.items():
-            term = term * img ** exp[vid]
+            term = term * img ** exp.get(vid, 0)
         total = total + term
     return total
 
@@ -482,6 +493,51 @@ def test_product_of_linear_forms_matches_generic_fold(groups):
     assert dict(product_of_linear_forms(SPACE21, forms).terms) == dict(expected.terms)
 
 
+# -- the exponent limit -------------------------------------------------------------
+
+X1, X2, Y1 = SPACE3.x(1), SPACE3.x(2), SPACE3.yfull(1)
+
+
+def test_exponents_up_to_127_work():
+    f = x(1) ** 127
+    assert f == x(1) ** 64 * x(1) ** 63 == Polynomial.monomial(SPACE3, {X1: 127})
+    assert f.degree_in(X1) == 127 and f.total_degree() == 127 and f.text() == "x1^127"
+    assert Polynomial.from_json_dict(f.to_json_dict()) == f
+    assert product_of_linear_forms(SPACE3, [x(1) + 1] * 127).degree_in(X1) == 127
+    assert product_of_linear_forms(SPACE3, [2 * x(1)] * 63 + [x(1) + 1] * 64) == 2 ** 63 * x(1) ** 63 * (x(1) + 1) ** 64
+    assert (x(1) ** 100 * x(2) ** 27).substitute({X1: y(1), X2: y(1)}) == y(1) ** 127
+    assert (x(1) ** 42).substitute({X1: 2 * y(1) ** 3}) == 2 ** 42 * y(1) ** 126
+    assert (x(1) ** 100 * y(1) ** 27).substitute({X1: y(1)}) == y(1) ** 127
+    assert (x(1) ** 127).substitute({X1: y(1) + 1}).degree_in(Y1) == 127
+    assert (x(1) ** 127 - x(2) ** 127).divided_difference(1).degree_in(X1) == 126
+    # two sources into one target whose sum would pass 127 only if both sat in one term
+    assert (x(1) ** 100 + x(2) ** 100).substitute({X1: y(1), X2: y(1)}) == 2 * y(1) ** 100
+    # a zero image removes its terms before their images, here of degree 200, are built
+    images = {X1: y(1) + 1, X2: y(1) - 1, SPACE3.x(3): 0}
+    assert (x(1) ** 100 * x(2) ** 100 * x(3) + y(2)).substitute(images) == y(2)
+
+
+OVERFLOWS = {
+    "x1^127 * x1": lambda: x(1) ** 127 * x(1),
+    "x1 ** 128": lambda: x(1) ** 128,
+    "128 forms x1 + 1": lambda: product_of_linear_forms(SPACE3, [x(1) + 1] * 128),
+    "128 one-term forms x1": lambda: product_of_linear_forms(SPACE3, [x(1)] * 128),
+    "64 forms x1 and 64 forms x1 + 1": lambda: product_of_linear_forms(SPACE3, [x(1)] * 64 + [x(1) + 1] * 64),
+    "monomial": lambda: Polynomial.monomial(SPACE3, {X1: 128}),
+    "from_json_dict": lambda: Polynomial.from_json_dict(_space3_json({"exp": [["x1", 128]], "coeff": "1"})),
+    "two sources into y1": lambda: (x(1) ** 100 * x(2) ** 100).substitute({X1: y(1), X2: y(1)}),
+    "image y1^3": lambda: (x(1) ** 50).substitute({X1: y(1) ** 3}),
+    "source onto a kept exponent": lambda: (x(1) ** 100 * y(1) ** 28).substitute({X1: y(1)}),
+    "grouped product": lambda: (x(1) ** 100 * y(1) ** 28).substitute({X1: y(1) + 1}),
+}
+
+
+@pytest.mark.parametrize("build", list(OVERFLOWS))
+def test_exponent_above_127_raises(build):
+    with pytest.raises(ValueError, match="exponent"):
+        OVERFLOWS[build]()
+
+
 # -- ordering, rendering, serialization -------------------------------------------
 
 
@@ -489,7 +545,8 @@ def test_leading_term_is_canonical_minimum():
     f = x(1) + x(2)  # leading is x2 under graded revlex-from-the-right
     exp, c = f.leading_term()
     assert c == 1
-    assert exp[SPACE3.x(2)] == 1 and exp[SPACE3.x(1)] == 0
+    exp = exponents(SPACE3, exp)
+    assert exp.get(SPACE3.x(2)) == 1 and exp.get(SPACE3.x(1), 0) == 0
 
 
 def test_text_rendering():

@@ -57,15 +57,21 @@ def test_schubert_chain_independence_spot():
 def test_schubert_homogeneous_positive_with_code_leading_term(n):
     for w in all_permutations(n):
         f = schubert_poly(w)
-        assert all(sum(e) == w.length for e in f.terms)
+        assert all(Polynomial(f.space, {e: 1}).total_degree() == w.length for e in f.terms)
         assert all(c > 0 for c in f.terms.values())
         exp, c = f.leading_term()
         assert c == 1
-        assert tuple(exp[:n]) == w.code()
-        # the basis expansion takes the smallest tuple, not the canonical order
+        assert _x_exponents(f.space, exp, n) == w.code()
+        # the basis expansion takes the smallest key, not the canonical order
         smallest = min(f.terms)
-        assert tuple(smallest[:n]) == w.code()
+        assert _x_exponents(f.space, smallest, n) == w.code()
         assert f.terms[smallest] == 1
+
+
+def _x_exponents(space, key, n):
+    """(e_1, ..., e_n) of an opaque terms key, read back through degree_in."""
+    one = Polynomial(space, {key: 1})
+    return tuple(one.degree_in(space.x(i)) for i in range(1, n + 1))
 
 
 def test_oracle_examples():
