@@ -323,7 +323,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
-        if not isinstance(k, int) or k < 0:
+        if _integer(k, "exponent") < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Polynomial.one(self._space)
         base = self
@@ -401,7 +401,8 @@ class Polynomial:
         Ring homomorphism sending variable vid to images[vid]; unmapped
         variables map to themselves.  It is simultaneous: an image may mention
         a substituted variable, which is not substituted again.  Raises
-        ValueError for an image in another space or a vid outside it.
+        ValueError for an image that is not a polynomial or an int (a bool
+        is refused), an image in another space, or a vid outside it.
 
         When every image has at most one term (a variable, c * monomial, an
         integer or 0), each term maps to exactly one term, so the map is an
@@ -415,8 +416,8 @@ class Polynomial:
         imgs: dict[int, Polynomial] = {}
         for vid, img in images.items():
             _checked_vid(space, vid)
-            if isinstance(img, int):
-                img = Polynomial.integer(space, img)
+            if not isinstance(img, Polynomial):
+                img = Polynomial.integer(space, _integer(img, "substitution image"))
             if img._space != space:
                 raise ValueError("substitution image in a different variable space")
             imgs[vid] = img
@@ -589,51 +590,52 @@ class Polynomial:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def product_of_linear_forms(space: VariableSpace, forms: Iterable[Polynomial]) -> Polynomial:
+def product_of_linear_forms(
+    space: VariableSpace, forms: Iterable[Polynomial], *, head: Polynomial | None = None
+) -> Polynomial:
     """
-    Exact product of affine-linear forms; the empty product is 1.  Raises
-    ValueError for a factor of degree above 1 or from another space, and
-    when a variable's exponent in the product would exceed MAX_EXPONENT.
+    Exact product head * prod forms of affine-linear forms; head is a
+    polynomial of at most one term (a class's scalar * monomial) and
+    defaults to 1.  Raises ValueError for a head of two or more terms, a
+    factor of degree above 1, either from another space, and when a
+    variable's exponent in the product would exceed MAX_EXPONENT.
 
-    Each form c + sum a_v x_v multiplies the running term map in one step: a
-    term yields its own key times c and, per variable v, its key plus the
-    unit key of v, times a_v.  Entries that cancel are dropped before the
-    next form.  A one-term form (c or c x_v) adds no terms, so all of them
-    are multiplied in at the end, by one pass over the keys.
+    The running term map starts as the head.  Each form c + sum a_v x_v
+    multiplies it in one step: a term yields its own key times c and, per
+    variable v, its key plus the unit key of v, times a_v.  Entries that
+    cancel are dropped before the next form.
 
     Overflow: over the integers the degree in v of a nonzero product is the
-    number of its forms that mention v.  Adding up the keys of every form
-    counts those in one key, a field per variable, so its guard bits show
-    the first exponent above MAX_EXPONENT before any field can carry.
+    head's exponent of v plus the number of forms that mention v.  The
+    head's key plus the keys of every form counts those in one key, a field
+    per variable, so its guard bits show the first exponent above
+    MAX_EXPONENT before any field can carry.
     """
     guard = space._guard
-    terms: dict[int, int] = {0: 1}
-    shift, scale = 0, 1  # the product of the one-term forms
-    degrees = 0  # per field, the forms so far that mention its variable
-    last = None
+    if head is None:
+        terms: dict[int, int] = {0: 1}
+    elif head._space != space:
+        raise ValueError(f"variable space mismatch: {space} vs {head._space}")
+    elif len(head._terms) > 1:
+        raise ValueError(f"a head of {len(head._terms)} terms; a product of linear forms starts from one")
+    else:
+        terms = dict(head._terms)
+    degrees = sum(terms)  # per field, the head's exponent plus the forms so far that mention its variable
     for form in forms:
-        if form is not last:  # a run of one form, such as x^e passed as e copies of x, is read once
-            if form._space is not space and form._space != space:
-                raise ValueError(f"variable space mismatch: {space} vs {form._space}")
-            const = 0
-            bumps: list[tuple[int, int]] = []  # (unit key, coefficient)
-            for key, c in form._terms.items():
-                if not key:
-                    const = c
-                elif key & (key - 1) or (key.bit_length() - 1) % 8:  # not one variable to the first power
-                    raise ValueError(f"non-linear factor of degree {form.total_degree()}")
-                else:
-                    bumps.append((key, c))
-            units = sum(form._terms)
-            single = next(iter(form._terms.items())) if len(form._terms) == 1 else None
-            last = form
-        degrees += units
+        if form._space is not space and form._space != space:
+            raise ValueError(f"variable space mismatch: {space} vs {form._space}")
+        const = 0
+        bumps: list[tuple[int, int]] = []  # (unit key, coefficient)
+        for key, c in form._terms.items():
+            if not key:
+                const = c
+            elif key & (key - 1) or (key.bit_length() - 1) % 8:  # not one variable to the first power
+                raise ValueError(f"non-linear factor of degree {form.total_degree()}")
+            else:
+                bumps.append((key, c))
+        degrees += sum(form._terms)
         if degrees & guard and terms:
             raise ValueError(f"exponent above {MAX_EXPONENT} in a product of linear forms")
-        if single:
-            shift += single[0]
-            scale *= single[1]
-            continue
         out: dict[int, int] = {}
         get = out.get
         for key, c in terms.items():
@@ -643,6 +645,4 @@ def product_of_linear_forms(space: VariableSpace, forms: Iterable[Polynomial]) -
                 k = key + unit
                 out[k] = get(k, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
-    if shift or scale != 1:
-        terms = {key + shift: c * scale for key, c in terms.items()}
     return Polynomial(space, terms)

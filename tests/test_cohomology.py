@@ -199,6 +199,7 @@ def test_expand_matches_generic_fold(build):
     (3, ((0, 2), (2, 5)), 0),  # no factors: the head alone
     (2 ** 5, ((1, 1),), 3),
     (2 ** 70, ((0, 4),), 2),  # a scalar past 64 bits
+    (0, ((0, 2),), 2),  # a zero scalar: 0
 ])
 def test_expand_folds_the_head_into_the_product(scalar, monomial, factors):
     sp = VariableSpace(3)

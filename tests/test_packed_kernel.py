@@ -156,8 +156,9 @@ def test_divided_difference_matches_dense(f, i):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.dictionaries(st.sampled_from(range(N)), _coefficient, max_size=3), max_size=5),
-       st.lists(st.integers(-3, 3), min_size=5, max_size=5))
-def test_product_of_linear_forms_matches_dense(coeffs, consts):
+       st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+       _exponents, st.integers(-4, 4))
+def test_product_of_linear_forms_matches_dense(coeffs, consts, head_exp, head_c):
     forms = [{(0,) * N: k} if k else {} for k in consts[: len(coeffs)]]
     for form, cs in zip(forms, coeffs):
         for vid, c in cs.items():
@@ -166,6 +167,13 @@ def test_product_of_linear_forms_matches_dense(coeffs, consts):
     for form in forms:
         expected = dense_mul(expected, form)
     assert product_of_linear_forms(SPACE, [packed(form) for form in forms]) == packed(expected)
+    # from a one-term head, 0 when head_c is 0: overflow if some partial product passes the limit
+    expected, overflow = {head_exp: head_c} if head_c else {}, False
+    for form in forms:
+        expected = dense_mul(expected, form)
+        overflow |= any(e > MAX_EXPONENT for key in expected for e in key)
+    head = packed({head_exp: head_c} if head_c else {})
+    expect(expected, overflow, lambda: product_of_linear_forms(SPACE, [packed(form) for form in forms], head=head))
 
 
 @settings(max_examples=150, deadline=None)

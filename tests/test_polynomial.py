@@ -129,7 +129,13 @@ def test_scale():
     (lambda: Polynomial.monomial(SPACE3, {SPACE3.x(1): 1}, 2.7), "coefficient 2.7"),
     (lambda: Polynomial.linear_form(SPACE3, {SPACE3.x(1): 0.5, SPACE3.x(2): 1}), "coefficient 0.5"),
     (lambda: Polynomial.monomial(SPACE3, {SPACE3.x(1): 1.5}), "exponent 1.5"),
-], ids=["monomial-coefficient", "linear-form-coefficient", "monomial-exponent"])
+    (lambda: x(1).substitute({SPACE3.x(1): 1.5}), "substitution image 1.5"),
+    (lambda: x(1).substitute({SPACE3.x(1): "x2"}), "substitution image 'x2'"),
+    (lambda: x(1) ** True, "exponent True"),
+], ids=[
+    "monomial-coefficient", "linear-form-coefficient", "monomial-exponent",
+    "float-substitution-image", "string-substitution-image", "boolean-power",
+])
 def test_constructors_reject_non_integers_instead_of_truncating(build, message):
     with pytest.raises(ValueError, match=f"{message} is not an integer"):
         build()
@@ -452,6 +458,10 @@ def test_product_of_linear_forms():
     assert product_of_linear_forms(SPACE3, [x(1)]) == x(1)
     p = product_of_linear_forms(SPACE3, [x(1) + x(2), x(1) + x(3)])
     assert p == (x(1) + x(2)) * (x(1) + x(3))
+    # the head is the starting term map: scalar * monomial, or 0
+    assert product_of_linear_forms(SPACE3, [], head=-3 * x(2) ** 2) == -3 * x(2) ** 2
+    assert product_of_linear_forms(SPACE3, [x(1) + 1], head=2 * x(1) * y(2)) == 2 * x(1) * y(2) * (x(1) + 1)
+    assert product_of_linear_forms(SPACE3, [x(1) + 1], head=Polynomial.zero(SPACE3)).is_zero()
 
 
 def test_product_of_linear_forms_rejects_quadratic():
@@ -464,6 +474,14 @@ def test_product_of_linear_forms_rejects_other_space():
     for forms in ([x(1, SPACE22)], [x(1) - 2, y(3), Polynomial.integer(SPACE22, 2)]):
         with pytest.raises(ValueError, match="variable space mismatch"):
             product_of_linear_forms(SPACE3, forms)
+    with pytest.raises(ValueError, match="variable space mismatch"):
+        product_of_linear_forms(SPACE3, [x(1) + 1], head=Polynomial.one(SPACE22))
+
+
+def test_product_of_linear_forms_rejects_a_head_of_two_terms():
+    for head in (x(1) + 1, x(1) - y(3)):
+        with pytest.raises(ValueError, match="a head of 2 terms"):
+            product_of_linear_forms(SPACE3, [x(2)], head=head)
 
 
 SPACE21 = VariableSpace(3, (2, 1))  # x, y, one y-block and two z variables
@@ -505,6 +523,7 @@ def test_exponents_up_to_127_work():
     assert Polynomial.from_json_dict(f.to_json_dict()) == f
     assert product_of_linear_forms(SPACE3, [x(1) + 1] * 127).degree_in(X1) == 127
     assert product_of_linear_forms(SPACE3, [2 * x(1)] * 63 + [x(1) + 1] * 64) == 2 ** 63 * x(1) ** 63 * (x(1) + 1) ** 64
+    assert product_of_linear_forms(SPACE3, [x(1) + 1], head=x(1) ** 126) == x(1) ** 126 * (x(1) + 1)
     assert (x(1) ** 100 * x(2) ** 27).substitute({X1: y(1), X2: y(1)}) == y(1) ** 127
     assert (x(1) ** 42).substitute({X1: 2 * y(1) ** 3}) == 2 ** 42 * y(1) ** 126
     assert (x(1) ** 100 * y(1) ** 27).substitute({X1: y(1)}) == y(1) ** 127
@@ -523,6 +542,7 @@ OVERFLOWS = {
     "128 forms x1 + 1": lambda: product_of_linear_forms(SPACE3, [x(1) + 1] * 128),
     "128 one-term forms x1": lambda: product_of_linear_forms(SPACE3, [x(1)] * 128),
     "64 forms x1 and 64 forms x1 + 1": lambda: product_of_linear_forms(SPACE3, [x(1)] * 64 + [x(1) + 1] * 64),
+    "head x1^127, then form x1 + 1": lambda: product_of_linear_forms(SPACE3, [x(1) + 1], head=x(1) ** 127),
     "monomial": lambda: Polynomial.monomial(SPACE3, {X1: 128}),
     "from_json_dict": lambda: Polynomial.from_json_dict(_space3_json({"exp": [["x1", 128]], "coeff": "1"})),
     "two sources into y1": lambda: (x(1) ** 100 * x(2) ** 100).substitute({X1: y(1), X2: y(1)}),

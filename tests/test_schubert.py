@@ -3,7 +3,7 @@ import random
 import pytest
 
 from schubfactor.cohomology import space_for
-from schubfactor.composition import Composition
+from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations, longest_element
 from schubfactor import schubert
 from schubfactor.polynomial import Polynomial, VariableSpace
@@ -17,6 +17,7 @@ from schubfactor.schubert import (
     schubert_poly,
     schubert_poly_oracle,
 )
+from schubfactor.verifier import ORTHOGONAL, SYMPLECTIC, member_set, needs_even_parts, product_side
 
 
 def xvar(space, i):
@@ -316,3 +317,55 @@ def test_expansion_json():
             {"perm": [2, 1, 3], "coeff": "2"},
         ],
     }
+
+
+# -- second expansion oracle: constant terms of divided differences ----------------
+
+
+def _macdonald_coefficients(f, n):
+    """
+    {w: c_w} for f = sum c_w S_w over S_n: c_w is the constant term of d_w f
+    (Macdonald, Notes on Schubert Polynomials, 1991).  d_w strips right
+    descents i of w (w -> w s_i) one at a time and applies d_i in that
+    order.  Builds no Schubert polynomial and never reads the memo; it
+    shares only the divided-difference kernel with the expansion.
+    """
+    (one,) = Polynomial.one(f.space).terms  # the key of the constant monomial, read as an opaque key
+    coeffs = {}
+    for w in all_permutations(n):
+        g, v = f, w
+        while g.terms and (i := next((i for i in range(1, n) if v(i) > v(i + 1)), None)):
+            g, v = g.divided_difference(i), v.times_s(i)
+        if g.terms.get(one):
+            coeffs[w] = g.terms[one]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_macdonald_oracle_reads_off_each_schubert_polynomial(n):
+    # the constant term of d_w S_v is 1 if v = w and 0 otherwise
+    for v in all_permutations(n):
+        assert _macdonald_coefficients(schubert_poly(v), n) == {v: 1}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_expansion_matches_macdonald_oracle_on_random_span_polynomials(n):
+    sp = VariableSpace(n)
+    rng = random.Random(n)
+    for _ in range(3):
+        f = Polynomial.zero(sp)
+        for _ in range(30):
+            exps = {sp.x(i): rng.randint(0, n - i) for i in range(1, n + 1)}
+            f = f + Polynomial.monomial(sp, exps, rng.randint(-3, 3))
+        assert expand_in_schubert_basis(f, n).coeffs == _macdonald_coefficients(f, n)
+
+
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_product_sides_expand_to_their_member_sets_by_macdonald_oracle(family):
+    even = needs_even_parts(family)
+    for n in (2, 4, 6) if even else range(1, 7):
+        for mu in enumerate_compositions(n, even_parts_only=even):
+            rhs = product_side(mu, family)
+            members = dict.fromkeys(member_set(mu, family).members, 1)
+            assert _macdonald_coefficients(rhs, n) == members
+            assert expand_in_schubert_basis(rhs, n).coeffs == members
