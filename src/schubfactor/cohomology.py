@@ -27,15 +27,17 @@ which is zero unless w preserves every block.  restrict_to_block_torus maps
 the full-torus y coordinates onto the block-torus y/z coordinates of the
 composition its polynomial's space carries.
 
-Each restriction is one Polynomial.substitute call.  fixed_point_restrictions
-restricts at every w of S_n through a shared-prefix tree: an inner node
-substitutes one more x_i -> y_{w(i)} into its parent, so the permutations
-that share a prefix share its partial restriction, whose terms merge and
-cancel before the deeper levels; each leaf is restrict_to_fixed_point of
-its node, which remains the independent single-w route.  Fixed-point
-restriction (each image a variable) and zero_equivariant_vars (each image 0)
-are exponent remaps that move or drop terms without polynomial products; the
-block-torus images z_i +- y{i}_{k} have two terms and take grouped products.
+restrict_to_fixed_point, restrict_to_block_torus and zero_equivariant_vars
+are one Polynomial.substitute call each.  fixed_point_restrictions restricts
+at every w of S_n at once through polynomial.bijective_substitutions: a
+depth-first tree over raw term maps whose level i moves x_i into one unused
+y_j, so the permutations that share a prefix share its partial restriction,
+whose terms merge and cancel before the deeper levels, and only the leaves
+become polynomials.  restrict_to_fixed_point remains the independent
+single-w route.  Fixed-point restriction (each image a variable) and
+zero_equivariant_vars (each image 0) are exponent remaps that move or drop
+terms without polynomial products; the block-torus images z_i +- y{i}_{k}
+have two terms and take grouped products.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Iterator
 
 from .composition import Composition
 from .permutation import Permutation, all_permutations
-from .polynomial import Polynomial, VariableSpace, product_of_linear_forms
+from .polynomial import Polynomial, VariableSpace, bijective_substitutions, product_of_linear_forms
 
 
 def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
@@ -316,26 +318,13 @@ def restrict_to_fixed_point(f: Polynomial, w: Permutation) -> Polynomial:
 def fixed_point_restrictions(f: Polynomial) -> Iterator[tuple[Permutation, Polynomial]]:
     """
     (w, restrict_to_fixed_point(f, w)) for every w of S_n, in the order of
-    all_permutations(n).  nodes[k] is f with x_i -> y_{w(i)} substituted for
-    i <= k, kept while the next permutations share w's first k letters.  A
-    prefix of n - 1 letters belongs to one w alone, so the tree stops at
-    depth n - 2, and each leaf restricts its node at the full w: the x_i
-    already substituted have exponent 0 there, so the leaf equals the
-    one-shot restriction of f.
+    all_permutations(n), taken down polynomial.bijective_substitutions'
+    tree over x_i -> y_j.
     """
     space = f.space
-    depth = max(space.n - 2, 0)
-    nodes = [f]
-    last: tuple[int, ...] = ()
-    for w in all_permutations(space.n):
-        head = w.word[:depth]
-        shared = next((k for k, (a, b) in enumerate(zip(head, last)) if a != b), len(last))
-        del nodes[shared + 1 :]
-        for i in range(shared + 1, depth + 1):
-            image = Polynomial.variable(space, space.yfull(w(i)))
-            nodes.append(nodes[-1].substitute({space.x(i): image}))
-        last = head
-        yield w, restrict_to_fixed_point(nodes[-1], w)
+    xs = [space.x(i) for i in range(1, space.n + 1)]
+    ys = [space.yfull(i) for i in range(1, space.n + 1)]
+    return zip(all_permutations(space.n), bijective_substitutions(f, xs, ys))
 
 
 def preserves_blocks(w: Permutation, mu: Composition) -> bool:

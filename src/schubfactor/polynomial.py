@@ -31,11 +31,13 @@ the Schubert-basis expansion does not use it (it takes the smallest key).
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 import sys
 import types
 from functools import reduce
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_EXPONENT = 127  # the largest exponent an 8-bit field holds with its guard bit clear
@@ -136,8 +138,8 @@ class VariableSpace:
 
 
 def _checked_vid(space: VariableSpace, vid: int) -> int:
-    """vid itself if it names a variable of space; ValueError otherwise."""
-    if not 0 <= vid < space.num_vars:
+    """vid itself if it is an int (not a bool) naming a variable of space; ValueError otherwise."""
+    if not 0 <= _integer(vid, "variable id") < space.num_vars:
         raise ValueError(f"variable id {vid} out of range for {space}")
     return vid
 
@@ -646,3 +648,66 @@ def product_of_linear_forms(
                 out[k] = get(k, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
     return Polynomial(space, terms)
+
+
+def bijective_substitutions(
+    f: Polynomial, sources: Sequence[int], targets: Sequence[int]
+) -> Iterator[Polynomial]:
+    """
+    f with sources[i] -> targets[w(i) - 1] substituted, for every w of S_k
+    (k = len(sources)) in lexicographic order of one-line words, as
+    permutation.all_permutations(k) lists them.  Raises ValueError, before
+    any substitution, for a variable id outside f's space, lists of
+    different lengths, or a variable listed twice in the two lists together
+    (so no source is also a target).
+
+    A depth-first walk over raw term maps: level i moves the field of
+    sources[i] into the field of one unused target, a mask, a shift and an
+    add per term, so the permutations that share a prefix share its partial
+    map, whose cancelling entries are dropped before the next level.  An
+    empty map yields its zeros with no term work, and only leaves become
+    polynomials.
+
+    Overflow: on every path each target field receives exactly one source
+    field, both at most MAX_EXPONENT, so a sum cannot carry, and a level's
+    output passes MAX_EXPONENT iff the OR of its keys has a guard bit set,
+    which raises ValueError when the walk reaches that level.  A term that
+    cancelled at an earlier level is not checked again.
+    """
+    space = f._space
+    if len(sources) != len(targets):
+        raise ValueError(f"{len(sources)} sources for {len(targets)} targets")
+    vids = [_checked_vid(space, vid) for vid in (*sources, *targets)]
+    if len(set(vids)) != len(vids):
+        raise ValueError(f"a variable is listed twice in sources {list(sources)} and targets {list(targets)}")
+    width, guard, k = space.num_vars, space._guard, len(sources)
+    src = [8 * (width - 1 - vid) for vid in sources]
+    units = [1 << 8 * (width - 1 - vid) for vid in targets]
+    zero = Polynomial.zero(space)
+
+    def walk(terms: Mapping[int, int], top: int, level: int, free: list[int]) -> Iterator[Polynomial]:
+        # top: the OR of the keys of terms, a bound on every field
+        if not terms:
+            yield from repeat(zero, math.factorial(k - level))
+        elif level == k:
+            yield Polynomial(space, terms)
+        else:
+            s = src[level]
+            moved = top >> s & 255  # 0: no term has the source, so every move leaves the map as it is
+            for j, unit in enumerate(free):
+                out, out_top = terms, top
+                if moved:
+                    step = unit - (1 << s)  # one exponent from the source field to the target field
+                    out = {}
+                    get = out.get
+                    for key, c in terms.items():
+                        key += (key >> s & 255) * step
+                        out[key] = get(key, 0) + c
+                    out_top = reduce(operator.or_, out, 0)
+                    if out_top & guard:
+                        raise ValueError(f"exponent above {MAX_EXPONENT} in a substitution")
+                    if 0 in out.values():
+                        out = {e: c for e, c in out.items() if c}
+                yield from walk(out, out_top, level + 1, free[:j] + free[j + 1 :])
+
+    return walk(f._terms, reduce(operator.or_, f._terms, 0), 0, units)

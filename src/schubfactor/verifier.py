@@ -16,12 +16,12 @@ computed only for a failing report's witness.
 
 verify_equivariant_suite checks the block-torus machinery for one
 composition: fixed-point localization of the cross-block Chern class at
-every w of S_n (restrictions taken down cohomology's shared-prefix tree,
-each compared with the weight product built on its own), compatibility of
-the block-torus restriction, agreement of each single-block base class (an
-independent product of linear forms) with the one-block equivariant class
-that cohomology builds, and the specialization of the equivariant class to
-(a power of two times) the ordinary class.
+every w of S_n (restrictions taken down the polynomial kernel's tree of
+raw term maps, each compared with the weight product built on its own),
+compatibility of the block-torus restriction, agreement of each
+single-block base class (an independent product of linear forms) with the
+one-block equivariant class that cohomology builds, and the specialization
+of the equivariant class to (a power of two times) the ordinary class.
 
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the

@@ -44,11 +44,11 @@ def test_install_spans_sees_every_restriction_of_the_suite():
         tracer.remove()
     spans = tracer.summary(1)["spans"]
     calls = {name: span["calls"] for name, span in spans.items()}
-    restrictions = ("cohomology.fixed_point", "cohomology.block_torus", "cohomology.specialize")
-    for span in restrictions + ("polynomial.substitute", "polynomial.mul"):
+    restrictions = ("cohomology.block_torus", "cohomology.specialize")
+    for span in restrictions + ("cohomology.weight_product", "polynomial.substitute", "polynomial.mul"):
         assert calls.get(span, 0) >= 1, span
-    # each restriction substitutes exactly once: 3! fixed points, block torus, specialization;
-    # the fixed-point tree adds one substitution per shared prefix x1 -> y1, y2, y3
-    assert calls["cohomology.fixed_point"] == 6
-    inner_nodes = 3
-    assert calls["polynomial.substitute"] == inner_nodes + sum(calls[span] for span in restrictions)
+    # one weight product per fixed point of S_3; the fixed-point tree runs in the polynomial kernel,
+    # so only the block-torus restriction and the specialization substitute, once each
+    assert calls["cohomology.weight_product"] == 6
+    assert calls.get("cohomology.fixed_point", 0) == 0
+    assert calls["polynomial.substitute"] == sum(calls[span] for span in restrictions) == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schubfactor.composition import Composition, enumerate_compositions
@@ -384,6 +386,23 @@ def test_fixed_point_tree_matches_single_restrictions_exhaustive(family, n):
             assert [w for w, _ in pairs] == perms, mu
             for w, restricted in pairs:
                 assert restricted == coh.restrict_to_fixed_point(f, w), (mu, w)
+
+
+@pytest.mark.parametrize(
+    "parts, sample",
+    [((3, 3), None), ((2, 2, 2), None), ((1,) * 6, 60), ((1, 1, 1, 2, 1), 60)],
+    ids=["3,3", "2,2,2", "1^6", "1,1,1,2,1"],
+)
+def test_fixed_point_tree_matches_single_restrictions_at_n6(parts, sample):
+    # every w for two light classes, a seeded sample of w for two heavy ones
+    mu = Composition(parts)
+    chern = coh.cross_block_chern_class(mu)
+    pairs = list(coh.fixed_point_restrictions(chern))
+    assert [w for w, _ in pairs] == list(all_permutations(6))
+    if sample:
+        pairs = random.Random(6).sample(pairs, sample)
+    for w, restricted in pairs:
+        assert restricted == coh.restrict_to_fixed_point(chern, w), (mu, w)
 
 
 def test_zero_equivariant_vars_matches_oracle():

@@ -8,10 +8,18 @@ Where a result would hold an exponent above MAX_EXPONENT, the kernel must
 raise ValueError instead.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubfactor.polynomial import MAX_EXPONENT, Polynomial, VariableSpace, product_of_linear_forms
+from schubfactor.polynomial import (
+    MAX_EXPONENT,
+    Polynomial,
+    VariableSpace,
+    bijective_substitutions,
+    product_of_linear_forms,
+)
 
 
 SPACE = VariableSpace(3, (2, 1))  # x, y, one y-block and two z variables: 9 fields
@@ -146,6 +154,29 @@ def test_remap_substitute_matches_dense(f, images):
 def test_grouped_substitute_matches_dense(f, images):
     result, overflow = dense_substitute(f, images)
     expect(result, overflow, lambda: packed(f).substitute({v: packed(img) for v, img in images.items()}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_dense_poly, st.dictionaries(st.tuples(*[st.integers(0, 2)] * N), _coefficient, max_size=8)),
+    st.permutations(range(N)),
+    st.integers(0, 4),
+)
+def test_bijective_substitutions_match_dense(f, order, k):
+    # k distinct sources and k other targets, anywhere among the x, y, y-block and z fields
+    sources, targets = order[:k], order[k : 2 * k]
+    units = [{tuple(int(v == vid) for v in range(N)): 1} for vid in targets]
+    leaves = bijective_substitutions(packed(f), sources, targets)
+    for w in itertools.permutations(range(k)):
+        result, overflow = dense_substitute(f, {v: units[j] for v, j in zip(sources, w)})
+        try:
+            leaf = next(leaves)
+        except ValueError as exc:
+            # raised at the first w whose path holds a term above the limit
+            assert overflow and "exponent" in str(exc), w
+            return
+        assert dense(leaf) == result and max(map(max, result), default=0) <= MAX_EXPONENT, w
+    assert next(leaves, None) is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from schubfactor.polynomial import (
     Polynomial,
     VariableSpace,
+    bijective_substitutions,
     product_of_linear_forms,
 )
 
@@ -421,6 +423,24 @@ def test_out_of_range_vid_is_rejected(use, vid):
         OUT_OF_RANGE_USES[use](vid)
 
 
+XS, YS = [SPACE3.x(i) for i in (1, 2, 3)], [SPACE3.yfull(i) for i in (1, 2, 3)]
+
+NON_INTEGER_VID_USES = {
+    "substitute bool": lambda: x(1).substitute({True: 0}),  # would substitute x2
+    "variable float": lambda: Polynomial.variable(SPACE3, 1.0),
+    "substitute float": lambda: x(1).substitute({0.0: 0}),
+    "degree_in float": lambda: x(1).degree_in(0.0),
+    "bijective_substitutions bool": lambda: bijective_substitutions(x(1), [True], [YS[0]]),
+    "bijective_substitutions float": lambda: bijective_substitutions(x(1), [XS[0]], [3.0]),
+}
+
+
+@pytest.mark.parametrize("use", list(NON_INTEGER_VID_USES))
+def test_non_integer_vid_is_rejected(use):
+    with pytest.raises(ValueError, match="variable id .* is not an integer"):
+        NON_INTEGER_VID_USES[use]()
+
+
 @pytest.mark.parametrize("image", [
     Polynomial.zero(VariableSpace(4)),
     Polynomial.integer(VariableSpace(4), -2),
@@ -534,6 +554,62 @@ def test_exponents_up_to_127_work():
     # a zero image removes its terms before their images, here of degree 200, are built
     images = {X1: y(1) + 1, X2: y(1) - 1, SPACE3.x(3): 0}
     assert (x(1) ** 100 * x(2) ** 100 * x(3) + y(2)).substitute(images) == y(2)
+
+
+def substitutions_by_word(f, sources, targets):
+    """f.substitute at every w of S_k, in the order bijective_substitutions yields them."""
+    return [
+        f.substitute({v: Polynomial.variable(f.space, targets[j]) for v, j in zip(sources, w)})
+        for w in itertools.permutations(range(len(sources)))
+    ]
+
+
+def test_bijective_substitutions_examples():
+    f = x(1) ** 2 * y(3) - 3 * x(2) * x(3) + y(1) + 4
+    leaves = list(bijective_substitutions(f, XS, YS))
+    assert leaves == substitutions_by_word(f, XS, YS)
+    assert leaves[0] == y(1) ** 2 * y(3) - 3 * y(2) * y(3) + y(1) + 4
+    # w = 312: x1 -> y3, x2 -> y1, x3 -> y2
+    assert leaves[4] == y(3) ** 3 - 3 * y(1) * y(2) + y(1) + 4
+    # a target in a source's place (y1 -> x1) and a source that f lacks (y2)
+    assert list(bijective_substitutions(f, [YS[0], YS[1]], [XS[0], XS[1]])) == [
+        f - y(1) + x(1), f - y(1) + x(2)
+    ]
+    # cancelling terms vanish on the way down
+    assert list(bijective_substitutions(x(1) * y(2) - x(2) * y(1), XS[:2], YS[:2])) == [
+        Polynomial.zero(SPACE3), y(2) ** 2 - y(1) ** 2
+    ]
+
+
+def test_bijective_substitutions_edge_cases():
+    zero = Polynomial.zero(SPACE3)
+    assert list(bijective_substitutions(zero, XS, YS)) == [zero] * 6
+    f = x(1) ** 3 + x(2) * y(1)
+    assert list(bijective_substitutions(f, XS[:1], YS[2:])) == [y(3) ** 3 + x(2) * y(1)]
+    assert list(bijective_substitutions(f, [], [])) == [f]
+
+
+def test_bijective_substitutions_overflow():
+    leaves = bijective_substitutions(x(1) ** 100 * y(2) ** 100, XS, YS)
+    assert next(leaves) == next(leaves) == y(1) ** 100 * y(2) ** 100  # w(1) = 1
+    with pytest.raises(ValueError, match="exponent above 127"):
+        next(leaves)  # w(1) = 2: y2^200
+    f = x(1) ** 27 * y(2) ** 100
+    leaves = list(bijective_substitutions(f, XS, YS))
+    assert leaves == substitutions_by_word(f, XS, YS)
+    assert leaves[2] == leaves[3] == y(2) ** 127
+
+
+@pytest.mark.parametrize("sources, targets, message", [
+    (XS, [YS[0], YS[1], YS[0]], "listed twice"),
+    (XS, [YS[0], YS[1], XS[2]], "listed twice"),
+    (XS, YS[:2], "3 sources for 2 targets"),
+    (XS, [YS[0], YS[1], SPACE3.num_vars], "out of range"),
+    ([-1], [YS[0]], "out of range"),
+])
+def test_bijective_substitutions_reject_invalid_input(sources, targets, message):
+    with pytest.raises(ValueError, match=message):
+        bijective_substitutions(x(1) * y(2), sources, targets)
 
 
 OVERFLOWS = {
