@@ -34,10 +34,7 @@ depth-first tree over raw term maps whose level i moves x_i into one unused
 y_j, so the permutations that share a prefix share its partial restriction,
 whose terms merge and cancel before the deeper levels, and only the leaves
 become polynomials.  restrict_to_fixed_point remains the independent
-single-w route.  Fixed-point restriction (each image a variable) and
-zero_equivariant_vars (each image 0) are exponent remaps that move or drop
-terms without polynomial products; the block-torus images z_i +- y{i}_{k}
-have two terms and take grouped products.
+single-w route.
 """
 
 from __future__ import annotations

@@ -48,7 +48,9 @@ class Permutation:
         return sum(self.code())
 
     def __call__(self, i: int) -> int:
-        """Value w(i), 1-based."""
+        """Value w(i), 1-based; ValueError unless i is an int in 1..n."""
+        if type(i) is not int or not 1 <= i <= len(self.word):
+            raise ValueError(f"position {i!r} out of range for a permutation of 1..{len(self.word)}")
         return self.word[i - 1]
 
     def code(self) -> tuple[int, ...]:

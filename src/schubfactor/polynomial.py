@@ -406,10 +406,7 @@ class Polynomial:
         ValueError for an image that is not a polynomial or an int (a bool
         is refused), an image in another space, or a vid outside it.
 
-        When every image has at most one term (a variable, c * monomial, an
-        integer or 0), each term maps to exactly one term, so the map is an
-        exponent remap with no polynomial products.  Otherwise terms that
-        agree on the substituted exponents share one image
+        Terms that agree on the substituted exponents share one image
         prod images[vid]^e, built from grouped products.  Raises ValueError
         when the image of some term would hold an exponent above
         MAX_EXPONENT, even if the sum of the images cancels it.
@@ -423,8 +420,6 @@ class Polynomial:
             if img._space != space:
                 raise ValueError("substitution image in a different variable space")
             imgs[vid] = img
-        if all(len(img.terms) <= 1 for img in imgs.values()):
-            return self._remap(imgs)
 
         # (field shift, powers [1, img, img^2, ...] extended on demand) per substituted variable
         powers = [(8 * (space.num_vars - 1 - vid), [Polynomial.one(space), img]) for vid, img in imgs.items()]
@@ -450,60 +445,6 @@ class Polynomial:
             for key, c in product.items():
                 out[key] = out.get(key, 0) + c
         return Polynomial(space, out)
-
-    def _remap(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """
-        substitute() for images of at most one term each: c x^a -> c' x^a'.
-        A source field with exponent e adds e times its image's key; read
-        from the original key, so the map is simultaneous.
-
-        Overflow: OR-ing every key gives fields at least as large as any
-        term's, so summing them into each target bounds that target's
-        exponent; only a target whose bound passes MAX_EXPONENT is checked
-        term by term.
-        """
-        width = self._space.num_vars
-        top = reduce(operator.or_, self._terms, 0).to_bytes(width, "big")
-        keep = (1 << 8 * width) - 1  # the fields a term keeps: all but the sources'
-        kill = 0  # the fields of sources whose image is 0; a term with any of them drops
-        moves: list[tuple[int, int]] = []  # (source shift, image key)
-        scales: list[tuple[int, int]] = []  # (source shift, b): a term gains b ** e
-        into: dict[int, list[tuple[int, int]]] = {}  # target vid -> (source vid, multiplicity) adding into it
-        for vid, img in images.items():
-            s = 8 * (width - 1 - vid)
-            keep ^= 255 << s
-            if not img._terms:
-                kill |= 255 << s
-            elif top[vid]:  # no move when no term has the variable: its image is x^0 = 1
-                ((mono, c),) = img._terms.items()
-                if mono:
-                    moves.append((s, mono))
-                    for target, m in enumerate(mono.to_bytes(width, "big")):
-                        if m:
-                            into.setdefault(target, []).append((vid, m))
-                if c != 1:
-                    scales.append((s, c))
-        for target, fields in into.items():
-            if target not in images:
-                fields.append((target, 1))
-            if sum(top[v] * m for v, m in fields) > MAX_EXPONENT:
-                fields = [(8 * (width - 1 - v), m) for v, m in fields]
-                for key in self._terms:
-                    if not key & kill and sum((key >> s & 255) * m for s, m in fields) > MAX_EXPONENT:
-                        raise ValueError(f"exponent above {MAX_EXPONENT} in {self._space.name(target)}")
-
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in self._terms.items():
-            if key & kill:
-                continue
-            k = key & keep
-            for s, mono in moves:
-                k += (key >> s & 255) * mono
-            for s, b in scales:
-                c *= b ** (key >> s & 255)
-            out[k] = get(k, 0) + c
-        return Polynomial(self._space, out)
 
     # -- rendering ------------------------------------------------------------
 

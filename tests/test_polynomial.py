@@ -372,7 +372,7 @@ def test_substitute_matches_definition(seed):
 @settings(max_examples=150)
 @given(st.integers(0, 10 ** 6))
 def test_substitute_monomial_images_match_definition(seed):
-    # images of at most one term take the exponent remap, not grouped products
+    # images of at most one term: integers, renames and cycles, several sources onto one target, c * monomial
     rng = random.Random(seed)
     sp = SPACE22
     f = random_poly(rng, sp, max_terms=6, max_exp=3)

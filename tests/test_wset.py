@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -147,6 +148,70 @@ def test_full_symplectic_properties(two_n):
         # odd letters occupy the first half; constant length n(n-1)
         assert all(w(i) % 2 == 1 for i in range(1, n + 1))
         assert w.length == n * (n - 1)
+
+
+# -- involution atoms: an oracle independent of both constructions -----------------
+
+
+def reduced_word(w):
+    """A reduced word (a_1, ..., a_l) with w = s_{a_1} ... s_{a_l}: strip right descents."""
+    w, letters = list(w), []
+    while True:
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
+            return tuple(reversed(letters))
+        w[i], w[i + 1] = w[i + 1], w[i]
+        letters.append(i + 1)
+
+
+def demazure(u, letters):
+    """u o s_{a_1} o ... o s_{a_l} in the Demazure product: s_i is applied only when it lengthens."""
+    u = list(u)
+    for i in letters:
+        if u[i - 1] < u[i]:
+            u[i - 1], u[i] = u[i], u[i - 1]
+    return tuple(u)
+
+
+def inverse_word(w):
+    inv = [0] * len(w)
+    for i, v in enumerate(w, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
+def involution_atoms(n, theta_letters):
+    """The minimal-length w in S_n with w^-1 o s_{theta} o w = w0, by brute force over S_n."""
+    w0 = tuple(range(n, 0, -1))
+    hits = []  # (length, word)
+    for w in permutations(range(1, n + 1)):
+        letters = reduced_word(w)
+        if demazure(demazure(inverse_word(w), theta_letters), letters) == w0:
+            hits.append((len(letters), w))
+    least = min(length for length, _ in hits)
+    return sorted("".join(map(str, w)) for length, w in hits if length == least)
+
+
+def test_demazure_helpers():
+    assert reduced_word((2, 3, 1)) == (1, 2)  # 231 = s1 s2
+    assert demazure((2, 3, 1), (1,)) == (3, 2, 1)
+    assert demazure((2, 3, 1), (2,)) == (2, 3, 1)  # s2 would shorten 231: the Demazure product keeps it
+    assert inverse_word((2, 3, 1)) == (3, 1, 2)
+
+
+@pytest.mark.parametrize(("n", "size"), zip(range(1, 9), (1, 1, 2, 3, 8, 15, 48, 105)))
+def test_full_orthogonal_are_the_atoms_of_w0(n, size):
+    atoms = involution_atoms(n, ())
+    assert len(atoms) == size
+    assert words(w_set_full_orthogonal(n)) == atoms
+
+
+@pytest.mark.parametrize(("two_m", "size"), zip((2, 4, 6, 8), (1, 2, 6, 24)))
+def test_full_symplectic_are_the_theta_atoms_of_w0(two_m, size):
+    # theta = (2, 1, 4, 3, ...) = s1 s3 s5 ...
+    atoms = involution_atoms(two_m, tuple(range(1, two_m, 2)))
+    assert len(atoms) == size
+    assert words(w_set_full_symplectic(two_m)) == atoms
 
 
 def test_w_set_symplectic_goldens():
