@@ -79,11 +79,6 @@ def test_non_integer_entries_are_rejected(word):
         Permutation(word)
 
 
-def test_call_reads_one_based_positions():
-    w = Permutation((2, 3, 1))
-    assert [w(i) for i in (1, 2, 3)] == [2, 3, 1]
-
-
 @pytest.mark.parametrize("i", [0, -1, 4, True, 1.0, "1", None])
 def test_call_rejects_positions_outside_1_to_n(i):
     with pytest.raises(ValueError, match="out of range"):
