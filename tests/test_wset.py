@@ -173,20 +173,13 @@ def demazure(u, letters):
     return tuple(u)
 
 
-def inverse_word(w):
-    inv = [0] * len(w)
-    for i, v in enumerate(w, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
 def involution_atoms(n, theta_letters):
     """The minimal-length w in S_n with w^-1 o s_{theta} o w = w0, by brute force over S_n."""
     w0 = tuple(range(n, 0, -1))
     hits = []  # (length, word)
     for w in permutations(range(1, n + 1)):
         letters = reduced_word(w)
-        if demazure(demazure(inverse_word(w), theta_letters), letters) == w0:
+        if demazure(demazure(Permutation(w).inverse().word, theta_letters), letters) == w0:
             hits.append((len(letters), w))
     least = min(length for length, _ in hits)
     return sorted("".join(map(str, w)) for length, w in hits if length == least)
@@ -196,7 +189,6 @@ def test_demazure_helpers():
     assert reduced_word((2, 3, 1)) == (1, 2)  # 231 = s1 s2
     assert demazure((2, 3, 1), (1,)) == (3, 2, 1)
     assert demazure((2, 3, 1), (2,)) == (2, 3, 1)  # s2 would shorten 231: the Demazure product keeps it
-    assert inverse_word((2, 3, 1)) == (3, 1, 2)
 
 
 @pytest.mark.parametrize(("n", "size"), zip(range(1, 9), (1, 1, 2, 3, 8, 15, 48, 105)))
