@@ -35,6 +35,13 @@ y_j, so the permutations that share a prefix share its partial restriction,
 whose terms merge and cancel before the deeper levels, and only the leaves
 become polynomials.  restrict_to_fixed_point remains the independent
 single-w route.
+
+fixed_point_weight_product builds its product from the w-images of the
+roots, never from restricted factors, and memoizes it (a bounded LRU memo)
+on the space and the sorted image pairs (w(k), w(l)).  The key is the image
+multiset, not mu or w: every block-preserving w maps the cross-block roots
+onto themselves, so in practice one entry serves every such w of a
+composition, but the code does not assume it.
 """
 
 from __future__ import annotations
@@ -335,15 +342,22 @@ def preserves_blocks(w: Permutation, mu: Composition) -> bool:
 def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:
     """
     Product of the w-images (y_{w(k)} - y_{w(l)}) of the cross-block roots if
-    w preserves every block; the zero polynomial otherwise.
+    w preserves every block; the zero polynomial otherwise.  The product is
+    memoized on the space and the sorted image pairs (w(k), w(l)), so two
+    fixed points share it only when their images of the roots agree.
     """
     space = space_for(mu)
     if not preserves_blocks(w, mu):
         return Polynomial.zero(space)
-    forms = [
-        Polynomial.linear_form(space, {space.yfull(w(k)): 1, space.yfull(w(l)): -1})
-        for (k, l) in cross_block_roots(mu)
-    ]
+    word = w.word
+    pairs = sorted((word[k - 1], word[l - 1]) for k, l in cross_block_roots(mu))
+    return _root_image_product(space, tuple(pairs))
+
+
+@functools.lru_cache(maxsize=256)
+def _root_image_product(space: VariableSpace, pairs: tuple[tuple[int, int], ...]) -> Polynomial:
+    """Product of (y_a - y_b) over the image pairs (a, b)."""
+    forms = [Polynomial.linear_form(space, {space.yfull(a): 1, space.yfull(b): -1}) for a, b in pairs]
     return product_of_linear_forms(space, forms)
 
 

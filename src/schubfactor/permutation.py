@@ -159,9 +159,18 @@ def from_code(code: Sequence[int]) -> Permutation:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic order of one-line words."""
+    """
+    All of S_n in lexicographic order of one-line words.  The words of
+    itertools.permutations are already permutations of 1..n, so each is
+    stored without the constructor's check; n < 1 raises ValueError.
+    """
+    if n < 1:
+        raise ValueError("empty permutation word")
+    new = Permutation.__new__
     for word in _itertools_permutations(range(1, n + 1)):
-        yield Permutation(word)
+        w = new(Permutation)
+        w.word = word
+        yield w
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -96,27 +96,28 @@ class VariableSpace:
         return VariableSpace, (self.n, self.mu)
 
     def x(self, i: int) -> int:
-        if not 1 <= i <= self.n:
+        if not 1 <= _integer(i, "x index") <= self.n:
             raise ValueError(f"x{i} out of range")
         return i - 1
 
     def yfull(self, i: int) -> int:
-        if not 1 <= i <= self.n:
+        if not 1 <= _integer(i, "y index") <= self.n:
             raise ValueError(f"y{i} out of range")
         return self.n + i - 1
 
     def yblock(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.s and 1 <= j <= self.halves[i - 1]):
+        _integer(j, "slot index")
+        if not (1 <= _integer(i, "block index") <= self.s and 1 <= j <= self.halves[i - 1]):
             raise ValueError(f"y{i}_{j} out of range")
         return self._yblock_base + sum(self.halves[: i - 1]) + j - 1
 
     def z(self, i: int) -> int:
-        if not 1 <= i <= self.s:
+        if not 1 <= _integer(i, "z index") <= self.s:
             raise ValueError(f"z{i} out of range")
         return self._z_base + i - 1
 
     def name(self, vid: int) -> str:
-        return self._names[vid]
+        return self._names[_checked_vid(self, vid)]
 
     def equivariant_vids(self) -> range:
         """All non-x variables (the ones killed by the ordinary specialization)."""
@@ -208,6 +209,27 @@ def divided_difference_terms(terms: Mapping[int, int], i: int, width: int) -> di
                 del out[k]
             k += step
     return out
+
+
+def _product_terms(a: Mapping[int, int], b: Mapping[int, int], guard: int) -> dict[int, int]:
+    """
+    The term map of a * b with zero entries dropped: the one product loop,
+    shared by Polynomial.__mul__ and Polynomial.substitute.  A field of an
+    output key is the sum of two below 128, so it cannot carry, and it passes
+    MAX_EXPONENT iff its guard bit is set; the OR of the keys is checked
+    before cancellation, so a product raises ValueError even if that term
+    cancels.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    items = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in items:
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    if reduce(operator.or_, out, 0) & guard:
+        raise ValueError(f"exponent above {MAX_EXPONENT}")
+    return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
 
 class Polynomial:
@@ -310,17 +332,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
-        out: dict[int, int] = {}
-        get = out.get
-        items = list(other._terms.items())
-        for e1, c1 in self._terms.items():
-            for e2, c2 in items:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        # a field of a key is the sum of two below 128, so it cannot carry, and it passes 127 iff its guard bit is set
-        if reduce(operator.or_, out, 0) & self._space._guard:
-            raise ValueError(f"exponent above {MAX_EXPONENT}")
-        return Polynomial(self._space, out)
+        return Polynomial(self._space, _product_terms(self._terms, other._terms, self._space._guard))
 
     __rmul__ = __mul__
 
@@ -407,9 +419,11 @@ class Polynomial:
         is refused), an image in another space, or a vid outside it.
 
         Terms that agree on the substituted exponents share one image
-        prod images[vid]^e, built from grouped products.  Raises ValueError
-        when the image of some term would hold an exponent above
-        MAX_EXPONENT, even if the sum of the images cancels it.
+        prod images[vid]^e, built from grouped products on raw term maps
+        (each image's powers, each group's image and its product with the
+        group's other fields) by _product_terms, the loop * also runs.
+        Raises ValueError when the image of some term would hold an exponent
+        above MAX_EXPONENT, even if the sum of the images cancels it.
         """
         space = self._space
         imgs: dict[int, Polynomial] = {}
@@ -421,10 +435,11 @@ class Polynomial:
                 raise ValueError("substitution image in a different variable space")
             imgs[vid] = img
 
-        # (field shift, powers [1, img, img^2, ...] extended on demand) per substituted variable
-        powers = [(8 * (space.num_vars - 1 - vid), [Polynomial.one(space), img]) for vid, img in imgs.items()]
+        # (field shift, powers [1, img, img^2, ...] extended on demand) per substituted variable, as raw maps
+        guard = space._guard
+        powers = [(8 * (space.num_vars - 1 - vid), [{0: 1}, img._terms]) for vid, img in imgs.items()]
         mask = sum(255 << shift for shift, _ in powers)
-        kill = sum(255 << shift for shift, pw in powers if not pw[1]._terms)  # sent to 0: the term vanishes
+        kill = sum(255 << shift for shift, pw in powers if not pw[1])  # sent to 0: the term vanishes
         groups: dict[int, dict[int, int]] = {}  # substituted fields -> {the other fields: c}
         for key, c in self._terms.items():
             if key & kill:
@@ -433,24 +448,25 @@ class Polynomial:
             groups.setdefault(sub, {})[key - sub] = c
 
         out: dict[int, int] = {}
+        get = out.get
         for sub, kept in groups.items():
             image = None
             for shift, pw in powers:
                 e = sub >> shift & 255
                 if e:
                     while len(pw) <= e:
-                        pw.append(pw[-1] * pw[1])
-                    image = pw[e] if image is None else image * pw[e]
-            product = kept if image is None else (Polynomial(space, kept) * image)._terms
-            for key, c in product.items():
-                out[key] = out.get(key, 0) + c
+                        pw.append(_product_terms(pw[-1], pw[1], guard))
+                    image = pw[e] if image is None else _product_terms(image, pw[e], guard)
+            for key, c in (kept if image is None else _product_terms(kept, image, guard)).items():
+                out[key] = get(key, 0) + c
         return Polynomial(space, out)
 
     # -- rendering ------------------------------------------------------------
 
     def _named_exponents(self, key: int) -> list[tuple[str, int]]:
         exp = key.to_bytes(self._space.num_vars, "big")
-        return [(self._space.name(vid), e) for vid, e in enumerate(exp) if e]
+        names = self._space._names
+        return [(names[vid], e) for vid, e in enumerate(exp) if e]
 
     def _monomial_text(self, key: int) -> str:
         return " ".join(name if e == 1 else f"{name}^{e}" for name, e in self._named_exponents(key))
@@ -544,9 +560,10 @@ def product_of_linear_forms(
     variable's exponent in the product would exceed MAX_EXPONENT.
 
     The running term map starts as the head.  Each form c + sum a_v x_v
-    multiplies it in one step: a term yields its own key times c and, per
-    variable v, its key plus the unit key of v, times a_v.  Entries that
-    cancel are dropped before the next form.
+    multiplies it in one step: the output starts as every term times c, and
+    then one pass over the terms per variable v adds each key plus the unit
+    key of v, times a_v.  Entries that cancel are dropped before the next
+    form.
 
     Overflow: over the integers the degree in v of a nonzero product is the
     head's exponent of v plus the number of forms that mention v.  The
@@ -579,14 +596,12 @@ def product_of_linear_forms(
         degrees += sum(form._terms)
         if degrees & guard and terms:
             raise ValueError(f"exponent above {MAX_EXPONENT} in a product of linear forms")
-        out: dict[int, int] = {}
+        out = {key: c * const for key, c in terms.items()} if const else {}
         get = out.get
-        for key, c in terms.items():
-            if const:
-                out[key] = get(key, 0) + c * const
-            for unit, a in bumps:
-                k = key + unit
-                out[k] = get(k, 0) + c * a
+        for unit, a in bumps:
+            for key, c in terms.items():
+                key += unit
+                out[key] = get(key, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
     return Polynomial(space, terms)
 
@@ -603,11 +618,13 @@ def bijective_substitutions(
     (so no source is also a target).
 
     A depth-first walk over raw term maps: level i moves the field of
-    sources[i] into the field of one unused target, a mask, a shift and an
-    add per term, so the permutations that share a prefix share its partial
-    map, whose cancelling entries are dropped before the next level.  An
-    empty map yields its zeros with no term work, and only leaves become
-    polynomials.
+    sources[i] into the field of one unused target, so the permutations that
+    share a prefix share its partial map, whose cancelling entries are
+    dropped before the next level.  A node splits its terms once: those
+    without the source are copied into each branch's map, and the rest,
+    grouped by their source exponent e, move by one delta e * (target unit -
+    source unit) per group and branch, an add per term.  An empty map yields
+    its zeros with no term work, and only leaves become polynomials.
 
     Overflow: on every path each target field receives exactly one source
     field, both at most MAX_EXPONENT, so a sum cannot carry, and a level's
@@ -634,16 +651,26 @@ def bijective_substitutions(
             yield Polynomial(space, terms)
         else:
             s = src[level]
-            moved = top >> s & 255  # 0: no term has the source, so every move leaves the map as it is
+            still: dict[int, int] = {}  # the terms without the source, the same in every branch
+            groups: dict[int, list[tuple[int, int]]] = {}  # source exponent e -> its terms
+            if top >> s & 255:  # 0: no term has the source, so every move leaves the map as it is
+                for key, c in terms.items():
+                    e = key >> s & 255
+                    if e:
+                        groups.setdefault(e, []).append((key, c))
+                    else:
+                        still[key] = c
             for j, unit in enumerate(free):
                 out, out_top = terms, top
-                if moved:
+                if groups:
                     step = unit - (1 << s)  # one exponent from the source field to the target field
-                    out = {}
+                    out = still.copy()
                     get = out.get
-                    for key, c in terms.items():
-                        key += (key >> s & 255) * step
-                        out[key] = get(key, 0) + c
+                    for e, group in groups.items():
+                        delta = e * step
+                        for key, c in group:
+                            key += delta
+                            out[key] = get(key, 0) + c
                     out_top = reduce(operator.or_, out, 0)
                     if out_top & guard:
                         raise ValueError(f"exponent above {MAX_EXPONENT} in a substitution")

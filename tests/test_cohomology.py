@@ -352,6 +352,47 @@ def test_weight_product_examples():
     assert coh.fixed_point_weight_product(mu, w) == expected
 
 
+def weight_product_oracle(mu, w):
+    """
+    prod (y_{w(k)} - y_{w(l)}) over the roots k < l in different blocks, by *
+    from single variables, if w keeps every block; 0 otherwise.  Test-local:
+    no memo and no product_of_linear_forms.
+    """
+    space = VariableSpace(mu.total, mu.parts)
+    block = [b for b, part in enumerate(mu.parts) for _ in range(part)]
+    product = Polynomial.zero(space)
+    if all(block[w(i) - 1] == block[i - 1] for i in range(1, mu.total + 1)):
+        product = Polynomial.one(space)
+        for k in range(1, mu.total + 1):
+            for l in range(k + 1, mu.total + 1):
+                if block[k - 1] != block[l - 1]:
+                    product = product * (yp(space, w(k)) - yp(space, w(l)))
+    return product
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weight_product_matches_oracle_exhaustive(n):
+    # every composition of n, so the even-part ones of the symplectic family too
+    for mu in enumerate_compositions(n):
+        for w in all_permutations(n):
+            assert coh.fixed_point_weight_product(mu, w) == weight_product_oracle(mu, w), (mu, w)
+
+
+@pytest.mark.parametrize("parts", [(3, 3), (2, 2, 2), (1, 1, 1, 2, 1)], ids=["3,3", "2,2,2", "1,1,1,2,1"])
+def test_weight_product_matches_oracle_at_n6(parts):
+    # seeded w: some of all S_6, most of which break a block, and some that keep every block
+    mu = Composition(parts)
+    rng = random.Random(21)
+    perms = [Permutation(rng.sample(range(1, 7), 6)) for _ in range(20)]
+    for _ in range(10):
+        word = []
+        for start, part in zip(mu.nu, mu.parts):
+            word += rng.sample(range(start + 1, start + part + 1), part)
+        perms.append(Permutation(word))
+    for w in perms:
+        assert coh.fixed_point_weight_product(mu, w) == weight_product_oracle(mu, w), (mu, w)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_localization_characterization_exhaustive(n):
     for mu in enumerate_compositions(n):

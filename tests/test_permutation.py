@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +120,21 @@ def test_code_bijective_and_sums_to_length(n):
         seen.add(c)
         assert from_code(c) == w
     assert len(seen) == len(list(all_permutations(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_all_permutations_match_validated_words(n):
+    listed = list(all_permutations(n))
+    validated = [Permutation(word) for word in itertools.permutations(range(1, n + 1))]
+    assert listed == validated
+    for w, v in zip(listed, validated):
+        assert hash(w) == hash(v) and str(w) == str(v)
+        assert [w(i) for i in range(1, n + 1)] == [v(i) for i in range(1, n + 1)]
+
+
+def test_all_permutations_rejects_an_empty_word():
+    with pytest.raises(ValueError, match="empty"):
+        list(all_permutations(0))
 
 
 @pytest.mark.parametrize("code", [(0, 2), (1, 1), (-1, 0)])

@@ -75,6 +75,29 @@ def test_space_bad_block_indices():
         sp.z(3)
 
 
+ACCESSOR_CALLS = {
+    "x(True)": lambda sp: sp.x(True),
+    "x(1.5)": lambda sp: sp.x(1.5),
+    "x(1.0)": lambda sp: sp.x(1.0),
+    "yfull(2.0)": lambda sp: sp.yfull(2.0),
+    "yfull(True)": lambda sp: sp.yfull(True),
+    "yblock(True, 1)": lambda sp: sp.yblock(True, 1),
+    "yblock(2, 1.0)": lambda sp: sp.yblock(2, 1.0),
+    "z(1.0)": lambda sp: sp.z(1.0),
+    "z(True)": lambda sp: sp.z(True),
+    "name(-1)": lambda sp: sp.name(-1),
+    "name(True)": lambda sp: sp.name(True),
+    "name(1.0)": lambda sp: sp.name(1.0),
+    "name(num_vars)": lambda sp: sp.name(sp.num_vars),
+}
+
+
+@pytest.mark.parametrize("call", list(ACCESSOR_CALLS))
+def test_space_accessors_reject_non_integer_or_out_of_range_indices(call):
+    with pytest.raises(ValueError):
+        ACCESSOR_CALLS[call](VariableSpace(5, (2, 3)))
+
+
 @pytest.mark.parametrize("n, mu", [
     (True, None),
     (2.0, None),
@@ -598,6 +621,33 @@ def test_bijective_substitutions_overflow():
     leaves = list(bijective_substitutions(f, XS, YS))
     assert leaves == substitutions_by_word(f, XS, YS)
     assert leaves[2] == leaves[3] == y(2) ** 127
+
+
+def test_bijective_substitutions_moved_term_cancels_an_unmoved_one():
+    # at w(1) = 1, x1 x2 moves onto the key of -y1 x2, which has no x1
+    f = x(1) * x(2) - y(1) * x(2) + x(3)
+    leaves = list(bijective_substitutions(f, XS, YS))
+    assert leaves == substitutions_by_word(f, XS, YS)
+    assert leaves[0] == leaves[1] - y(2) + y(3) == y(3)
+
+
+def test_bijective_substitutions_several_exponent_groups():
+    # x1 in exponents 1, 2 and 3 at one node; at w(1) = 1 three groups and an unmoved term meet in y1^3
+    f = x(1) ** 3 + 2 * x(1) ** 2 * y(1) - 3 * x(1) * y(1) ** 2 + y(1) ** 3 + x(1) ** 2 * x(2) * y(3)
+    leaves = list(bijective_substitutions(f, XS, YS))
+    assert leaves == substitutions_by_word(f, XS, YS)
+    assert leaves[0] == y(1) ** 3 + y(1) ** 2 * y(2) * y(3)
+
+
+def test_bijective_substitutions_overflow_at_the_third_level():
+    # x1 moves at level 0; x3^100 meets y1^100 only at level 2 of w = 231
+    f = x(1) * x(3) ** 100 * y(1) ** 100
+    leaves = bijective_substitutions(f, XS, YS)
+    assert [next(leaves) for _ in range(3)] == [  # w = 123, 132, 213
+        y(1) ** 101 * y(3) ** 100, y(1) ** 101 * y(2) ** 100, y(1) ** 100 * y(2) * y(3) ** 100
+    ]
+    with pytest.raises(ValueError, match="exponent above 127"):
+        next(leaves)
 
 
 @pytest.mark.parametrize("sources, targets, message", [
