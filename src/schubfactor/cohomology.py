@@ -98,8 +98,8 @@ def _block_pair_forms(space: VariableSpace, mu: Composition, i: int, shift: int 
 
 
 def _cross_pair_forms(space: VariableSpace, mu: Composition, i: int, j: int) -> list[Polynomial]:
-    if not 1 <= i < j <= mu.s:
-        raise ValueError(f"need block indices i < j, got {i}, {j}")
+    if type(i) is not int or type(j) is not int or not 1 <= i < j <= mu.s:
+        raise ValueError(f"need integer block indices i < j, got {i!r}, {j!r}")
     zj = space.z(j)
     part_j = mu.parts[j - 1]
     forms = []

@@ -88,8 +88,8 @@ def enumerate_compositions(n: int, even_parts_only: bool = False) -> list[Compos
     >>> [str(c) for c in enumerate_compositions(4, even_parts_only=True)]
     ['4', '2,2']
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if even_parts_only and n % 2 != 0:
         raise ValueError(f"even-part compositions require even n, got {n}")
     step = 2 if even_parts_only else 1

@@ -84,8 +84,8 @@ class Permutation:
         '231'
         """
         w = self.word
-        if not 1 <= i <= len(w) - 1:
-            raise ValueError(f"index {i} out of range for S_{len(w)}")
+        if type(i) is not int or not 1 <= i <= len(w) - 1:
+            raise ValueError(f"index {i!r} out of range for S_{len(w)}")
         lst = list(w)
         lst[i - 1], lst[i] = lst[i], lst[i - 1]
         return Permutation(lst)
@@ -152,8 +152,8 @@ def from_code(code: Sequence[int]) -> Permutation:
     available = list(range(1, n + 1))
     word = []
     for i, c in enumerate(code):
-        if not 0 <= c <= n - 1 - i:
-            raise ValueError(f"entry {c} at position {i + 1} is not a valid code")
+        if type(c) is not int or not 0 <= c <= n - 1 - i:
+            raise ValueError(f"entry {c!r} at position {i + 1} is not a valid code")
         word.append(available.pop(c))
     return Permutation(word)
 

@@ -397,7 +397,7 @@ class Polynomial:
         return self.substitute({xi: Polynomial.variable(space, xj), xj: Polynomial.variable(space, xi)})
 
     def _x_pair(self, i: int) -> tuple[int, int]:
-        if not 1 <= i <= self._space.n - 1:
+        if not 1 <= _integer(i, "index") <= self._space.n - 1:
             raise ValueError(f"index {i} out of range for divided difference")
         return i - 1, i
 

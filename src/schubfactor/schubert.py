@@ -230,8 +230,8 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
     smallest key and stays in the span.
     """
-    if not 1 <= n <= f.space.n:
-        raise ValueError(f"need 1 <= n <= {f.space.n} for this space, got n={n}")
+    if type(n) is not int or not 1 <= n <= f.space.n:
+        raise ValueError(f"need an integer 1 <= n <= {f.space.n} for this space, got n={n!r}")
     if not in_staircase_span(f, n):
         raise ValueError(f"polynomial is not in the staircase span for n={n}")
     # in the span every field beyond x_n is 0, so shift them out and work on x1..x_n alone

@@ -69,8 +69,8 @@ def block_word(w: Permutation, mu: Composition, i: int) -> tuple[int, ...]:
     """
     if w.n != mu.total:
         raise ValueError(f"permutation size {w.n} != composition total {mu.total}")
-    if not 1 <= i <= mu.s:
-        raise ValueError(f"block index {i} out of range")
+    if type(i) is not int or not 1 <= i <= mu.s:
+        raise ValueError(f"block index {i!r} out of range")
     return w.word[mu.nu[i - 1]: mu.nu[i]]
 
 

@@ -30,8 +30,11 @@ def test_install_spans_wraps_and_restores_every_attribute():
         tracer.remove()
     assert [dict(vars(owner)) for owner in OWNERS] == before
     spans = tracer.summary(1)["spans"]
-    for span in ("verifier", "wset.member_set", "cohomology.product_side", "schubert.expand"):
+    for span in ("verifier", "wset.member_set", "cohomology.product_side", "schubert.sum"):
         assert spans[span]["calls"] >= 1, span
+    # the Schubert sum alone decides the verdict: no span scan, no basis expansion
+    for span in ("schubert.expand", "schubert.span"):
+        assert spans[span]["calls"] == 0, span
 
 
 def test_install_spans_sees_every_restriction_of_the_suite():

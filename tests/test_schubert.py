@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
-from schubfactor.cohomology import space_for
+from schubfactor.cohomology import cross_pair_factor, space_for
 from schubfactor.composition import Composition, enumerate_compositions
-from schubfactor.permutation import Permutation, all_permutations, longest_element
+from schubfactor.permutation import Permutation, all_permutations, from_code, longest_element
 from schubfactor import schubert
 from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor.schubert import (
@@ -18,6 +19,7 @@ from schubfactor.schubert import (
     schubert_poly_oracle,
 )
 from schubfactor.verifier import ORTHOGONAL, SYMPLECTIC, member_set, needs_even_parts, product_side
+from schubfactor.wset import block_word
 
 
 def xvar(space, i):
@@ -369,3 +371,22 @@ def test_product_sides_expand_to_their_member_sets_by_macdonald_oracle(family):
             members = dict.fromkeys(member_set(mu, family).members, 1)
             assert _macdonald_coefficients(rhs, n) == members
             assert expand_in_schubert_basis(rhs, n).coeffs == members
+
+
+NON_INTEGER_INDEX_USES = {
+    "divided_difference": lambda i: xvar(VariableSpace(3), 1).divided_difference(i),
+    "times_s": lambda i: Permutation((1, 2, 3)).times_s(i),
+    "from_code": lambda i: from_code((i, 0)),
+    "expand_in_schubert_basis": lambda n: expand_in_schubert_basis(Polynomial.one(VariableSpace(3)), n),
+    "block_word": lambda i: block_word(Permutation((1, 2, 3)), Composition((1, 2)), i),
+    "cross_pair_factor": lambda i: cross_pair_factor(Composition((1, 2)), i, 2),
+    "enumerate_compositions": lambda n: enumerate_compositions(n),
+}
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+@pytest.mark.parametrize("use", list(NON_INTEGER_INDEX_USES))
+def test_non_integer_index_is_rejected(use, index):
+    # True must not act as 1, and a float must not reach list indexing as a TypeError
+    with pytest.raises(ValueError, match=re.escape(repr(index))):
+        NON_INTEGER_INDEX_USES[use](index)

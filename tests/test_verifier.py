@@ -6,7 +6,7 @@ from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations
 from schubfactor.polynomial import Polynomial
 from schubfactor import cohomology as coh
-from schubfactor.schubert import schubert_poly
+from schubfactor.schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
 from schubfactor.verifier import (
     ORTHOGONAL,
     SYMPLECTIC,
@@ -154,8 +154,8 @@ def _perturbed_member_sets(members, perms, rng):
 
 
 def test_verdict_agrees_with_schubert_sum_oracle():
-    # the verdict is decided by the Schubert expansion alone; sum == product
-    # (check (a)) is the independent reference it must agree with
+    # on member sets drawn from S_n the verdict is sum == product (check (a));
+    # the expansion oracle below checks it against the route it replaced
     cases = [(mu, ORTHOGONAL) for n in range(1, 6) for mu in enumerate_compositions(n)]
     cases += [
         (mu, SYMPLECTIC) for n in (2, 4, 6) for mu in enumerate_compositions(n, even_parts_only=True)
@@ -171,6 +171,56 @@ def test_verdict_agrees_with_schubert_sum_oracle():
             assert report.passed == (schubert_sum(members, sp) == product), (mu, family, members)
             verdicts.add(report.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+def _expansion_verdict(rhs, n, members):
+    """The verdict by span scan and Schubert expansion, the route the Schubert sum replaced."""
+    return (
+        len(set(members)) == len(members)
+        and in_staircase_span(rhs, n)
+        and expand_in_schubert_basis(rhs, n).coeffs == dict.fromkeys(members, 1)
+    )
+
+
+def _edited_member_sets(members, n, by_length):
+    """The set itself, then one member dropped, repeated, swapped or joined by one from S_(n-1) or S_(n+1)."""
+    yield members
+    for i, w in enumerate(members):
+        rest = members[:i] + members[i + 1:]
+        yield rest
+        yield members + [w]
+        other = next((u for u in by_length[w.length] if u not in members), None)
+        if other is not None:
+            yield rest + [other]
+        if w.word[-1] == n and n > 1:
+            yield rest + [Permutation(w.word[:-1])]  # S_w of S_(n-1): the same polynomial
+        yield rest + [Permutation(w.word + (n + 1,))]
+    if n > 1:
+        yield members + [Permutation(range(1, n))]
+    yield members + [Permutation(range(1, n + 2))]
+
+
+def test_verdict_agrees_with_expansion_oracle():
+    cases = [(mu, ORTHOGONAL) for n in range(1, 7) for mu in enumerate_compositions(n)]
+    cases += [
+        (mu, SYMPLECTIC) for n in (2, 4, 6, 8) for mu in enumerate_compositions(n, even_parts_only=True)
+    ]
+    by_length = {}
+    seen = set()
+    for mu, family in cases:
+        n = mu.total
+        if n not in by_length:
+            by_length[n] = {}
+            for u in all_permutations(n):
+                by_length[n].setdefault(u.length, []).append(u)
+        rhs = product_side(mu, family)
+        for members in _edited_member_sets(list(member_set(mu, family).members), n, by_length[n]):
+            report = verify_identity_for_members(mu, family, members)
+            assert report.passed == _expansion_verdict(rhs, n, members), (mu, family, members)
+            smaller = any(w.n < n for w in members)
+            seen.add((report.verdict, smaller and schubert_sum(members, rhs.space) == rhs))
+    # both verdicts, and a failing set whose sum equals the product side through a member of S_(n-1)
+    assert seen >= {("pass", False), ("fail", False), ("fail", True)}
 
 
 def test_verify_identity_rejects_unknown_family():
