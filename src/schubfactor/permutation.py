@@ -124,6 +124,8 @@ def identity(n: int) -> Permutation:
     >>> str(identity(4))
     '1234'
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     return Permutation(range(1, n + 1))
 
 
@@ -135,8 +137,8 @@ def longest_element(n: int) -> Permutation:
     >>> str(longest_element(4))
     '4321'
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return Permutation(range(n, 0, -1))
 
 
@@ -162,8 +164,11 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """
     All of S_n in lexicographic order of one-line words.  The words of
     itertools.permutations are already permutations of 1..n, so each is
-    stored without the constructor's check; n < 1 raises ValueError.
+    stored without the constructor's check; n < 1 or a non-int n raises
+    ValueError.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("empty permutation word")
     new = Permutation.__new__

@@ -186,9 +186,12 @@ def _pipe_dream_terms(word: tuple[int, ...]) -> dict[int, int]:
 def in_staircase_span(f: Polynomial, n: int) -> bool:
     """
     True iff every monomial of f has x_i exponent at most n - i for all i
-    (with variables beyond x_n unused).  Raises if f involves any non-x
-    variable, whatever else it holds.
+    (with variables beyond x_n unused).  Raises ValueError for an n that is
+    not an int >= 1, and if f involves any non-x variable, whatever else it
+    holds.
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need an integer n >= 1, got n={n!r}")
     space = f.space
     for vid in space.equivariant_vids():
         if f.degree_in(vid):

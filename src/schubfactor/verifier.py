@@ -200,8 +200,10 @@ def verify_equivariant_suite(
     Exhaustive block-torus checks for one composition (see module docstring),
     in order, stopping at the first mismatch.  Fixed-point localization
     enumerates all of S_n and is skipped (with a flag) above
-    localization_max_n.
+    localization_max_n, which must be an int.
     """
+    if type(localization_max_n) is not int:
+        raise ValueError(f"localization_max_n {localization_max_n!r} is not an integer")
     start = time.perf_counter()
     half_slots = not needs_even_parts(family)
     if not half_slots and not mu.all_even():

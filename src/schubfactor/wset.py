@@ -54,8 +54,8 @@ def w_set_full_orthogonal(n: int) -> tuple[Permutation, ...]:
     >>> [str(w) for w in w_set_full_orthogonal(4)]
     ['2431', '3412', '4213']
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     words = _adjacency_words(tuple(range(1, n + 1)))
     return tuple(sorted(Permutation(w) for w in words))
 
@@ -87,10 +87,10 @@ def standardize(word: Sequence[int], letters: Iterable[int]) -> Permutation:
 
 
 def unstandardize(u: Permutation, letters: Iterable[int]) -> tuple[int, ...]:
-    """Inverse relabeling: k goes to the k-th smallest letter."""
+    """Inverse relabeling: k goes to the k-th smallest letter of u.n distinct letters."""
     letters = sorted(letters)
-    if len(letters) != u.n:
-        raise ValueError("letter count does not match permutation size")
+    if len(set(letters)) != len(letters) or len(letters) != u.n:
+        raise ValueError(f"letters {letters} are not {u.n} distinct letters")
     return tuple(letters[v - 1] for v in u.word)
 
 
@@ -156,8 +156,8 @@ def w_set_full_symplectic(two_n: int) -> tuple[Permutation, ...]:
     >>> [str(w) for w in w_set_full_symplectic(4)]
     ['1342', '3124']
     """
-    if two_n < 2 or two_n % 2 != 0:
-        raise ValueError(f"size must be a positive even integer, got {two_n}")
+    if type(two_n) is not int or two_n < 2 or two_n % 2 != 0:
+        raise ValueError(f"size must be a positive even integer, got {two_n!r}")
     half = two_n // 2
     images = [
         symplectic_embedding(Permutation(word))

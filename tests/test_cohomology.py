@@ -6,7 +6,6 @@ from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations, identity
 from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor import cohomology as coh
-from test_polynomial import substitute_oracle
 
 
 def xp(space, i):
@@ -393,24 +392,6 @@ def test_weight_product_matches_oracle_at_n6(parts):
         assert coh.fixed_point_weight_product(mu, w) == weight_product_oracle(mu, w), (mu, w)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_localization_characterization_exhaustive(n):
-    for mu in enumerate_compositions(n):
-        chern = coh.cross_block_chern_class(mu)
-        for w in all_permutations(n):
-            assert coh.restrict_to_fixed_point(chern, w) == coh.fixed_point_weight_product(mu, w)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_restrict_to_fixed_point_matches_oracle_exhaustive(n):
-    for mu in enumerate_compositions(n):
-        chern = coh.cross_block_chern_class(mu)
-        sp = chern.space
-        for w in all_permutations(n):
-            images = {sp.x(i): yp(sp, w(i)) for i in range(1, n + 1)}
-            assert coh.restrict_to_fixed_point(chern, w) == substitute_oracle(chern, images), (mu, w)
-
-
 @pytest.mark.parametrize(
     "family, n", [("orthogonal", n) for n in range(1, 6)] + [("symplectic", n) for n in (2, 4)]
 )
@@ -444,21 +425,6 @@ def test_fixed_point_tree_matches_single_restrictions_at_n6(parts, sample):
         pairs = random.Random(6).sample(pairs, sample)
     for w, restricted in pairs:
         assert restricted == coh.restrict_to_fixed_point(chern, w), (mu, w)
-
-
-def test_zero_equivariant_vars_matches_oracle():
-    classes = [
-        coh.equivariant_class_orthogonal(mu) for n in range(1, 5) for mu in enumerate_compositions(n)
-    ]
-    classes += [
-        coh.equivariant_class_symplectic(mu)
-        for n in (2, 4)
-        for mu in enumerate_compositions(n, even_parts_only=True)
-    ]
-    for cls in classes:
-        sp = cls.space
-        images = {vid: Polynomial.zero(sp) for vid in sp.equivariant_vids()}
-        assert coh.zero_equivariant_vars(cls) == substitute_oracle(cls, images), sp
 
 
 # -- block-torus restriction ------------------------------------------------------------------

@@ -49,6 +49,11 @@ def packed(terms):
     return f
 
 
+def unit(vid):
+    """The exponent tuple of the variable vid."""
+    return tuple(int(v == vid) for v in range(N))
+
+
 def dense_mul(a, b):
     out = {}
     for e1, c1 in a.items():
@@ -110,15 +115,24 @@ _exponents = st.tuples(*[_exponent] * N)
 _coefficient = st.integers(-4, 4).filter(bool)
 _dense_poly = st.dictionaries(_exponents, _coefficient, max_size=4)
 _vid = st.integers(0, N - 1)
-
-
-def _image(max_exp):
-    one_term = st.builds(
+_image = st.one_of(  # 0, an integer, a variable or c * monomial
+    st.just({}),
+    st.builds(
         lambda exps, c: {tuple(exps.get(v, 0) for v in range(N)): c},
-        st.dictionaries(_vid, st.integers(1, max_exp), max_size=2),
+        st.dictionaries(_vid, st.integers(1, 3), max_size=2),
         _coefficient,
-    )
-    return st.one_of(st.just({}), one_term)  # 0, an integer, a variable or c * monomial
+    ),
+)
+
+_affine_form = st.builds(  # [c1 v1 + c2 v2 + c3 v3 + k]
+    lambda cs, k: [{(0,) * N: k, **{unit(vid): c for vid, c in cs.items()}}],
+    st.dictionaries(_vid, _coefficient, max_size=3),
+    st.integers(-3, 3),
+)
+_cancelling_pair = st.builds(  # [a u - b v, a u + b v]: the cross terms of their product cancel
+    lambda u, v, a, b: [{unit(u): a, unit(v): -b}, {unit(u): a, unit(v): b}],
+    _vid, _vid, st.integers(-3, 3), st.integers(-3, 3),
+)
 
 
 # -- the differential tests -----------------------------------------------------------
@@ -134,24 +148,23 @@ def test_mul_matches_dense(a, b):
     expect(result, overflow, lambda: packed(a) * packed(b))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_dense_poly, st.dictionaries(_vid, _image(3), min_size=1, max_size=4))
-def test_remap_substitute_matches_dense(f, images):
-    result, overflow = dense_substitute(f, images)
-    expect(result, overflow, lambda: packed(f).substitute({v: packed(img) for v, img in images.items()}))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.dictionaries(st.tuples(*[st.integers(0, 3)] * N), _coefficient, max_size=4),
-    st.dictionaries(
-        _vid,
-        st.one_of(_image(2), st.dictionaries(st.tuples(*[st.integers(0, 1)] * N), _coefficient, max_size=3)),
-        min_size=1,
-        max_size=3,
+@settings(max_examples=350, deadline=None)
+@given(st.one_of(
+    # large exponents in f, images of at most one term: the overflow rule
+    st.tuples(_dense_poly, st.dictionaries(_vid, _image, min_size=1, max_size=4)),
+    # small exponents in f, multi-term images too
+    st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * N), _coefficient, max_size=4),
+        st.dictionaries(
+            _vid,
+            st.one_of(_image, st.dictionaries(st.tuples(*[st.integers(0, 1)] * N), _coefficient, max_size=3)),
+            min_size=1,
+            max_size=4,
+        ),
     ),
-)
-def test_grouped_substitute_matches_dense(f, images):
+))
+def test_substitute_matches_dense(case):
+    f, images = case
     result, overflow = dense_substitute(f, images)
     expect(result, overflow, lambda: packed(f).substitute({v: packed(img) for v, img in images.items()}))
 
@@ -165,7 +178,7 @@ def test_grouped_substitute_matches_dense(f, images):
 def test_bijective_substitutions_match_dense(f, order, k):
     # k distinct sources and k other targets, anywhere among the x, y, y-block and z fields
     sources, targets = order[:k], order[k : 2 * k]
-    units = [{tuple(int(v == vid) for v in range(N)): 1} for vid in targets]
+    units = [{unit(vid): 1} for vid in targets]
     leaves = bijective_substitutions(packed(f), sources, targets)
     for w in itertools.permutations(range(k)):
         result, overflow = dense_substitute(f, {v: units[j] for v, j in zip(sources, w)})
@@ -185,15 +198,10 @@ def test_divided_difference_matches_dense(f, i):
     assert packed(f).divided_difference(i) == packed(dense_divided_difference(f, i))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from(range(N)), _coefficient, max_size=3), max_size=5),
-       st.lists(st.integers(-3, 3), min_size=5, max_size=5),
-       _exponents, st.integers(-4, 4))
-def test_product_of_linear_forms_matches_dense(coeffs, consts, head_exp, head_c):
-    forms = [{(0,) * N: k} if k else {} for k in consts[: len(coeffs)]]
-    for form, cs in zip(forms, coeffs):
-        for vid, c in cs.items():
-            form[tuple(int(v == vid) for v in range(N))] = c
+@settings(max_examples=350, deadline=None)
+@given(st.lists(st.one_of(_affine_form, _cancelling_pair), max_size=5), _exponents, st.integers(-4, 4))
+def test_product_of_linear_forms_matches_dense(groups, head_exp, head_c):
+    forms = [form for group in groups for form in group]
     expected = {(0,) * N: 1}
     for form in forms:
         expected = dense_mul(expected, form)

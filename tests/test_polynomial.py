@@ -340,14 +340,18 @@ def test_substitute_powers():
 
 def test_substitute_rejects_other_space():
     other = VariableSpace(4)
-    with pytest.raises(ValueError):
-        x(1).substitute({SPACE3.x(1): Polynomial.one(other)})
+    for image in (Polynomial.one(other), Polynomial.zero(other), Polynomial.integer(other, -2), 2 * x(1, other)):
+        for images in ({SPACE3.x(1): image}, {SPACE3.x(2): y(1), SPACE3.x(1): image}):
+            with pytest.raises(ValueError, match="different variable space"):
+                x(1).substitute(images)
 
 
 @pytest.mark.parametrize("vid", [-1, SPACE3.num_vars])
 def test_substitute_rejects_out_of_range_vid(vid):
-    with pytest.raises(ValueError):
-        y(3).substitute({vid: y(1)})
+    for image in (y(1), 0, 3, Polynomial.monomial(SPACE3, {0: 2}, -5)):
+        for images in ({vid: image}, {SPACE3.x(1): y(2), vid: image}):
+            with pytest.raises(ValueError, match="out of range"):
+                y(3).substitute(images)
 
 
 def test_substitute_is_simultaneous():
@@ -369,35 +373,11 @@ def substitute_oracle(f, images):
     return total
 
 
-@settings(max_examples=75)
+@settings(max_examples=225)
 @given(st.integers(0, 10 ** 6))
 def test_substitute_matches_definition(seed):
     rng = random.Random(seed)
     sp = SPACE22  # x, y, y{i}_{j} and z families
-    f = random_poly(rng, sp, max_terms=5, max_exp=2)
-    vids = rng.sample(range(sp.num_vars), rng.randint(1, 4))
-    images = {}
-    for vid in vids:
-        kind = rng.randrange(4)
-        if kind == 0:
-            images[vid] = rng.randint(-3, 3)
-        elif kind == 1:
-            images[vid] = 0
-        elif kind == 2:
-            images[vid] = random_poly(rng, sp, max_terms=3, max_exp=1)
-        else:  # mentions a substituted variable, which must not be substituted again
-            images[vid] = Polynomial.variable(sp, rng.choice(vids)) + rng.randint(-2, 2)
-    r = f.substitute(images)
-    assert 0 not in r.terms.values()
-    assert r == substitute_oracle(f, images)
-
-
-@settings(max_examples=150)
-@given(st.integers(0, 10 ** 6))
-def test_substitute_monomial_images_match_definition(seed):
-    # images of at most one term: integers, renames and cycles, several sources onto one target, c * monomial
-    rng = random.Random(seed)
-    sp = SPACE22
     f = random_poly(rng, sp, max_terms=6, max_exp=3)
     vids = rng.sample(range(sp.num_vars), rng.randint(1, 5))
     shared = rng.randrange(sp.num_vars)
@@ -406,27 +386,21 @@ def test_substitute_monomial_images_match_definition(seed):
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         images[a] = Polynomial.variable(sp, b)
     for vid in vids[len(cycle):]:
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
         if kind == 0:  # integer constant, 0 included
-            images[vid] = rng.randint(-3, 3)
+            images[vid] = rng.choice((0, rng.randint(-3, 3)))
         elif kind == 1:  # two sources onto one target: their exponents add
             images[vid] = Polynomial.variable(sp, shared)
-        elif kind == 2:  # may name another substituted variable
-            images[vid] = Polynomial.variable(sp, rng.choice(vids))
-        else:  # c * monomial with negative and non-unit c
+        elif kind == 2:  # names a substituted variable, which must not be substituted again
+            images[vid] = Polynomial.variable(sp, rng.choice(vids)) + rng.randint(-2, 2)
+        elif kind == 3:  # c * monomial with negative and non-unit c
             exps = {rng.randrange(sp.num_vars): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
             images[vid] = Polynomial.monomial(sp, exps, rng.choice((-3, -2, -1, 1, 2, 5)))
-    assert all(isinstance(img, int) or len(img.terms) <= 1 for img in images.values())
-    g = f.substitute(images)
-    assert 0 not in g.terms.values()
-    assert g == substitute_oracle(f, images)
-
-
-@pytest.mark.parametrize("image", [0, 3, y(1), Polynomial.monomial(SPACE3, {0: 2}, -5)])
-def test_substitute_monomial_images_reject_out_of_range_vid(image):
-    for vid in (-1, SPACE3.num_vars):
-        with pytest.raises(ValueError, match="out of range"):
-            y(3).substitute({SPACE3.x(1): y(2), vid: image})
+        else:  # several terms
+            images[vid] = random_poly(rng, sp, max_terms=3, max_exp=1)
+    r = f.substitute(images)
+    assert 0 not in r.terms.values()
+    assert r == substitute_oracle(f, images)
 
 
 OUT_OF_RANGE_USES = {
@@ -462,16 +436,6 @@ NON_INTEGER_VID_USES = {
 def test_non_integer_vid_is_rejected(use):
     with pytest.raises(ValueError, match="variable id .* is not an integer"):
         NON_INTEGER_VID_USES[use]()
-
-
-@pytest.mark.parametrize("image", [
-    Polynomial.zero(VariableSpace(4)),
-    Polynomial.integer(VariableSpace(4), -2),
-    2 * Polynomial.variable(VariableSpace(4), 0),
-])
-def test_substitute_monomial_images_reject_other_space(image):
-    with pytest.raises(ValueError, match="different variable space"):
-        x(1).substitute({SPACE3.x(2): y(1), SPACE3.x(1): image})
 
 
 @settings(max_examples=75)
@@ -525,33 +489,6 @@ def test_product_of_linear_forms_rejects_a_head_of_two_terms():
     for head in (x(1) + 1, x(1) - y(3)):
         with pytest.raises(ValueError, match="a head of 2 terms"):
             product_of_linear_forms(SPACE3, [x(2)], head=head)
-
-
-SPACE21 = VariableSpace(3, (2, 1))  # x, y, one y-block and two z variables
-_vid = st.integers(0, SPACE21.num_vars - 1)
-_coefficient = st.integers(-3, 3)
-_affine_form = st.builds(
-    lambda coeffs, const: [Polynomial.linear_form(SPACE21, coeffs) + const],
-    st.dictionaries(_vid, _coefficient, max_size=3),  # empty: a constant form
-    _coefficient,
-)
-_cancelling_pair = st.builds(  # (a u - b v)(a u + b v): the cross terms cancel
-    lambda u, v, a, b: [
-        Polynomial.linear_form(SPACE21, {u: a, v: -b}),
-        Polynomial.linear_form(SPACE21, {u: a, v: b}),
-    ],
-    _vid, _vid, _coefficient, _coefficient,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(_affine_form, _cancelling_pair), max_size=4))
-def test_product_of_linear_forms_matches_generic_fold(groups):
-    forms = [form for group in groups for form in group]
-    expected = Polynomial.one(SPACE21)
-    for form in forms:
-        expected = expected * form
-    assert dict(product_of_linear_forms(SPACE21, forms).terms) == dict(expected.terms)
 
 
 # -- the exponent limit -------------------------------------------------------------
@@ -673,6 +610,7 @@ OVERFLOWS = {
     "from_json_dict": lambda: Polynomial.from_json_dict(_space3_json({"exp": [["x1", 128]], "coeff": "1"})),
     "two sources into y1": lambda: (x(1) ** 100 * x(2) ** 100).substitute({X1: y(1), X2: y(1)}),
     "image y1^3": lambda: (x(1) ** 50).substitute({X1: y(1) ** 3}),
+    "image power past 255": lambda: (x(1) ** 3).substitute({X1: y(1) ** 100}),  # y1^300 would carry
     "source onto a kept exponent": lambda: (x(1) ** 100 * y(1) ** 28).substitute({X1: y(1)}),
     "grouped product": lambda: (x(1) ** 100 * y(1) ** 28).substitute({X1: y(1) + 1}),
 }

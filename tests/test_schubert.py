@@ -5,7 +5,7 @@ import pytest
 
 from schubfactor.cohomology import cross_pair_factor, space_for
 from schubfactor.composition import Composition, enumerate_compositions
-from schubfactor.permutation import Permutation, all_permutations, from_code, longest_element
+from schubfactor.permutation import Permutation, all_permutations, from_code, identity, longest_element
 from schubfactor import schubert
 from schubfactor.polynomial import Polynomial, VariableSpace
 from schubfactor.schubert import (
@@ -18,8 +18,15 @@ from schubfactor.schubert import (
     schubert_poly,
     schubert_poly_oracle,
 )
-from schubfactor.verifier import ORTHOGONAL, SYMPLECTIC, member_set, needs_even_parts, product_side
-from schubfactor.wset import block_word
+from schubfactor.verifier import (
+    ORTHOGONAL,
+    SYMPLECTIC,
+    member_set,
+    needs_even_parts,
+    product_side,
+    verify_equivariant_suite,
+)
+from schubfactor.wset import block_word, w_set_full_orthogonal, w_set_full_symplectic
 
 
 def xvar(space, i):
@@ -216,6 +223,8 @@ def test_expand_rejects_n_beyond_space(k):
         expand_in_schubert_basis(xvar(sp, 1), 3)
     with pytest.raises(ValueError, match="n <="):
         expand_in_schubert_basis(Polynomial.one(sp), 0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        in_staircase_span(xvar(sp, 1), 0)
 
 
 @pytest.mark.parametrize(
@@ -381,11 +390,23 @@ NON_INTEGER_INDEX_USES = {
     "block_word": lambda i: block_word(Permutation((1, 2, 3)), Composition((1, 2)), i),
     "cross_pair_factor": lambda i: cross_pair_factor(Composition((1, 2)), i, 2),
     "enumerate_compositions": lambda n: enumerate_compositions(n),
+    "identity": identity,
+    "longest_element": longest_element,
+    "all_permutations": lambda n: next(all_permutations(n)),
+    "w_set_full_orthogonal": w_set_full_orthogonal,
+    "w_set_full_symplectic": w_set_full_symplectic,
+    "in_staircase_span": lambda n: in_staircase_span(xvar(VariableSpace(3), 1), n),
+    "verify_equivariant_suite": lambda n: verify_equivariant_suite(Composition((2, 1)), localization_max_n=n),
 }
+# True and 1.0 are odd sizes, which the symplectic family rejects anyway
+NON_INTEGER_INDICES = {"w_set_full_symplectic": (2.0,)}
 
 
-@pytest.mark.parametrize("index", [True, 1.0])
-@pytest.mark.parametrize("use", list(NON_INTEGER_INDEX_USES))
+@pytest.mark.parametrize("use, index", [
+    pytest.param(use, index, id=f"{use}-{index}")
+    for use in NON_INTEGER_INDEX_USES
+    for index in NON_INTEGER_INDICES.get(use, (True, 1.0))
+])
 def test_non_integer_index_is_rejected(use, index):
     # True must not act as 1, and a float must not reach list indexing as a TypeError
     with pytest.raises(ValueError, match=re.escape(repr(index))):

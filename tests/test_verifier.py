@@ -5,7 +5,7 @@ import pytest
 from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations
 from schubfactor.polynomial import Polynomial
-from schubfactor import cohomology as coh
+from schubfactor import cohomology as coh, verifier
 from schubfactor.schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
 from schubfactor.verifier import (
     ORTHOGONAL,
@@ -129,6 +129,17 @@ def test_duplicated_member_fails_with_witness():
     assert (report.degree, report.support) == (18, 7)
 
 
+def test_repeated_member_fails_even_when_the_sum_matches(monkeypatch):
+    # no real product side has a coefficient 2, so give one: 2 S_213, the sum of [213, 213]
+    mu, w = Composition((2, 1)), Permutation((2, 1, 3))
+    sp = coh.space_for(mu)
+    monkeypatch.setattr(verifier, "product_side", lambda mu, family: 2 * schubert_poly(w, sp))
+    assert schubert_sum([w, w], sp) == verifier.product_side(mu, ORTHOGONAL)
+    report = verify_identity_for_members(mu, ORTHOGONAL, [w, w])
+    assert report.verdict == "fail"
+    assert report.witness is None and report.flags == [EXPANSION_FLAG]
+
+
 def test_report_text_shows_witness_and_notes():
     mu = Composition((2, 1))
     members = w_set_orthogonal(mu).members
@@ -142,37 +153,6 @@ def test_report_text_shows_witness_and_notes():
     assert report.text().splitlines()[1:] == [f"  note: {EXPANSION_FLAG}"]
 
 
-def _perturbed_member_sets(members, perms, rng):
-    yield members
-    yield []
-    for i in range(len(members)):
-        yield members[:i] + members[i + 1:]
-        yield members + members[i:i + 1]
-    for _ in range(3):
-        yield members + [rng.choice(perms)]
-        yield rng.sample(perms, min(len(perms), len(members)))
-
-
-def test_verdict_agrees_with_schubert_sum_oracle():
-    # on member sets drawn from S_n the verdict is sum == product (check (a));
-    # the expansion oracle below checks it against the route it replaced
-    cases = [(mu, ORTHOGONAL) for n in range(1, 6) for mu in enumerate_compositions(n)]
-    cases += [
-        (mu, SYMPLECTIC) for n in (2, 4, 6) for mu in enumerate_compositions(n, even_parts_only=True)
-    ]
-    rng = random.Random(11)
-    verdicts = set()
-    for mu, family in cases:
-        sp = coh.space_for(mu)
-        product = product_side(mu, family)
-        perms = list(all_permutations(mu.total))
-        for members in _perturbed_member_sets(list(member_set(mu, family).members), perms, rng):
-            report = verify_identity_for_members(mu, family, members)
-            assert report.passed == (schubert_sum(members, sp) == product), (mu, family, members)
-            verdicts.add(report.verdict)
-    assert verdicts == {"pass", "fail"}
-
-
 def _expansion_verdict(rhs, n, members):
     """The verdict by span scan and Schubert expansion, the route the Schubert sum replaced."""
     return (
@@ -182,9 +162,13 @@ def _expansion_verdict(rhs, n, members):
     )
 
 
-def _edited_member_sets(members, n, by_length):
-    """The set itself, then one member dropped, repeated, swapped or joined by one from S_(n-1) or S_(n+1)."""
+def _edited_member_sets(members, n, perms, by_length, rng):
+    """
+    The set itself, the empty set, one member dropped, repeated, swapped or
+    joined by one from S_(n-1) or S_(n+1), and seeded draws from S_n.
+    """
     yield members
+    yield []
     for i, w in enumerate(members):
         rest = members[:i] + members[i + 1:]
         yield rest
@@ -198,6 +182,9 @@ def _edited_member_sets(members, n, by_length):
     if n > 1:
         yield members + [Permutation(range(1, n))]
     yield members + [Permutation(range(1, n + 2))]
+    for _ in range(3):
+        yield members + [rng.choice(perms)]
+        yield rng.sample(perms, min(len(perms), len(members)))
 
 
 def test_verdict_agrees_with_expansion_oracle():
@@ -205,16 +192,18 @@ def test_verdict_agrees_with_expansion_oracle():
     cases += [
         (mu, SYMPLECTIC) for n in (2, 4, 6, 8) for mu in enumerate_compositions(n, even_parts_only=True)
     ]
-    by_length = {}
+    rng = random.Random(11)
+    perms, by_length = {}, {}
     seen = set()
     for mu, family in cases:
         n = mu.total
-        if n not in by_length:
+        if n not in perms:
+            perms[n] = list(all_permutations(n))
             by_length[n] = {}
-            for u in all_permutations(n):
+            for u in perms[n]:
                 by_length[n].setdefault(u.length, []).append(u)
         rhs = product_side(mu, family)
-        for members in _edited_member_sets(list(member_set(mu, family).members), n, by_length[n]):
+        for members in _edited_member_sets(list(member_set(mu, family).members), n, perms[n], by_length[n], rng):
             report = verify_identity_for_members(mu, family, members)
             assert report.passed == _expansion_verdict(rhs, n, members), (mu, family, members)
             smaller = any(w.n < n for w in members)

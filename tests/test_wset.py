@@ -87,6 +87,11 @@ def test_unstandardize_inverts():
     assert standardize(unstandardize(u, letters), letters) == u
 
 
+def test_unstandardize_rejects_repeated_letters():
+    with pytest.raises(ValueError, match="distinct"):
+        unstandardize(Permutation((1, 2)), [3, 3])
+
+
 # -- block assembly -------------------------------------------------------------------
 
 
