@@ -163,7 +163,7 @@ def test_mul_matches_dense(a, b):
         ),
     ),
 ))
-def test_substitute_matches_dense(case):
+def test_grouped_substitute_matches_dense(case):
     f, images = case
     result, overflow = dense_substitute(f, images)
     expect(result, overflow, lambda: packed(f).substitute({v: packed(img) for v, img in images.items()}))
