@@ -24,10 +24,7 @@ from schubfactor import (
     restrict_to_fixed_point,
     zero_equivariant_vars,
 )
-from schubfactor.cohomology import (
-    equivariant_class_orthogonal_factored,
-    ordinary_class_orthogonal_factored,
-)
+from schubfactor.cohomology import equivariant_factored, ordinary_factored
 
 print("== Block factors for mu = (6, 5) ==")
 mu = Composition((6, 5))
@@ -38,8 +35,8 @@ print(f"  pair factor 2 has degree {block_pair_factor(mu, 2).total_degree()} (4 
 print()
 print("== Ordinary and equivariant classes for mu = (3, 4) ==")
 mu = Composition((3, 4))
-print("  ordinary (factored):", ordinary_class_orthogonal_factored(mu).text())
-eq = equivariant_class_orthogonal_factored(mu)
+print("  ordinary (factored):", ordinary_factored(mu, half_slots=True).text())
+eq = equivariant_factored(mu, half_slots=True)
 print(f"  equivariant: scalar {eq.scalar}, {len(eq.factors)} linear factors")
 specialized = zero_equivariant_vars(equivariant_class_orthogonal(mu))
 expected = ordinary_class_orthogonal(mu) * (2 ** mu.half_weight())

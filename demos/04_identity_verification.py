@@ -21,14 +21,14 @@ from schubfactor import (
     verify_identity_for_members,
     w_set_orthogonal,
 )
-from schubfactor.cohomology import ordinary_class_orthogonal_factored
+from schubfactor.cohomology import ordinary_factored
 from schubfactor.verifier import ASCENDING_LETTER_VARIANT_24
 
 print("== The worked example mu = (3, 4) ==")
 mu = Composition((3, 4))
 wset = w_set_orthogonal(mu)
 print("members:", " ".join(str(w) for w in wset.members))
-print("product:", ordinary_class_orthogonal_factored(mu).text())
+print("product:", ordinary_factored(mu, half_slots=True).text())
 rhs = ordinary_class_orthogonal(mu)
 lhs = schubert_sum(wset.members, rhs.space)
 print(f"sum of 6 Schubert polynomials == product: {lhs == rhs}"

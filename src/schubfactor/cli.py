@@ -105,19 +105,8 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_formula(args, equivariant: bool) -> int:
-    mu = _parse_mu(args)
-    if equivariant:
-        factored = verifier.by_family(
-            args.family,
-            cohomology.equivariant_class_orthogonal_factored,
-            cohomology.equivariant_class_symplectic_factored,
-        )(mu)
-    else:
-        factored = verifier.by_family(
-            args.family,
-            cohomology.ordinary_class_orthogonal_factored,
-            cohomology.ordinary_class_symplectic_factored,
-        )(mu)
+    build = cohomology.equivariant_factored if equivariant else cohomology.ordinary_factored
+    factored = build(_parse_mu(args), half_slots=not verifier.needs_even_parts(args.family))
     if args.format == "json":
         _emit_json(factored.expand().to_json_dict())
     elif args.expand:

@@ -19,7 +19,8 @@ The ordinary classes are pure-x specializations: a monomial
 prod x_i^{right_mass(+first_half_flag)} times the block pair binomials.
 The equivariant classes multiply the block factors with the cross-block
 factor (and a power of two: one 2 per half-block slot in the orthogonal
-family).
+family).  ordinary_factored and equivariant_factored build both families;
+half_slots=True gives the orthogonal one, False the symplectic one.
 
 Localization: restrict_to_fixed_point substitutes x_i -> y_{w(i)}; the top
 cross-block Chern class restricts at w to fixed_point_weight_product(mu, w),
@@ -230,13 +231,20 @@ class FactoredClass:
         return tail if head == "1" else f"{head} {tail}"
 
 
-def _ordinary_factored(mu: Composition, half_slots: bool) -> FactoredClass:
-    """
-    prod x_i^{right_mass (+ first_half_flag with half slots)} * within-block
-    binomials (x_j + x_k).
-    """
+def _check_even_parts(mu: Composition, half_slots: bool) -> None:
+    """Without half slots (the symplectic family) every part must be even."""
     if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
+
+
+def ordinary_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
+    """
+    Factored ordinary class (the power of two already divided out):
+    prod x_i^{right_mass (+ first_half_flag with half slots)} * within-block
+    binomials (x_j + x_k).  half_slots=True is the orthogonal family, False
+    the symplectic one.
+    """
+    _check_even_parts(mu, half_slots)
     space = space_for(mu)
     exps = []
     for i in range(1, mu.total + 1):
@@ -247,13 +255,13 @@ def _ordinary_factored(mu: Composition, half_slots: bool) -> FactoredClass:
     return FactoredClass(space, 1, tuple(exps), tuple(factors))
 
 
-def _equivariant_factored(mu: Composition, half_slots: bool) -> FactoredClass:
+def equivariant_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
     """
     Cross-block factor * prod of within-block pair factors; with half slots
-    also the half-block factors and one 2 per half-block slot.
+    (the orthogonal family) also the half-block factors and one 2 per
+    half-block slot.
     """
-    if not half_slots and not mu.all_even():
-        raise ValueError(f"symplectic family needs even parts, got {mu}")
+    _check_even_parts(mu, half_slots)
     space = space_for(mu)
     factors = []
     for i in range(1, mu.s + 1):
@@ -265,43 +273,20 @@ def _equivariant_factored(mu: Composition, half_slots: bool) -> FactoredClass:
     return FactoredClass(space, scalar, (), tuple(factors))
 
 
-def ordinary_class_orthogonal_factored(mu: Composition) -> FactoredClass:
-    """
-    Factored ordinary orthogonal class (the power of two already divided out):
-    prod x_i^{right_mass + first_half_flag} * within-block binomials.
-    """
-    return _ordinary_factored(mu, half_slots=True)
-
-
 def ordinary_class_orthogonal(mu: Composition) -> Polynomial:
-    return ordinary_class_orthogonal_factored(mu).expand()
-
-
-def ordinary_class_symplectic_factored(mu: Composition) -> FactoredClass:
-    """Factored ordinary symplectic class: prod x_i^{right_mass} * binomials."""
-    return _ordinary_factored(mu, half_slots=False)
+    return ordinary_factored(mu, half_slots=True).expand()
 
 
 def ordinary_class_symplectic(mu: Composition) -> Polynomial:
-    return ordinary_class_symplectic_factored(mu).expand()
-
-
-def equivariant_class_orthogonal_factored(mu: Composition) -> FactoredClass:
-    """2^{half_weight} * cross-block factor * prod of half-block and pair factors."""
-    return _equivariant_factored(mu, half_slots=True)
+    return ordinary_factored(mu, half_slots=False).expand()
 
 
 def equivariant_class_orthogonal(mu: Composition) -> Polynomial:
-    return equivariant_class_orthogonal_factored(mu).expand()
-
-
-def equivariant_class_symplectic_factored(mu: Composition) -> FactoredClass:
-    """Cross-block factor * prod of within-block pair factors (even parts)."""
-    return _equivariant_factored(mu, half_slots=False)
+    return equivariant_factored(mu, half_slots=True).expand()
 
 
 def equivariant_class_symplectic(mu: Composition) -> Polynomial:
-    return equivariant_class_symplectic_factored(mu).expand()
+    return equivariant_factored(mu, half_slots=False).expand()
 
 
 # -- localization ----------------------------------------------------------------
