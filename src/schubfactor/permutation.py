@@ -36,7 +36,16 @@ class Permutation:
             raise ValueError("empty permutation word")
         if sorted(word) != list(range(1, n + 1)) or set(map(type, word)) != {int}:
             raise ValueError(f"not a permutation of 1..{n}: {word}")
-        self.word = word
+        object.__setattr__(self, "word", word)  # the only writer: __setattr__ refuses every assignment
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Permutation is immutable; cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"Permutation is immutable; cannot delete {attr}")
+
+    def __reduce__(self):
+        return Permutation, (self.word,)
 
     @property
     def n(self) -> int:
@@ -171,10 +180,10 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("empty permutation word")
-    new = Permutation.__new__
+    new, init = Permutation.__new__, object.__setattr__
     for word in _itertools_permutations(range(1, n + 1)):
         w = new(Permutation)
-        w.word = word
+        init(w, "word", word)
         yield w
 
 

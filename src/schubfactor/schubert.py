@@ -5,6 +5,7 @@ Two independent constructions are provided:
 
   * schubert_poly        top-down divided-difference recursion from the
                          staircase monomial x1^{n-1} x2^{n-2} ... x_{n-1}
+                         of the longest element w0
   * schubert_poly_oracle sum over reduced pipe dreams (RC-graphs), enumerated
                          as the ladder-move closure of the left-justified
                          diagram of the Lehmer code
@@ -22,40 +23,69 @@ monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
 The raw x-only maps below key S_w of S_m by m-field keys; a space with more
-variables takes them shifted up past its remaining fields.
+variables takes them shifted up past its remaining fields.  Every sum of
+Schubert polynomials (schubert_poly, schubert_sum, to_polynomial) takes its
+maps from one walk down the divided-difference tree (_schubert_maps): the
+words' paths from w0 are sorted so that shared prefixes are adjacent, each
+node on them is computed once, and a node's map is dropped as soon as the
+walk leaves it.  Nothing is kept from one call to the next, so a call holds
+at most one map per level of the current path besides the sum it builds.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, divided_difference_terms, packed_key
 
 
-def _smallest_ascent(word: tuple[int, ...]) -> int | None:
-    """1-based position i with word[i] < word[i+1]; None for the longest element."""
-    for i in range(len(word) - 1):
-        if word[i] < word[i + 1]:
-            return i + 1
-    return None
+def _path(word: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    The indices (i_1, ..., i_k) with S_word = d_{i_k} ... d_{i_1} S_{w0}:
+    S_w = d_i S_{w s_i} at the smallest ascent i of w, climbed up to w0 and
+    read back from the top.  A node's path is a prefix of the path of every
+    word below it.  The climb is a bubble sort into decreasing order: the
+    entries before position j stay decreasing, so a swap at j + 1 leaves the
+    next smallest ascent at j or later.
+    """
+    w, path, j = list(word), [], 0
+    while j < len(w) - 1:
+        if w[j] < w[j + 1]:
+            w[j], w[j + 1] = w[j + 1], w[j]
+            path.append(j + 1)
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    return tuple(reversed(path))
 
 
-@functools.cache
-def _schubert_terms(word: tuple[int, ...]) -> dict[int, int]:
+def _schubert_maps(words: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """
-    x-only key map of the Schubert polynomial of `word`, memoized and shared
-    across all spaces: S_w = d_i S_{w s_i} at the smallest ascent i, down
-    from the staircase monomial of the longest element.  The recursion is
-    at most n(n-1)/2 calls deep.
+    (word, x-only key map of S_word) for each of the given distinct words,
+    in one walk down the divided-difference tree from the staircase monomial
+    of each w0.  The paths are visited sorted by size, then by index
+    sequence, so paths that share a prefix are adjacent: the walk keeps one
+    map per level of the current path, pops back to the prefix shared with
+    the previous path and extends from there.  Each distinct node is
+    computed once per call and nothing is kept after it.  A yielded map may
+    be the parent of later ones, so the caller reads it and never changes it.
     """
-    i = _smallest_ascent(word)
-    if i is None:
-        return {packed_key(range(len(word) - 1, -1, -1)): 1}
-    up = word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
-    return divided_difference_terms(_schubert_terms(up), i, len(word))
+    stack: list[dict[int, int]] = []  # stack[d]: the map d steps below w0 on the current path
+    prev_n, prev = 0, ()
+    for n, path, word in sorted((len(word), _path(word), word) for word in words):
+        if n != prev_n:
+            stack = [{packed_key(range(n - 1, -1, -1)): 1}]
+        else:
+            shared = 0
+            while shared < min(len(path), len(prev)) and path[shared] == prev[shared]:
+                shared += 1
+            del stack[shared + 1 :]
+        for i in path[len(stack) - 1 :]:
+            stack.append(divided_difference_terms(stack[-1], i, n))
+        prev_n, prev = n, path
+        yield word, stack[-1]
 
 
 def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
@@ -69,15 +99,21 @@ def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
             del terms[key]
 
 
-def _combination(pairs: Iterable, space: VariableSpace, x_terms: Callable = _schubert_terms) -> Polynomial:
-    """sum c * S_w over (w, c) pairs, a repeat counted each time; x_terms(w.word) is S_w's x-only key map."""
-    pairs = list(pairs)
-    need = max((w.n for w, _ in pairs), default=1)
+def _combination(pairs: Iterable, space: VariableSpace, maps: Callable = _schubert_maps) -> Polynomial:
+    """
+    sum c * S_w over (w, c) pairs, a repeat counted each time: the
+    coefficients of each word are summed first, and maps(words) yields each
+    distinct word with its x-only key map, which is added as it comes.
+    """
+    coeffs: dict[tuple[int, ...], int] = {}
+    for w, c in pairs:
+        coeffs[w.word] = coeffs.get(w.word, 0) + c
+    need = max(map(len, coeffs), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
     terms: dict[int, int] = {}
-    for w, c in pairs:
-        _add_terms(terms, x_terms(w.word), c, 8 * (space.num_vars - w.n))
+    for word, x_terms in maps(word for word, c in coeffs.items() if c):
+        _add_terms(terms, x_terms, coeffs[word], 8 * (space.num_vars - len(word)))
     return Polynomial(space, terms)
 
 
@@ -165,19 +201,20 @@ def schubert_poly_oracle(w: Permutation, space: VariableSpace | None = None) -> 
     Schubert polynomial built monomial-by-monomial from reduced pipe dreams;
     never uses the divided-difference recursion.
     """
-    return _combination([(w, 1)], space or VariableSpace(w.n), _pipe_dream_terms)
+    return _combination([(w, 1)], space or VariableSpace(w.n), _pipe_dream_maps)
 
 
-def _pipe_dream_terms(word: tuple[int, ...]) -> dict[int, int]:
-    """x-only key map of S_word: each reduced pipe dream adds x^(its crosses per row)."""
-    terms: dict[int, int] = {}
-    for diagram in pipe_dreams(Permutation(word)):
-        exp = [0] * len(word)
-        for (i, _j) in diagram:
-            exp[i - 1] += 1
-        key = packed_key(exp)
-        terms[key] = terms.get(key, 0) + 1
-    return terms
+def _pipe_dream_maps(words: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """(word, x-only key map of S_word) for each word: each reduced pipe dream adds x^(its crosses per row)."""
+    for word in words:
+        terms: dict[int, int] = {}
+        for diagram in pipe_dreams(Permutation(word)):
+            exp = [0] * len(word)
+            for (i, _j) in diagram:
+                exp[i - 1] += 1
+            key = packed_key(exp)
+            terms[key] = terms.get(key, 0) + 1
+        yield word, terms
 
 
 # -- staircase span and basis expansion ---------------------------------------
@@ -231,7 +268,8 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     order on keys is lexicographic order on exponent vectors) is the code of
     exactly one w in S_n, and ladder moves make every other monomial of S_w
     larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
-    smallest key and stays in the span.
+    smallest key and stays in the span.  Each S_w comes from its own
+    one-word walk, since the next w is known only after the subtraction.
     """
     if type(n) is not int or not 1 <= n <= f.space.n:
         raise ValueError(f"need an integer 1 <= n <= {f.space.n} for this space, got n={n!r}")
@@ -245,6 +283,7 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
         key = min(remainder)
         c = remainder[key]
         w = from_code(key.to_bytes(n, "big"))
-        _add_terms(remainder, _schubert_terms(w.word), -c, 0)
+        _, x_terms = next(_schubert_maps([w.word]))
+        _add_terms(remainder, x_terms, -c, 0)
         coeffs[w] = c
     return SchubertExpansion(n, coeffs)

@@ -12,6 +12,9 @@ Symplectic family: the base set for size 2m is the image of S_m under a
 doubling embedding; w_set_symplectic(mu) assembles blocks the same way and
 requires every part even.
 
+Both base sets are built once per size and kept, as tuples of immutable
+permutations, since every block of every composition draws from them.
+
 Standardization is order-preserving: the k-th smallest letter becomes k.
 
 >>> sorted(str(w) for w in w_set_full_orthogonal(3))
@@ -22,6 +25,7 @@ Standardization is order-preserving: the k-th smallest letter becomes k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Sequence
@@ -56,8 +60,12 @@ def w_set_full_orthogonal(n: int) -> tuple[Permutation, ...]:
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    words = _adjacency_words(tuple(range(1, n + 1)))
-    return tuple(sorted(Permutation(w) for w in words))
+    return _full_orthogonal(n)
+
+
+@functools.cache
+def _full_orthogonal(n: int) -> tuple[Permutation, ...]:
+    return tuple(sorted(Permutation(w) for w in _adjacency_words(tuple(range(1, n + 1)))))
 
 
 def block_word(w: Permutation, mu: Composition, i: int) -> tuple[int, ...]:
@@ -158,7 +166,11 @@ def w_set_full_symplectic(two_n: int) -> tuple[Permutation, ...]:
     """
     if type(two_n) is not int or two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"size must be a positive even integer, got {two_n!r}")
-    half = two_n // 2
+    return _full_symplectic(two_n // 2)
+
+
+@functools.cache
+def _full_symplectic(half: int) -> tuple[Permutation, ...]:
     images = [
         symplectic_embedding(Permutation(word))
         for word in _itertools_permutations(range(1, half + 1))

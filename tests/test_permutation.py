@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +91,20 @@ def test_call_rejects_positions_outside_1_to_n(i):
 
 def test_sizes_never_equal():
     assert Permutation((1, 2)) != Permutation((1, 2, 3))
+
+
+def test_permutation_is_immutable_and_round_trips():
+    w, listed = Permutation((2, 3, 1)), list(all_permutations(3))[3]
+    for v in (w, listed):
+        for attr in ("word", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(v, attr, (1, 2, 3))
+        with pytest.raises(AttributeError, match="immutable"):
+            del v.word
+        assert v.word == (2, 3, 1) and v == w and hash(v) == hash((2, 3, 1))
+    assert {w: 1}[listed] == 1
+    for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(listed)):
+        assert back == w and hash(back) == hash(w) and back.length == 2
 
 
 def test_parse_and_str():

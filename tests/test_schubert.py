@@ -89,12 +89,26 @@ def test_oracle_examples():
     assert schubert_poly_oracle(Permutation((2, 1))).text() == "x1"
 
 
-def test_too_small_space_is_rejected_before_any_work(monkeypatch):
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """(i, width) of every divided difference the Schubert module runs from here on."""
+    calls = []
+    step = schubert.divided_difference_terms
+
+    def counted(terms, i, width):
+        calls.append((i, width))
+        return step(terms, i, width)
+
+    monkeypatch.setattr(schubert, "divided_difference_terms", counted)
+    return calls
+
+
+def test_too_small_space_is_rejected_before_any_work(monkeypatch, dd_calls):
     w = Permutation((1, 2, 3, 4, 5, 6, 7, 8))  # the recursion would walk down from w0 in S_8
-    misses = schubert._schubert_terms.cache_info().misses
     with pytest.raises(ValueError, match="space has 3 x variables, need 8"):
         schubert_poly(w, VariableSpace(3))
-    assert schubert._schubert_terms.cache_info().misses == misses
+    assert dd_calls == []
+    assert schubert_poly(w, VariableSpace(8)).text() == "1" and len(dd_calls) == 28  # the counter counts
 
     def no_pipe_dreams(_w):
         raise AssertionError("pipe dreams enumerated before the size check")
@@ -281,17 +295,44 @@ def test_expansion_reconstructs():
     assert exp.to_polynomial(sp) == f
 
 
-def _oracle_fold(pairs, space):
-    """sum c * S_w as a Polynomial + fold over pipe-dream polynomials; asserts the memo is untouched."""
-    memo = schubert._schubert_terms.cache_info()
+def _oracle_fold(pairs, space, dd_calls):
+    """sum c * S_w as a Polynomial + fold over pipe-dream polynomials; asserts no divided difference runs."""
+    before = len(dd_calls)
     total = Polynomial.zero(space)
     for w, c in pairs:
         total = total + schubert_poly_oracle(w, space) * c
-    assert schubert._schubert_terms.cache_info() == memo
+    assert len(dd_calls) == before
     return total
 
 
-def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups():
+def _nodes_below_w0(w):
+    """The words on w's smallest-ascent chain w, w s_i, ... up to w0, w0 itself left out."""
+    nodes = set()
+    while w.length < w.n * (w.n - 1) // 2:
+        nodes.add(w.word)
+        w = w.times_s(next(i for i in range(1, w.n) if w(i) < w(i + 1)))
+    return nodes
+
+
+def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
+    sp = VariableSpace(6)
+    members = list(member_set(Composition((4, 2)), ORTHOGONAL).members) + [
+        Permutation((4, 6, 5, 3, 2, 1)),  # a repeat
+        Permutation((1, 2, 3, 4, 5, 6)),
+        Permutation((3, 1, 2)),  # from S_3
+        Permutation((2, 1)),  # w0 of S_2: the root alone
+        Permutation((1, 3, 2)),
+    ]
+    assert members.count(Permutation((4, 6, 5, 3, 2, 1))) == 2
+    nodes = set().union(*map(_nodes_below_w0, members))
+    assert len(nodes) < sum(len(_nodes_below_w0(w)) for w in members)  # the members' paths share nodes
+    first = schubert.schubert_sum(members, sp)
+    assert len(dd_calls) == len(nodes)
+    assert schubert.schubert_sum(members, sp) == first
+    assert len(dd_calls) == 2 * len(nodes)  # the second call recomputes: nothing is kept
+
+
+def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups(dd_calls):
     sp = VariableSpace(5, (2, 3))
     members = [
         Permutation((2, 1, 5, 3, 4)),
@@ -300,21 +341,21 @@ def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups():
         Permutation((1, 4, 2, 3, 5)),
         Permutation((2, 1)),
     ]
-    want = _oracle_fold([(w, 1) for w in members], sp)
+    want = _oracle_fold([(w, 1) for w in members], sp, dd_calls)
     assert schubert.schubert_sum(members, sp) == want
     assert schubert.schubert_sum(iter(members), sp) == want
     assert schubert.schubert_sum([], sp).is_zero()
 
 
-def test_to_polynomial_matches_oracle_fold_with_signed_coefficients():
+def test_to_polynomial_matches_oracle_fold_with_signed_coefficients(dd_calls):
     rng = random.Random(3)
     coeffs = {w: rng.choice([-3, -1, 1, 2, 5]) for w in rng.sample(list(all_permutations(5)), 15)}
     # S_213 - S_132 = x1 - (x1 + x2): the shared monomial cancels
     coeffs.update({Permutation((2, 1, 3, 4, 5)): 1, Permutation((1, 3, 2, 4, 5)): -1})
     expansion = SchubertExpansion(5, coeffs)
     for sp in (VariableSpace(5), VariableSpace(5, (3, 2)), VariableSpace(6)):
-        assert expansion.to_polynomial(sp) == _oracle_fold(coeffs.items(), sp)
-    assert expansion.to_polynomial() == _oracle_fold(coeffs.items(), VariableSpace(5))
+        assert expansion.to_polynomial(sp) == _oracle_fold(coeffs.items(), sp, dd_calls)
+    assert expansion.to_polynomial() == _oracle_fold(coeffs.items(), VariableSpace(5), dd_calls)
     with pytest.raises(ValueError, match="space has 4 x variables, need 5"):
         expansion.to_polynomial(VariableSpace(4))
 
