@@ -379,8 +379,8 @@ def _macdonald_coefficients(f, n):
     {w: c_w} for f = sum c_w S_w over S_n: c_w is the constant term of d_w f
     (Macdonald, Notes on Schubert Polynomials, 1991).  d_w strips right
     descents i of w (w -> w s_i) one at a time and applies d_i in that
-    order.  Builds no Schubert polynomial and never reads the memo; it
-    shares only the divided-difference kernel with the expansion.
+    order.  Builds no Schubert polynomial and never walks the Schubert
+    tree; it shares only the divided-difference kernel with the expansion.
     """
     (one,) = Polynomial.one(f.space).terms  # the key of the constant monomial, read as an opaque key
     coeffs = {}
