@@ -28,7 +28,7 @@ import traceback
 from typing import Sequence
 
 from . import cohomology, verifier
-from .composition import Composition, parse_composition
+from .composition import Composition
 from .permutation import parse_permutation
 from .schubert import expand_in_schubert_basis, schubert_poly
 from .wset import WSet
@@ -53,11 +53,15 @@ def _check_n(args) -> None:
 
 
 def _parse_mu(args) -> Composition:
+    # the guard runs before Composition lays out one entry per position;
+    # a part below 1 is left to Composition's own error
     try:
-        mu = parse_composition(args.mu)
+        parts = [int(part) for part in args.mu.strip().split(",")]
+        if min(parts) >= 1:
+            _check_size(args, sum(parts))
+        mu = Composition(parts)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _check_size(args, mu.total)
     if verifier.needs_even_parts(args.family) and not mu.all_even():
         raise _UsageError(f"symplectic family needs even parts, got {mu}")
     return mu

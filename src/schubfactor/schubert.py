@@ -23,19 +23,19 @@ monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
 The raw x-only maps below key S_w of S_m by m-field keys; a space with more
-variables takes them shifted up past its remaining fields.  Every sum of
-Schubert polynomials (schubert_poly, schubert_sum, to_polynomial) takes its
-maps from one walk down the divided-difference tree (_schubert_maps): the
-words' paths from w0 are sorted so that shared prefixes are adjacent, each
-node on them is computed once, and a node's map is dropped as soon as the
-walk leaves it.  Nothing is kept from one call to the next, so a call holds
-at most one map per level of the current path besides the sum it builds.
+variables takes them shifted up past its remaining fields.  They all come
+from one walk down the divided-difference tree (_schubert_maps) that pops
+back to the prefix shared with the previous path.  A sum (schubert_poly,
+schubert_sum, to_polynomial) sorts its paths so each node is computed once;
+the basis expansion feeds its greedy words to one walk.  Nothing is kept
+from one call to the next.  The oracle shares none of this code.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, divided_difference_terms, packed_key
@@ -61,20 +61,20 @@ def _path(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def _schubert_maps(words: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+def _schubert_maps(steps: Iterable[tuple]) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """
-    (word, x-only key map of S_word) for each of the given distinct words,
-    in one walk down the divided-difference tree from the staircase monomial
-    of each w0.  The paths are visited sorted by size, then by index
-    sequence, so paths that share a prefix are adjacent: the walk keeps one
-    map per level of the current path, pops back to the prefix shared with
-    the previous path and extends from there.  Each distinct node is
-    computed once per call and nothing is kept after it.  A yielded map may
-    be the parent of later ones, so the caller reads it and never changes it.
+    (word, x-only key map of S_word) for each (n, _path(word), word) step,
+    in the caller's order, in one walk down the divided-difference tree from
+    the staircase monomial of each w0.  The walk keeps one map per level of
+    the current path, pops back to the prefix shared with the previous path
+    and extends from there, so steps sorted by size and then by path compute
+    each distinct node once.  A step is pulled only after the caller has
+    read the previous map.  A yielded map may be the parent of later ones,
+    so the caller reads it and never changes it.
     """
     stack: list[dict[int, int]] = []  # stack[d]: the map d steps below w0 on the current path
     prev_n, prev = 0, ()
-    for n, path, word in sorted((len(word), _path(word), word) for word in words):
+    for n, path, word in steps:
         if n != prev_n:
             stack = [{packed_key(range(n - 1, -1, -1)): 1}]
         else:
@@ -99,11 +99,11 @@ def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
             del terms[key]
 
 
-def _combination(pairs: Iterable, space: VariableSpace, maps: Callable = _schubert_maps) -> Polynomial:
+def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     """
     sum c * S_w over (w, c) pairs, a repeat counted each time: the
-    coefficients of each word are summed first, and maps(words) yields each
-    distinct word with its x-only key map, which is added as it comes.
+    coefficients of each word are summed first, and the walk yields each
+    distinct word's x-only key map, which is added as it comes.
     """
     coeffs: dict[tuple[int, ...], int] = {}
     for w, c in pairs:
@@ -112,7 +112,8 @@ def _combination(pairs: Iterable, space: VariableSpace, maps: Callable = _schube
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
     terms: dict[int, int] = {}
-    for word, x_terms in maps(word for word, c in coeffs.items() if c):
+    steps = sorted((len(word), _path(word), word) for word, c in coeffs.items() if c)
+    for word, x_terms in _schubert_maps(steps):
         _add_terms(terms, x_terms, coeffs[word], 8 * (space.num_vars - len(word)))
     return Polynomial(space, terms)
 
@@ -198,23 +199,16 @@ def _diagram_permutation(diagram: frozenset[tuple[int, int]], n: int) -> Permuta
 
 def schubert_poly_oracle(w: Permutation, space: VariableSpace | None = None) -> Polynomial:
     """
-    Schubert polynomial built monomial-by-monomial from reduced pipe dreams;
-    never uses the divided-difference recursion.
+    Schubert polynomial built from reduced pipe dreams, each adding x^(its
+    crosses per row) through the public Polynomial API; no recursion code.
     """
-    return _combination([(w, 1)], space or VariableSpace(w.n), _pipe_dream_maps)
-
-
-def _pipe_dream_maps(words: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """(word, x-only key map of S_word) for each word: each reduced pipe dream adds x^(its crosses per row)."""
-    for word in words:
-        terms: dict[int, int] = {}
-        for diagram in pipe_dreams(Permutation(word)):
-            exp = [0] * len(word)
-            for (i, _j) in diagram:
-                exp[i - 1] += 1
-            key = packed_key(exp)
-            terms[key] = terms.get(key, 0) + 1
-        yield word, terms
+    space = space or VariableSpace(w.n)
+    if space.n < w.n:
+        raise ValueError(f"space has {space.n} x variables, need {w.n}")
+    total = Polynomial.zero(space)
+    for diagram in pipe_dreams(w):
+        total = total + Polynomial.monomial(space, Counter(space.x(i) for i, _j in diagram))
+    return total
 
 
 # -- staircase span and basis expansion ---------------------------------------
@@ -268,8 +262,8 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     order on keys is lexicographic order on exponent vectors) is the code of
     exactly one w in S_n, and ladder moves make every other monomial of S_w
     larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
-    smallest key and stays in the span.  Each S_w comes from its own
-    one-word walk, since the next w is known only after the subtraction.
+    smallest key and stays in the span.  The greedy words feed one walk,
+    each chosen from the remainder after the previous subtraction.
     """
     if type(n) is not int or not 1 <= n <= f.space.n:
         raise ValueError(f"need an integer 1 <= n <= {f.space.n} for this space, got n={n!r}")
@@ -278,12 +272,15 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     # in the span every field beyond x_n is 0, so shift them out and work on x1..x_n alone
     drop = 8 * (f.space.num_vars - n)
     remainder = {key >> drop: c for key, c in f.terms.items()}
-    coeffs: dict[Permutation, int] = {}
-    while remainder:
-        key = min(remainder)
-        c = remainder[key]
-        w = from_code(key.to_bytes(n, "big"))
-        _, x_terms = next(_schubert_maps([w.word]))
-        _add_terms(remainder, x_terms, -c, 0)
-        coeffs[w] = c
-    return SchubertExpansion(n, coeffs)
+    coeffs: dict[tuple[int, ...], int] = {}
+
+    def greedy_steps():
+        while remainder:
+            key = min(remainder)
+            word = from_code(key.to_bytes(n, "big")).word
+            coeffs[word] = remainder[key]
+            yield n, _path(word), word
+
+    for word, x_terms in _schubert_maps(greedy_steps()):
+        _add_terms(remainder, x_terms, -coeffs[word], 0)
+    return SchubertExpansion(n, {Permutation(word): c for word, c in coeffs.items()})

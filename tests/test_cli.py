@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,9 @@ def test_usage_errors_exit_2(capsys):
     # malformed composition
     code, _, err = run(capsys, "wset", "--mu", "3,x", "--family", "orthogonal")
     assert code == 2
+    # malformed permutation
+    code, out, err = run(capsys, "schubert", "--n", "3", "--perm", "3x1")
+    assert (code, out, err) == (2, "", "error: cannot parse permutation from '3x1'\n")
     # unknown flag / missing subcommand go through argparse (SystemExit 2)
     code, _, _ = run(capsys, "wset", "--mu", "2", "--family", "orthogonal", "--bogus")
     assert code == 2
@@ -215,6 +222,21 @@ def test_n_above_guard_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: ambient size 10 exceeds guard --max-n 9\n"
+
+
+def test_mu_above_guard_is_rejected_before_the_composition_is_built():
+    # a Composition of 10^8 positions would lay out 10^8 block entries; under a
+    # 128 MB address-space cap that is a MemoryError unless the guard runs first
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "from schubfactor.cli import main\n"
+        "sys.exit(main(['verify', '--mu', '100000000', '--family', 'orthogonal']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: ambient size 100000000 exceeds guard --max-n 9\n"
 
 
 def test_schubert_guard_can_be_lifted(capsys):

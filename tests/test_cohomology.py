@@ -245,6 +245,8 @@ def test_base_class_symplectic_small():
     assert base == (xp(sp, 1) + xp(sp, 2) - 2 * zp(sp, 1)) * (
         xp(sp, 1) + xp(sp, 3) - 2 * zp(sp, 1)
     )
+    with pytest.raises(ValueError, match="size must be even, got 3"):
+        coh.base_class_symplectic(3)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -319,6 +321,8 @@ def test_restrict_to_fixed_point_examples():
     # a w that is not an involution pins the direction: x1 -> y_{w(1)} = y2, not y_{w^-1(1)} = y3
     sp = coh.space_for(Composition((1, 1, 1)))
     assert coh.restrict_to_fixed_point(xp(sp, 1), Permutation((2, 3, 1))) == yp(sp, 2)
+    with pytest.raises(ValueError, match="permutation size 2 != space size 3"):
+        coh.restrict_to_fixed_point(xp(sp, 1), identity(2))
 
 
 def test_weight_product_examples():
@@ -326,6 +330,8 @@ def test_weight_product_examples():
     sp = coh.space_for(mu)
     assert coh.fixed_point_weight_product(mu, identity(2)) == yp(sp, 1) - yp(sp, 2)
     assert coh.fixed_point_weight_product(mu, Permutation((2, 1))).is_zero()
+    with pytest.raises(ValueError, match="size mismatch"):
+        coh.preserves_blocks(identity(3), mu)
 
     mu = Composition((2, 2))
     sp = coh.space_for(mu)

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,10 @@ def test_space_bad_block_indices():
         sp.yblock(1, 2)  # block 1 has a single half slot
     with pytest.raises(ValueError):
         sp.z(3)
+    with pytest.raises(ValueError, match="at least one x variable"):
+        VariableSpace(0)
+    with pytest.raises(ValueError, match=re.escape("blocks (1, 1) do not partition 1..3")):
+        VariableSpace(3, (1, 1))
 
 
 ACCESSOR_CALLS = {
@@ -184,6 +189,9 @@ def test_pow():
     f = x(1) + 1
     assert f ** 0 == Polynomial.one(SPACE3)
     assert f ** 3 == f * f * f
+    assert 3 - f == -x(1) + 2
+    with pytest.raises(ValueError, match="nonnegative"):
+        f ** -1
 
 
 def test_no_zero_coefficients_stored():
@@ -199,6 +207,8 @@ def test_terms_are_a_read_only_zero_free_copy():
     zero = Polynomial(sp, {e: 0})
     assert zero.is_zero() and zero == 0 and zero.text() == "0"
     assert zero.total_degree() == 0 and zero.to_json_dict()["terms"] == []
+    with pytest.raises(ValueError, match="no leading term"):
+        zero.leading_term()
     assert Polynomial(sp, {e: 0, f: 2}) == Polynomial(sp, {f: 2})
     # read-only
     p = Polynomial(sp, {e: 1})

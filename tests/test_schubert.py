@@ -332,6 +332,36 @@ def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
     assert len(dd_calls) == 2 * len(nodes)  # the second call recomputes: nothing is kept
 
 
+def test_expansion_walks_each_greedy_step_from_the_previous_path(dd_calls):
+    # each greedy step raises the remainder's smallest key, so the steps come in
+    # increasing code order; a step recomputes only the nodes of its path that
+    # the previous step's path does not share
+    rhs = product_side(Composition((6,)), ORTHOGONAL)
+    expansion = expand_in_schubert_basis(rhs, 6)
+    steps = sorted(expansion.coeffs, key=Permutation.code)
+    want, prev = 0, set()
+    for w in steps:
+        nodes = _nodes_below_w0(w)
+        want += len(nodes - prev)
+        prev = nodes
+    assert len(dd_calls) == want == 70  # 90 when every step walks from w0
+    assert expand_in_schubert_basis(rhs, 6) == expansion
+    assert len(dd_calls) == 2 * want  # the second call recomputes: nothing is kept
+
+
+def test_oracle_shares_no_code_with_the_recursion(monkeypatch):
+    sp = VariableSpace(5, (2, 3))
+    w = Permutation((3, 1, 2))  # padded from S_3
+    want = schubert_poly(w, sp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the recursion side")
+
+    for name in ("_add_terms", "_combination", "_schubert_maps", "divided_difference_terms", "packed_key"):
+        monkeypatch.setattr(schubert, name, forbidden)
+    assert schubert_poly_oracle(w, sp) == want
+
+
 def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups(dd_calls):
     sp = VariableSpace(5, (2, 3))
     members = [
