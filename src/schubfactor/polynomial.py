@@ -183,17 +183,22 @@ def _canonical_order(space: VariableSpace):
     return sort_key
 
 
-def divided_difference_terms(terms: Mapping[int, int], i: int, width: int) -> dict[int, int]:
+def divided_difference_terms(
+    terms: Mapping[int, int], i: int, width: int, out: dict[int, int] | None = None
+) -> dict[int, int]:
     """
     The divided difference in x_i, x_{i+1} on a raw key-to-coefficient map
     whose keys have `width` fields, without index checks; shared by
     Polynomial.divided_difference and the Schubert recursion.  Every output
     field is below the larger of its two inputs, so it cannot overflow.
+    With `out`, the result is added into that map (sums that reach 0 are
+    dropped), which is returned.
     """
     sa = 8 * (width - i)  # the field of x_i; x_{i+1} is the next one down
     sb = sa - 8
     step = (1 << sa) - (1 << sb)  # x_i up one, x_{i+1} down one
-    out: dict[int, int] = {}
+    if out is None:
+        out = {}
     for key, c in terms.items():
         a, b = key >> sa & 255, key >> sb & 255
         if a == b:
@@ -246,7 +251,7 @@ class Polynomial:
     raises ValueError.
     """
 
-    __slots__ = ("_space", "_terms", "_degrees")
+    __slots__ = ("_space", "_terms", "_degrees", "_total_degree")
 
     def __init__(self, space: VariableSpace, terms: Mapping[int, int]):
         self._space = space
@@ -254,6 +259,7 @@ class Polynomial:
         terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
         self._terms = types.MappingProxyType(terms)
         self._degrees: tuple[int, ...] | None = None  # per-variable degrees, on first degree_in
+        self._total_degree: int | None = None  # on first total_degree, or set by product_of_linear_forms
 
     @property
     def space(self) -> VariableSpace:
@@ -365,8 +371,10 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Total degree over all families; 0 for the zero polynomial."""
-        width = self._space.num_vars
-        return max((sum(key.to_bytes(width, "big")) for key in self._terms), default=0)
+        if self._total_degree is None:
+            width = self._space.num_vars
+            self._total_degree = max((sum(key.to_bytes(width, "big")) for key in self._terms), default=0)
+        return self._total_degree
 
     def degree_in(self, vid: int) -> int:
         """Largest exponent of one variable."""
@@ -570,6 +578,11 @@ def product_of_linear_forms(
     head's key plus the keys of every form counts those in one key, a field
     per variable, so its guard bits show the first exponent above
     MAX_EXPONENT before any field can carry.
+
+    Degree: over the integers the top-degree parts multiply without
+    cancelling, so a nonzero product has the head's degree plus the number
+    of forms with a linear part, and its total_degree() reads that number
+    without decoding a key.
     """
     guard = space._guard
     if head is None:
@@ -581,6 +594,7 @@ def product_of_linear_forms(
     else:
         terms = dict(head._terms)
     degrees = sum(terms)  # per field, the head's exponent plus the forms so far that mention its variable
+    total = sum(degrees.to_bytes(space.num_vars, "big"))  # the head's degree, then one per linear part
     for form in forms:
         if form._space is not space and form._space != space:
             raise ValueError(f"variable space mismatch: {space} vs {form._space}")
@@ -594,6 +608,7 @@ def product_of_linear_forms(
             else:
                 bumps.append((key, c))
         degrees += sum(form._terms)
+        total += bool(bumps)
         if degrees & guard and terms:
             raise ValueError(f"exponent above {MAX_EXPONENT} in a product of linear forms")
         out = {key: c * const for key, c in terms.items()} if const else {}
@@ -603,7 +618,9 @@ def product_of_linear_forms(
                 key += unit
                 out[key] = get(key, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
-    return Polynomial(space, terms)
+    product = Polynomial(space, terms)
+    product._total_degree = total if terms else 0
+    return product
 
 
 def bijective_substitutions(

@@ -23,19 +23,34 @@ monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
 The raw x-only maps below key S_w of S_m by m-field keys; a space with more
-variables takes them shifted up past its remaining fields.  They all come
+variables takes them shifted up past its remaining fields.  A map comes
 from one walk down the divided-difference tree (_schubert_maps) that pops
-back to the prefix shared with the previous path.  A sum (schubert_poly,
-schubert_sum, to_polynomial) sorts its paths so each node is computed once;
-the basis expansion feeds its greedy words to one walk.  Nothing is kept
-from one call to the next.  The oracle shares none of this code.
+back to the prefix shared with the previous path.  The basis expansion
+feeds its greedy words to one walk.  A sum (schubert_poly, schubert_sum,
+to_polynomial) meets in the middle, one size at a time, since divided
+differences are linear (Macdonald, Notes on Schubert Polynomials, 1991):
+
+  * split rule  each path from w0 splits into a head and a suffix, its last
+                d steps, at the deepest d where the paths have no more
+                distinct suffixes than distinct heads (_split_depth)
+  * top         the walk, over the sorted heads, yields each distinct
+                head's map once; it is added, times the member's
+                coefficient, into the group of the member's suffix
+  * bottom      the suffixes form a trie keyed from the outermost step,
+                folded depth first: a node's map is its group plus d_a of
+                each child a, so each trie node runs one divided difference
+                on an already summed map, and the root's share goes
+                straight into the sum's terms
+
+Nothing is kept from one call to the next.  The oracle shares none of this
+code.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, divided_difference_terms, packed_key
@@ -61,31 +76,38 @@ def _path(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def _schubert_maps(steps: Iterable[tuple]) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The length of the longest common prefix of a and b."""
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def _schubert_maps(steps: Iterable[tuple]) -> Iterator[tuple[object, dict[int, int]]]:
     """
-    (word, x-only key map of S_word) for each (n, _path(word), word) step,
-    in the caller's order, in one walk down the divided-difference tree from
-    the staircase monomial of each w0.  The walk keeps one map per level of
-    the current path, pops back to the prefix shared with the previous path
-    and extends from there, so steps sorted by size and then by path compute
-    each distinct node once.  A step is pulled only after the caller has
-    read the previous map.  A yielded map may be the parent of later ones,
-    so the caller reads it and never changes it.
+    (label, x-only key map of d_{i_k} ... d_{i_1} S_{w0}) for each
+    (n, path, label) step with path (i_1, ..., i_k), in the caller's order,
+    in one walk down the divided-difference tree from the staircase
+    monomial of each w0; for path = _path(word) the map is S_word.  The
+    walk keeps one map per level of the current path, pops back to the
+    prefix shared with the previous path and extends from there, so steps
+    sorted by size and then by path compute each distinct node once.  A
+    step is pulled only after the caller has read the previous map.  A
+    yielded map may be the parent of later ones, so the caller reads it and
+    never changes it.
     """
     stack: list[dict[int, int]] = []  # stack[d]: the map d steps below w0 on the current path
     prev_n, prev = 0, ()
-    for n, path, word in steps:
+    for n, path, label in steps:
         if n != prev_n:
             stack = [{packed_key(range(n - 1, -1, -1)): 1}]
         else:
-            shared = 0
-            while shared < min(len(path), len(prev)) and path[shared] == prev[shared]:
-                shared += 1
-            del stack[shared + 1 :]
+            del stack[_shared(path, prev) + 1 :]
         for i in path[len(stack) - 1 :]:
             stack.append(divided_difference_terms(stack[-1], i, n))
         prev_n, prev = n, path
-        yield word, stack[-1]
+        yield label, stack[-1]
 
 
 def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
@@ -99,11 +121,69 @@ def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
             del terms[key]
 
 
+def _split_depth(paths: Collection[tuple[int, ...]]) -> int:
+    """
+    The deepest d at which the paths have no more distinct suffixes (their
+    last d steps) than distinct heads (the rest); a path of at most d steps
+    is all suffix, under the empty head.  d = 0 always qualifies, and one
+    path splits at its own length.  A deeper suffix determines a shallower
+    one and a shorter head is read off a longer one, so suffixes only gain
+    and heads only lose as d grows, and a binary search finds the d.
+    """
+    lo, hi = 0, max(map(len, paths), default=0)  # lo qualifies, nothing above hi does
+    while lo < hi:
+        d = (lo + hi + 1) // 2
+        if len({p[-d:] for p in paths}) <= len({p[:-d] for p in paths}):
+            lo = d
+        else:
+            hi = d - 1
+    return lo
+
+
+def _fold_size(paths: Mapping[tuple[int, ...], int], n: int, terms: dict, width: int) -> None:
+    """
+    terms += sum c * S_w over the {_path(w): c} of the words w of one size
+    n, into a term map whose keys have `width` fields: the walk over the
+    heads fills one group per suffix, and the suffix trie is folded depth
+    first into terms (see the module docstring).  A group is dropped once
+    folded.
+    """
+    shift = 8 * (width - n)  # an n-field key moves up past the other fields
+    d = _split_depth(paths)
+    heads: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}  # head -> [(tail, c)]
+    for path, c in paths.items():
+        # the tail is the suffix read from its outermost step, the key of its trie node
+        heads.setdefault(path[: max(len(path) - d, 0)], []).append((path[::-1][:d], c))
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for head, x_terms in _schubert_maps([(n, head, head) for head in sorted(heads)]):
+        for tail, c in heads[head]:
+            if tail:
+                _add_terms(groups.setdefault(tail, {}), x_terms, c, 0)
+            else:
+                _add_terms(terms, x_terms, c, shift)
+    stack: list[tuple[int, dict[int, int]]] = []  # (step, summed map) per trie node of the current tail
+    prev: tuple[int, ...] = ()
+    for tail in [*sorted(groups), ()]:  # the closing () folds what is left into the root
+        shared = _shared(tail, prev)
+        while len(stack) > shared:
+            i, x_terms = stack.pop()
+            if stack:
+                divided_difference_terms(x_terms, i, n, stack[-1][1])
+            else:  # a root child: its map, shifted into the space's fields, is divided straight into terms
+                x_terms = {key << shift: c for key, c in x_terms.items()}
+                divided_difference_terms(x_terms, i, width, terms)
+        for i in tail[shared:-1]:
+            stack.append((i, {}))
+        if tail:
+            stack.append((tail[-1], groups.pop(tail)))
+        prev = tail
+
+
 def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     """
     sum c * S_w over (w, c) pairs, a repeat counted each time: the
-    coefficients of each word are summed first, and the walk yields each
-    distinct word's x-only key map, which is added as it comes.
+    coefficients of each word are summed first, zero sums are dropped, and
+    each size is folded on its own (_fold_size).
     """
     coeffs: dict[tuple[int, ...], int] = {}
     for w, c in pairs:
@@ -111,10 +191,13 @@ def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     need = max(map(len, coeffs), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
+    sizes: dict[int, dict[tuple[int, ...], int]] = {}  # size -> {_path(word): c}
+    for word, c in coeffs.items():
+        if c:
+            sizes.setdefault(len(word), {})[_path(word)] = c
     terms: dict[int, int] = {}
-    steps = sorted((len(word), _path(word), word) for word, c in coeffs.items() if c)
-    for word, x_terms in _schubert_maps(steps):
-        _add_terms(terms, x_terms, coeffs[word], 8 * (space.num_vars - len(word)))
+    for n in sorted(sizes):
+        _fold_size(sizes[n], n, terms, space.num_vars)
     return Polynomial(space, terms)
 
 

@@ -205,7 +205,10 @@ def test_product_of_linear_forms_matches_dense(groups, head_exp, head_c):
     expected = {(0,) * N: 1}
     for form in forms:
         expected = dense_mul(expected, form)
-    assert product_of_linear_forms(SPACE, [packed(form) for form in forms]) == packed(expected)
+    got = product_of_linear_forms(SPACE, [packed(form) for form in forms])
+    assert got == packed(expected)
+    # the degree the product carries is the one its decoded keys give, 0 when a form is 0
+    assert got.total_degree() == Polynomial(SPACE, got.terms).total_degree() == max(map(sum, expected), default=0)
     # from a one-term head, 0 when head_c is 0: overflow if some partial product passes the limit
     expected, overflow = {head_exp: head_c} if head_c else {}, False
     for form in forms:
@@ -213,6 +216,9 @@ def test_product_of_linear_forms_matches_dense(groups, head_exp, head_c):
         overflow |= any(e > MAX_EXPONENT for key in expected for e in key)
     head = packed({head_exp: head_c} if head_c else {})
     expect(expected, overflow, lambda: product_of_linear_forms(SPACE, [packed(form) for form in forms], head=head))
+    if not overflow:
+        got = product_of_linear_forms(SPACE, [packed(form) for form in forms], head=head)
+        assert got.total_degree() == Polynomial(SPACE, got.terms).total_degree() == max(map(sum, expected), default=0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -95,9 +95,9 @@ def dd_calls(monkeypatch):
     calls = []
     step = schubert.divided_difference_terms
 
-    def counted(terms, i, width):
+    def counted(terms, i, width, *out):
         calls.append((i, width))
-        return step(terms, i, width)
+        return step(terms, i, width, *out)
 
     monkeypatch.setattr(schubert, "divided_difference_terms", counted)
     return calls
@@ -305,13 +305,24 @@ def _oracle_fold(pairs, space, dd_calls):
     return total
 
 
-def _nodes_below_w0(w):
-    """The words on w's smallest-ascent chain w, w s_i, ... up to w0, w0 itself left out."""
-    nodes = set()
+def _chain_below_w0(w):
+    """(i, v) for each word v on w's smallest-ascent chain w, w s_i, ... up to w0, w0 left out; i is v's smallest ascent."""
+    chain = []
     while w.length < w.n * (w.n - 1) // 2:
-        nodes.add(w.word)
-        w = w.times_s(next(i for i in range(1, w.n) if w(i) < w(i + 1)))
-    return nodes
+        i = next(i for i in range(1, w.n) if w(i) < w(i + 1))
+        chain.append((i, w.word))
+        w = w.times_s(i)
+    return chain
+
+
+def _nodes_below_w0(w):
+    """The words on w's smallest-ascent chain up to w0, w0 itself left out."""
+    return {v for _i, v in _chain_below_w0(w)}
+
+
+def _climb(w):
+    """The steps (i_1, ..., i_k) of w's chain read from w0 down: S_w = d_{i_k} ... d_{i_1} S_{w0}."""
+    return tuple(i for i, _v in reversed(_chain_below_w0(w)))
 
 
 def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
@@ -324,12 +335,48 @@ def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
         Permutation((1, 3, 2)),
     ]
     assert members.count(Permutation((4, 6, 5, 3, 2, 1))) == 2
+    # per size, each path splits into a head and its last d steps; the walk runs one
+    # divided difference per distinct nonempty prefix of a head, and the fold one per
+    # distinct nonempty tail of a suffix (a node of the trie keyed from the outermost step)
+    want = 0
+    for n in {w.n for w in members}:
+        paths = {_climb(w) for w in members if w.n == n}
+        d = schubert._split_depth(paths)
+        heads = {p[: max(len(p) - d, 0)] for p in paths}
+        want += len({h[:k] for h in heads for k in range(1, len(h) + 1)})
+        want += len({p[-k:] for p in paths for k in range(1, min(d, len(p)) + 1)})
     nodes = set().union(*map(_nodes_below_w0, members))
-    assert len(nodes) < sum(len(_nodes_below_w0(w)) for w in members)  # the members' paths share nodes
+    assert want == 21 and len(nodes) == 22  # the parent's walk ran one per distinct node
     first = schubert.schubert_sum(members, sp)
-    assert len(dd_calls) == len(nodes)
+    assert len(dd_calls) == want
     assert schubert.schubert_sum(members, sp) == first
-    assert len(dd_calls) == 2 * len(nodes)  # the second call recomputes: nothing is kept
+    assert len(dd_calls) == 2 * want  # the second call recomputes: nothing is kept
+
+
+def test_split_depth_is_the_deepest_with_no_more_suffixes_than_heads():
+    paths = [_climb(w) for w in member_set(Composition((9,)), ORTHOGONAL).members]
+    assert len(paths) == 384 and schubert._split_depth(paths) == 7
+    assert len({p[-7:] for p in paths}) == 163 and len({p[:-7] for p in paths}) == 207
+    assert schubert._split_depth([_climb(w) for w in member_set(Composition((1, 8)), ORTHOGONAL).members]) == 5
+    one = _climb(Permutation((2, 1, 5, 3, 4)))
+    assert schubert._split_depth([one]) == len(one) == 7
+    assert schubert._split_depth([()]) == 0  # w0 alone: the empty path
+
+    def deepest(paths):  # every d tried, none skipped
+        def qualifies(d):
+            heads = {p[: max(len(p) - d, 0)] for p in paths}
+            return len({p[len(p) - min(d, len(p)) :] for p in paths}) <= len(heads)
+
+        return max(d for d in range(max(map(len, paths)) + 1) if qualifies(d))
+
+    rng = random.Random(9)
+    for n in range(1, 9):
+        for mu in enumerate_compositions(n):
+            paths = [_climb(w) for w in member_set(mu, ORTHOGONAL).members]
+            assert schubert._split_depth(paths) == deepest(paths), mu
+    for k in (2, 3, 5, 12, 40):
+        paths = [_climb(w) for w in rng.sample(list(all_permutations(6)), k)]
+        assert schubert._split_depth(paths) == deepest(paths), paths
 
 
 def test_expansion_walks_each_greedy_step_from_the_previous_path(dd_calls):
@@ -375,6 +422,16 @@ def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups(dd_cal
     assert schubert.schubert_sum(members, sp) == want
     assert schubert.schubert_sum(iter(members), sp) == want
     assert schubert.schubert_sum([], sp).is_zero()
+    # words of three sizes, each size with many members whose paths share suffixes: all of
+    # S_4 (the suffix groups hold up to 8 members), the orthogonal (5) set (8 members, 5 suffixes) and S_3
+    members = [
+        *all_permutations(4),
+        *member_set(Composition((5,)), ORTHOGONAL).members,
+        *all_permutations(3),
+    ]
+    assert {w.n for w in members} == {3, 4, 5}
+    want = _oracle_fold([(w, 1) for w in members], sp, dd_calls)
+    assert schubert.schubert_sum(members, sp) == want
 
 
 def test_to_polynomial_matches_oracle_fold_with_signed_coefficients(dd_calls):
@@ -388,6 +445,14 @@ def test_to_polynomial_matches_oracle_fold_with_signed_coefficients(dd_calls):
     assert expansion.to_polynomial() == _oracle_fold(coeffs.items(), VariableSpace(5), dd_calls)
     with pytest.raises(ValueError, match="space has 4 x variables, need 5"):
         expansion.to_polynomial(VariableSpace(4))
+    # all of S_4 with signed coefficients: 1243 and 1324 end in the same two steps, so
+    # they share a suffix group, and their heads' maps share a monomial that cancels there
+    rng = random.Random(4)
+    coeffs = {w: rng.choice([-2, -1, 1, 3]) for w in all_permutations(4)}
+    coeffs.update({Permutation((1, 2, 4, 3)): 1, Permutation((1, 3, 2, 4)): -1})
+    expansion = SchubertExpansion(4, coeffs)
+    for sp in (VariableSpace(4), VariableSpace(5, (2, 3))):
+        assert expansion.to_polynomial(sp) == _oracle_fold(coeffs.items(), sp, dd_calls)
 
 
 def test_expansion_json():
