@@ -48,8 +48,7 @@ composition, but the code does not assume it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .composition import Composition
 from .permutation import Permutation, all_permutations
@@ -206,8 +205,7 @@ def base_class_symplectic(two_n: int) -> Polynomial:
 # -- factored classes -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredClass:
+class FactoredClass(NamedTuple):
     """A class kept in factored form: scalar * monomial * linear factors."""
 
     space: VariableSpace

@@ -14,26 +14,52 @@ statistics defined here drive every product formula in the cohomology module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 
-@dataclass(frozen=True)
 class Composition:
-    parts: tuple[int, ...]
-    nu: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    blocks: tuple[int, ...] = field(init=False, compare=False, repr=False)  # blocks[i - 1] == block_of(i)
+    """
+    An immutable composition of n; compares, hashes and prints by `parts`.
+
+    >>> Composition((2, 3))
+    Composition(parts=(2, 3))
+    """
+
+    # Hand-written rather than a dataclass: importing dataclasses also loads
+    # inspect, ast and dis, which no code here uses (tests/test_imports.py).
+    __slots__ = ("parts", "nu", "blocks")  # blocks[i - 1] == block_of(i)
 
     def __init__(self, parts: Iterable[int]):
         parts = tuple(parts)
         if not parts or any(type(p) is not int or p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
-        object.__setattr__(self, "parts", parts)
         nu = [0]
         for p in parts:
             nu.append(nu[-1] + p)
+        # the only writers: __setattr__ refuses every assignment
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "nu", tuple(nu))
         object.__setattr__(self, "blocks", tuple(j for j, p in enumerate(parts, start=1) for _ in range(p)))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Composition is immutable; cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"Composition is immutable; cannot delete {attr}")
+
+    def __reduce__(self):
+        return Composition, (self.parts,)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Composition):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Composition(parts={self.parts!r})"
 
     @property
     def s(self) -> int:

@@ -49,8 +49,7 @@ code.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, divided_difference_terms, packed_key
@@ -313,8 +312,7 @@ def in_staircase_span(f: Polynomial, n: int) -> bool:
     return all(f.degree_in(space.x(i)) <= max(n - i, 0) for i in range(1, space.n + 1))
 
 
-@dataclass
-class SchubertExpansion:
+class SchubertExpansion(NamedTuple):
     """Finite integer combination of Schubert polynomials of S_n."""
 
     n: int

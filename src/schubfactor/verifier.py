@@ -34,7 +34,6 @@ the product side's space (a member of a larger S_m).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
@@ -58,18 +57,35 @@ ASCENDING_LETTER_VARIANT_24 = (
 )
 
 
-@dataclass
 class IdentityReport:
-    """Outcome of one identity or suite check."""
+    """Outcome of one identity or suite check; the suite updates it in place."""
 
-    family: str
-    mu: Composition
-    verdict: str  # "pass" | "fail"
-    degree: int
-    support: int  # members summed (identity) or fixed points checked (suite)
-    witness: tuple[str, str, str] | None = None  # (monomial, lhs, rhs)
-    flags: list[str] = field(default_factory=list)
-    ms: float = 0.0
+    # A __slots__ class, not a dataclass, for the reason given at Composition.
+    __slots__ = ("family", "mu", "verdict", "degree", "support", "witness", "flags", "ms")
+
+    def __init__(
+        self,
+        family: str,
+        mu: Composition,
+        verdict: str,  # "pass" | "fail"
+        degree: int,
+        support: int,  # members summed (identity) or fixed points checked (suite)
+        witness: tuple[str, str, str] | None = None,  # (monomial, lhs, rhs)
+        flags: list[str] | None = None,  # a fresh list for each report when omitted
+        ms: float = 0.0,
+    ):
+        self.family = family
+        self.mu = mu
+        self.verdict = verdict
+        self.degree = degree
+        self.support = support
+        self.witness = witness
+        self.flags = [] if flags is None else flags
+        self.ms = ms
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({fields})"
 
     @property
     def passed(self) -> bool:

@@ -26,9 +26,8 @@ Standardization is order-preserving: the k-th smallest letter becomes k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .composition import Composition
 from .permutation import Permutation
@@ -102,8 +101,7 @@ def unstandardize(u: Permutation, letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(letters[v - 1] for v in u.word)
 
 
-@dataclass(frozen=True)
-class WSet:
+class WSet(NamedTuple):
     """A block-assembled permutation family for one composition."""
 
     family: str  # "orthogonal" | "symplectic"

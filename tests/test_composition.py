@@ -1,5 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
+from schubfactor.cohomology import space_for
 from schubfactor.composition import Composition, enumerate_compositions, parse_composition
 
 
@@ -104,3 +108,20 @@ def test_right_mass_plus_block_size_identity():
         for i in range(1, 7):
             b = mu.block_of(i)
             assert mu.right_mass(i) + mu.parts[b - 1] == sum(mu.parts[b - 1:])
+
+
+def test_value_semantics():
+    a, b = Composition((2, 3)), Composition([2, 3])
+    assert a == b and hash(a) == hash(b)
+    assert a != Composition((3, 2))
+    assert space_for(a) is space_for(b)
+    for attr in ("parts", "nu", "blocks"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, (5,))
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert (a.parts, a.nu, a.blocks) == ((2, 3), (0, 2, 5), (1, 1, 2, 2, 2))
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert twin == a and twin.nu == a.nu and twin.blocks == a.blocks
+    assert repr(a) == "Composition(parts=(2, 3))"
+    assert a != (2, 3) and (2, 3) != a

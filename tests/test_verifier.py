@@ -64,6 +64,23 @@ def test_verify_identity_report_fields():
     assert report.support == 6
     assert report.ms >= 0.0
 
+    # the suite updates these fields in place; omitted flags are a fresh list per report
+    mu = Composition((2,))
+    first, second = (verifier.IdentityReport(ORTHOGONAL, mu, "pass", 1, support=0) for _ in range(2))
+    first.flags.append("note")
+    assert (first.flags, second.flags) == (["note"], [])
+    first.verdict, first.witness, first.degree, first.support, first.ms = "fail", ("x1", "1", "0"), 2, 3, 4.5
+    assert first.to_json_dict(include_ms=True) == {
+        "family": ORTHOGONAL,
+        "mu": [2],
+        "verdict": "fail",
+        "degree": 2,
+        "support": 3,
+        "witness": ["x1", "1", "0"],
+        "flags": ["note"],
+        "ms": 4.5,
+    }
+
 
 def test_symplectic_24_carries_convention_flag():
     report = verify_identity(Composition((2, 4)), SYMPLECTIC)
