@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 from typing import Sequence
 
 from . import cohomology, verifier
@@ -227,6 +226,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # a bug, not bad input
+        import traceback  # here only: it loads linecache and tokenize, which no other path needs
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -33,9 +33,12 @@ are one Polynomial.substitute call each.  fixed_point_restrictions restricts
 at every w of S_n at once through polynomial.bijective_substitutions: a
 depth-first tree over raw term maps whose level i moves x_i into one unused
 y_j, so the permutations that share a prefix share its partial restriction,
-whose terms merge and cancel before the deeper levels, and only the leaves
-become polynomials.  restrict_to_fixed_point remains the independent
-single-w route.
+whose terms merge and cancel before the deeper levels.  A subtree whose
+restriction cancels to zero is one item, its prefix.  Given the block sizes
+of a class symmetric in the x's of each block, the tree takes only the words
+that rise inside every block, so one leaf serves a block orbit w S_mu
+(permutation.block_orbit lists it).  restrict_to_fixed_point remains the
+independent single-w route.
 
 fixed_point_weight_product builds its product from the w-images of the
 roots, never from restricted factors, and memoizes it (a bounded LRU memo)
@@ -48,10 +51,10 @@ composition, but the code does not assume it.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .composition import Composition
-from .permutation import Permutation, all_permutations
+from .permutation import Permutation
 from .polynomial import Polynomial, VariableSpace, bijective_substitutions, product_of_linear_forms
 
 
@@ -302,24 +305,38 @@ def restrict_to_fixed_point(f: Polynomial, w: Permutation) -> Polynomial:
     return f.substitute(images)
 
 
-def fixed_point_restrictions(f: Polynomial) -> Iterator[tuple[Permutation, Polynomial]]:
+def fixed_point_restrictions(
+    f: Polynomial, parts: tuple[int, ...] | None = None
+) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
     """
-    (w, restrict_to_fixed_point(f, w)) for every w of S_n, in the order of
-    all_permutations(n), taken down polynomial.bijective_substitutions'
-    tree over x_i -> y_j.
+    The (word, restriction) items of polynomial.bijective_substitutions over
+    x_i -> y_{w(i)}, in word order: a leaf for each word rising inside every
+    block of the sizes `parts` (default: blocks of one, so every w of S_n)
+    and a vanished prefix for each subtree that restricts to zero.  With
+    parts, f must be symmetric in the x's of each block, so that a leaf is
+    the restriction at every w of its block orbit; the caller checks that.
     """
     space = f.space
     xs = [space.x(i) for i in range(1, space.n + 1)]
     ys = [space.yfull(i) for i in range(1, space.n + 1)]
-    return zip(all_permutations(space.n), bijective_substitutions(f, xs, ys))
+    return bijective_substitutions(f, xs, ys, parts)
 
 
-def preserves_blocks(w: Permutation, mu: Composition) -> bool:
-    """True iff w maps every block of mu onto itself."""
-    if w.n != mu.total:
+def preserves_blocks(w: Permutation | Sequence[int], mu: Composition) -> bool:
+    """
+    True iff every letter of w lies in the block of its position.  w is a
+    permutation of size mu.total, so True means it maps every block of mu
+    onto itself, or a prefix of a one-line word, so True means some
+    completion of it does, and False that none does.
+    """
+    if isinstance(w, Permutation):
+        if w.n != mu.total:
+            raise ValueError("size mismatch")
+        w = w.word
+    elif len(w) > mu.total:
         raise ValueError("size mismatch")
     blocks = mu.blocks
-    return all(blocks[v - 1] == b for v, b in zip(w.word, blocks))
+    return all(blocks[v - 1] == b for v, b in zip(w, blocks))
 
 
 def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:
@@ -359,9 +376,10 @@ def restrict_to_block_torus(f: Polynomial) -> Polynomial:
     if space.mu is None:
         raise ValueError("polynomial space carries no blocks")
     mu = Composition(space.mu)
+    present = set(f.variables())
     halves = [space.yblock(i, k) for i, h in enumerate(space.halves, start=1) for k in range(1, h + 1)]
     for vid in halves + [space.z(i) for i in range(1, space.s + 1)]:
-        if f.degree_in(vid):
+        if vid in present:
             raise ValueError(f"variable {space.name(vid)} is already a block coordinate")
     images: dict[int, Polynomial] = {}
     for i, p in enumerate(mu.parts, start=1):

@@ -30,14 +30,13 @@ the Schubert-basis expansion does not use it (it takes the smallest key).
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 import operator
 import re
 import sys
 import types
 from functools import reduce
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_EXPONENT = 127  # the largest exponent an 8-bit field holds with its guard bit clear
@@ -242,7 +241,8 @@ class Polynomial:
     Sparse polynomial: a map from monomial keys to nonzero ints.  `space`
     and `terms` are read-only attributes, and `terms` is a read-only view of
     the constructor's own copy of its argument, with zero coefficients
-    dropped; every operation returns a new polynomial.  Outside this module
+    dropped (or of a kernel's own zero-free map, handed over by _owned);
+    every operation returns a new polynomial.  Outside this module
     a key is opaque: read it back through text(), degree_in() or the JSON
     form.
 
@@ -375,6 +375,11 @@ class Polynomial:
             width = self._space.num_vars
             self._total_degree = max((sum(key.to_bytes(width, "big")) for key in self._terms), default=0)
         return self._total_degree
+
+    def variables(self) -> tuple[int, ...]:
+        """The ids of the variables that occur in some term, ascending: one OR over the keys."""
+        fields = reduce(operator.or_, self._terms, 0).to_bytes(self._space.num_vars, "big")
+        return tuple(vid for vid, e in enumerate(fields) if e)
 
     def degree_in(self, vid: int) -> int:
         """Largest exponent of one variable."""
@@ -557,6 +562,20 @@ class Polynomial:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _owned(space: VariableSpace, terms: Mapping[int, int]) -> Polynomial:
+    """
+    A Polynomial over `terms` itself, without the constructor's copy: for a
+    map with no zero value that its builder hands over and no one changes
+    again (a kernel's own output).
+    """
+    product = Polynomial.__new__(Polynomial)
+    product._space = space
+    product._terms = types.MappingProxyType(terms)
+    product._degrees = None
+    product._total_degree = None
+    return product
+
+
 def product_of_linear_forms(
     space: VariableSpace, forms: Iterable[Polynomial], *, head: Polynomial | None = None
 ) -> Polynomial:
@@ -567,17 +586,24 @@ def product_of_linear_forms(
     factor of degree above 1, either from another space, and when a
     variable's exponent in the product would exceed MAX_EXPONENT.
 
-    The running term map starts as the head.  Each form c + sum a_v x_v
-    multiplies it in one step: the output starts as every term times c, and
-    then one pass over the terms per variable v adds each key plus the unit
-    key of v, times a_v.  Entries that cancel are dropped before the next
-    form.
+    Every form is split and checked, in the given order, before any term
+    work.  Then the running term map starts as the head and takes the forms
+    with more terms first, in the given order among equals: a wide form
+    multiplies the map while it is small, which cuts the work on the
+    equivariant and cross-block classes (they mix two- and three-term
+    forms) and leaves the order of the Chern and ordinary classes as it is.
+    Each form c + sum a_v x_v multiplies the map in one step: the output
+    starts as every term times c (or, without c, as every key plus the unit
+    key of the first variable, times its coefficient), and then one pass
+    over the terms per further variable v adds each key plus the unit key
+    of v, times a_v.  Entries that cancel are dropped before the next form.
 
     Overflow: over the integers the degree in v of a nonzero product is the
-    head's exponent of v plus the number of forms that mention v.  The
-    head's key plus the keys of every form counts those in one key, a field
-    per variable, so its guard bits show the first exponent above
-    MAX_EXPONENT before any field can carry.
+    head's exponent of v plus the number of forms that mention v, and a
+    product is 0 iff the head or a form is.  The head's key plus the keys of
+    the forms so far counts those in one key, a field per variable, so its
+    guard bits show the first exponent above MAX_EXPONENT, in the given
+    order, before any term is built.
 
     Degree: over the integers the top-degree parts multiply without
     cancelling, so a nonzero product has the head's degree plus the number
@@ -595,7 +621,9 @@ def product_of_linear_forms(
         terms = dict(head._terms)
     degrees = sum(terms)  # per field, the head's exponent plus the forms so far that mention its variable
     total = sum(degrees.to_bytes(space.num_vars, "big"))  # the head's degree, then one per linear part
-    for form in forms:
+    steps: list[tuple[int, int, int, list[tuple[int, int]]]] = []  # (-terms, position, constant, bumps) per form
+    nonzero = bool(terms)  # the product so far: over the integers it is 0 iff the head or a form is
+    for position, form in enumerate(forms):
         if form._space is not space and form._space != space:
             raise ValueError(f"variable space mismatch: {space} vs {form._space}")
         const = 0
@@ -609,63 +637,102 @@ def product_of_linear_forms(
                 bumps.append((key, c))
         degrees += sum(form._terms)
         total += bool(bumps)
-        if degrees & guard and terms:
+        if degrees & guard and nonzero:
             raise ValueError(f"exponent above {MAX_EXPONENT} in a product of linear forms")
-        out = {key: c * const for key, c in terms.items()} if const else {}
+        nonzero = nonzero and bool(form._terms)
+        steps.append((-len(form._terms), position, const, bumps))
+    if not nonzero:
+        return _owned(space, {})
+    steps.sort()  # the forms with more terms first, in the given order among equals
+    for _, _, const, bumps in steps:
+        if const:
+            out = {key: c * const for key, c in terms.items()}
+        else:  # no constant: the first variable's step maps keys one to one, so no entry is 0 or merged
+            (unit, a), *bumps = bumps
+            out = {key + unit: c * a for key, c in terms.items()}
         get = out.get
         for unit, a in bumps:
             for key, c in terms.items():
                 key += unit
                 out[key] = get(key, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
-    product = Polynomial(space, terms)
-    product._total_degree = total if terms else 0
+    product = _owned(space, terms)
+    product._total_degree = total
     return product
 
 
 def bijective_substitutions(
-    f: Polynomial, sources: Sequence[int], targets: Sequence[int]
-) -> Iterator[Polynomial]:
+    f: Polynomial, sources: Sequence[int], targets: Sequence[int], parts: Sequence[int] | None = None
+) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
     """
-    f with sources[i] -> targets[w(i) - 1] substituted, for every w of S_k
-    (k = len(sources)) in lexicographic order of one-line words, as
-    permutation.all_permutations(k) lists them.  Raises ValueError, before
-    any substitution, for a variable id outside f's space, lists of
-    different lengths, or a variable listed twice in the two lists together
-    (so no source is also a target).
+    f with sources[i] -> targets[w(i) - 1] substituted, over the one-line
+    words w of S_k (k = len(sources)) that rise inside every block, as
+    (word, image) items in lexicographic word order.  The blocks are runs of
+    consecutive sources of the sizes in `parts` (default: k blocks of one, so
+    every word rises).  Raises ValueError, before any substitution, for a
+    variable id outside f's space, lists of different lengths, a variable
+    listed twice in the two lists together (so no source is also a target),
+    or parts that are not positive ints summing to k.
+
+    Two kinds of item:
+
+    - a leaf (w, image) for a word w of length k whose image is not 0.  When
+      f is symmetric in the sources of each block, the image at w is also the
+      image at every word that permutes w's letters inside blocks (w's block
+      orbit), so one leaf serves the whole orbit; the caller checks that
+      symmetry, this walk assumes it.
+    - a vanished subtree (prefix, 0): the partial map cancelled to zero after
+      len(prefix) levels, so the image is 0 at every rising completion of the
+      prefix and at every word of their orbits.  Its subtree is not walked.
+
+    The items partition S_k: each word w belongs to the one item whose word
+    is a prefix of w with the letters of each block sorted.
 
     A depth-first walk over raw term maps: level i moves the field of
-    sources[i] into the field of one unused target, so the permutations that
-    share a prefix share its partial map, whose cancelling entries are
-    dropped before the next level.  A node splits its terms once: those
-    without the source are copied into each branch's map, and the rest,
-    grouped by their source exponent e, move by one delta e * (target unit -
-    source unit) per group and branch, an add per term.  An empty map yields
-    its zeros with no term work, and only leaves become polynomials.
+    sources[i] into the field of one unused target, above the previous
+    target of its block and with enough unused targets left above it for
+    the rest of the block, so the words that share a prefix share its
+    partial map, whose cancelling entries are dropped before the next level.
+    A node splits its terms once: those without the source are copied into
+    each branch's map, and the rest, grouped by their source exponent e,
+    move by one delta e * (target unit - source unit) per group and branch,
+    an add per term.  Only leaves become polynomials, over the walk's own
+    maps.
 
     Overflow: on every path each target field receives exactly one source
     field, both at most MAX_EXPONENT, so a sum cannot carry, and a level's
     output passes MAX_EXPONENT iff the OR of its keys has a guard bit set,
     which raises ValueError when the walk reaches that level.  A term that
-    cancelled at an earlier level is not checked again.
+    cancelled at an earlier level, or lies only on a word that falls
+    outside the rising ones, is not checked.
     """
     space = f._space
-    if len(sources) != len(targets):
-        raise ValueError(f"{len(sources)} sources for {len(targets)} targets")
+    k = len(sources)
+    if k != len(targets):
+        raise ValueError(f"{k} sources for {len(targets)} targets")
     vids = [_checked_vid(space, vid) for vid in (*sources, *targets)]
     if len(set(vids)) != len(vids):
         raise ValueError(f"a variable is listed twice in sources {list(sources)} and targets {list(targets)}")
-    width, guard, k = space.num_vars, space._guard, len(sources)
+    if parts is None:
+        parts = [1] * k
+    elif any(type(p) is not int or p < 1 for p in parts) or sum(parts) != k:
+        raise ValueError(f"block sizes {list(parts)} are not positive integers summing to {k}")
+    width, guard = space.num_vars, space._guard
     src = [8 * (width - 1 - vid) for vid in sources]
     units = [1 << 8 * (width - 1 - vid) for vid in targets]
+    # per level: whether its source opens a block, and how many sources of that block follow it
+    opens = [j == 0 for p in parts for j in range(p)]
+    after = [p - 1 - j for p in parts for j in range(p)]
     zero = Polynomial.zero(space)
 
-    def walk(terms: Mapping[int, int], top: int, level: int, free: list[int]) -> Iterator[Polynomial]:
-        # top: the OR of the keys of terms, a bound on every field
+    def walk(
+        terms: Mapping[int, int], top: int, level: int, free: list[int], prefix: tuple[int, ...]
+    ) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+        # top: the OR of the keys of terms, a bound on every field; free: the unused letters, ascending
         if not terms:
-            yield from repeat(zero, math.factorial(k - level))
+            yield prefix, zero
         elif level == k:
-            yield Polynomial(space, terms)
+            yield prefix, _owned(space, terms)
         else:
             s = src[level]
             still: dict[int, int] = {}  # the terms without the source, the same in every branch
@@ -677,10 +744,12 @@ def bijective_substitutions(
                         groups.setdefault(e, []).append((key, c))
                     else:
                         still[key] = c
-            for j, unit in enumerate(free):
+            lo = 0 if opens[level] else bisect.bisect(free, prefix[-1])
+            for j in range(lo, len(free) - after[level]):
+                letter = free[j]
                 out, out_top = terms, top
                 if groups:
-                    step = unit - (1 << s)  # one exponent from the source field to the target field
+                    step = units[letter - 1] - (1 << s)  # one exponent from the source field to the target field
                     out = still.copy()
                     get = out.get
                     for e, group in groups.items():
@@ -693,6 +762,6 @@ def bijective_substitutions(
                         raise ValueError(f"exponent above {MAX_EXPONENT} in a substitution")
                     if 0 in out.values():
                         out = {e: c for e, c in out.items() if c}
-                yield from walk(out, out_top, level + 1, free[:j] + free[j + 1 :])
+                yield from walk(out, out_top, level + 1, free[:j] + free[j + 1 :], prefix + (letter,))
 
-    return walk(f._terms, reduce(operator.or_, f._terms, 0), 0, units)
+    return walk(f._terms, reduce(operator.or_, f._terms, 0), 0, list(range(1, k + 1)), ())

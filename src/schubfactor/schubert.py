@@ -52,7 +52,7 @@ from collections import Counter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .permutation import Permutation, from_code
-from .polynomial import Polynomial, VariableSpace, divided_difference_terms, packed_key
+from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_terms, packed_key
 
 
 def _path(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,7 +197,7 @@ def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     terms: dict[int, int] = {}
     for n in sorted(sizes):
         _fold_size(sizes[n], n, terms, space.num_vars)
-    return Polynomial(space, terms)
+    return _owned(space, terms)  # _add_terms and divided_difference_terms drop every sum that reaches 0
 
 
 def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:

@@ -18,12 +18,30 @@ span, and its expansion is unique.
 
 verify_equivariant_suite checks the block-torus machinery for one
 composition: fixed-point localization of the cross-block Chern class at
-every w of S_n (restrictions taken down the polynomial kernel's tree of
-raw term maps, each compared with the weight product built on its own),
-compatibility of the block-torus restriction, agreement of each
-single-block base class (an independent product of linear forms) with the
-one-block equivariant class that cohomology builds, and the specialization
-of the equivariant class to (a power of two times) the ordinary class.
+every w of S_n, compatibility of the block-torus restriction, agreement of
+each distinct single-block base class (an independent product of linear
+forms) with the one-block equivariant class that cohomology builds, and
+the specialization of the equivariant class to (a power of two times) the
+ordinary class.
+
+Localization takes the restrictions down the polynomial kernel's tree of
+raw term maps, once per block orbit w S_mu and once per subtree that
+restricts to zero, and every step of that shortcut is checked:
+
+  - the Chern class is symmetric in the x's of each block (the divided
+    difference in every adjacent pair inside a block is 0), so its
+    restriction is one polynomial on each block orbit;
+  - a leaf equals fixed_point_weight_product, built on its own from the
+    roots, at every point of its orbit;
+  - a subtree that vanished has a prefix with a letter outside its block
+    (preserves_blocks, the predicate the weight product uses), so every
+    point it covers has weight 0;
+  - the items stand for n! points in all (each leaf for its orbit, each
+    vanished prefix for the orbits of its rising completions).
+
+The first failing point in word order is reported, with its 1-based rank
+as the support, so a failing report names the point a walk over all of S_n
+would stop at.
 
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the
@@ -33,11 +51,12 @@ the product side's space (a member of a larger S_m).
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
-from .permutation import Permutation
+from .permutation import Permutation, all_permutations, block_orbit
 from . import cohomology
 from .polynomial import Polynomial
 # perfbench wraps these four names on verifier; schubert_sum alone is called here, and
@@ -209,6 +228,73 @@ def verify_identity(mu: Composition, family: str) -> IdentityReport:
     return report
 
 
+def _word_rank(w: Permutation) -> int:
+    """The 1-based position of w in the word order of S_n, from its Lehmer code."""
+    n = w.n
+    return 1 + sum(c * math.factorial(n - 1 - i) for i, c in enumerate(w.code()))
+
+
+def _block_sorted(word: tuple[int, ...], mu: Composition) -> tuple[int, ...]:
+    """word with the letters of each block sorted: the rising word of its block orbit."""
+    return tuple(v for a, b in zip(mu.nu, mu.nu[1:]) for v in sorted(word[a:b]))
+
+
+def _points_covered(prefix: tuple[int, ...], mu: Composition) -> int:
+    """
+    How many w of S_n the tree item with this word stands for: its
+    completions that rise inside every block, times |S_mu| for their orbits.
+    """
+    n, d = mu.total, len(prefix)
+    count, rest = math.prod(map(math.factorial, mu.parts)), n - d
+    if 0 < d < n and mu.blocks[d] == mu.blocks[d - 1]:  # the prefix stops inside a block
+        left = mu.nu[mu.blocks[d]] - d  # its positions still open, filled from the free letters above the last
+        count *= math.comb(sum(1 for v in range(prefix[-1] + 1, n + 1) if v not in prefix), left)
+        rest -= left
+    if rest:  # whole blocks: the multinomial number of ways to share the other letters out
+        count *= math.factorial(rest) // math.prod(math.factorial(p) for p in mu.parts[mu.blocks[n - rest] - 1 :])
+    return count
+
+
+def _localization_failure(
+    mu: Composition, chern: Polynomial
+) -> tuple[int, str, Polynomial, Polynomial] | None:
+    """
+    The first fixed point, in word order, at which the restriction of the
+    Chern class (symmetric in the x's of each block) and the weight product
+    disagree or the vanished-subtree step fails, as (rank, flag,
+    restriction, weight product); None when localization holds at every w.
+    The items must stand for n! points in all, or the report fails with the
+    count as its support.
+    """
+    failures, covered = [], 0
+    for prefix, image in cohomology.fixed_point_restrictions(chern, mu.parts):
+        covered += _points_covered(prefix, mu)
+        if image.is_zero():
+            if not cohomology.preserves_blocks(prefix, mu):
+                continue  # every point the item covers moves a letter out of its block: weight 0
+            # the points it covers: their block-sorted words extend the prefix (none without a rising completion)
+            points = [
+                w for w in all_permutations(mu.total) if _block_sorted(w.word, mu)[: len(prefix)] == prefix
+            ]
+        else:
+            points = block_orbit(Permutation(prefix), mu.parts)
+        for w in points:  # in word order, so the first mismatch is the item's first
+            rhs = cohomology.fixed_point_weight_product(mu, w)
+            if image != rhs:
+                failures.append((_word_rank(w), f"localization mismatch at w={w}", image, rhs))
+                break
+        else:
+            if image.is_zero() and points:  # the predicate admits the prefix, though every weight below it is 0
+                text = ("" if mu.total <= 9 else ",").join(map(str, prefix))
+                flag = f"localization: the block predicate admits the vanished prefix {text}"
+                failures.append((_word_rank(points[0]), flag, image, image))
+    if not failures and covered != math.factorial(mu.total):
+        zero = Polynomial.zero(chern.space)
+        flag = f"localization: the tree's items stand for {covered} of {math.factorial(mu.total)} fixed points"
+        return covered, flag, zero, zero
+    return min(failures, key=lambda failure: failure[0], default=None)
+
+
 def verify_equivariant_suite(
     mu: Composition, family: str = ORTHOGONAL, localization_max_n: int = 5
 ) -> IdentityReport:
@@ -233,23 +319,34 @@ def verify_equivariant_suite(
     chern = cohomology.cross_block_chern_class(mu)
     report = IdentityReport(family, mu, "pass", chern.total_degree(), support=0)
 
+    def fail(flag: str, lhs: Polynomial, rhs: Polynomial) -> None:
+        report.verdict = "fail"
+        report.witness = _first_mismatch(lhs, rhs)  # None when the two agree
+        report.flags.append(flag)
+
     def mismatch(lhs: Polynomial, rhs: Polynomial, flag: str) -> bool:
         if lhs == rhs:
             return False
-        report.verdict = "fail"
-        report.witness = _first_mismatch(lhs, rhs)
-        report.flags.append(flag)
+        fail(flag, lhs, rhs)
         return True
 
     try:  # every return below is the report, stamped with its time in `finally`
         # localization: restriction at every fixed point equals the weight product
         if n <= localization_max_n:
-            for w, lhs in cohomology.fixed_point_restrictions(chern):
-                report.support += 1
-                rhs = cohomology.fixed_point_weight_product(mu, w)
-                if lhs != rhs:  # the flag is formatted only for a mismatch
-                    mismatch(lhs, rhs, f"localization mismatch at w={w}")
-                    return report
+            # one leaf serves a block orbit only if the class is symmetric inside every block
+            for i, (base, part) in enumerate(zip(mu.nu, mu.parts), start=1):
+                for k in range(base + 1, base + part):
+                    asymmetry = chern.divided_difference(k)
+                    if not asymmetry.is_zero():
+                        flag = f"Chern class is not symmetric in x{k}, x{k + 1} inside block {i}"
+                        fail(flag, asymmetry, Polynomial.zero(chern.space))
+                        return report
+            failure = _localization_failure(mu, chern)
+            if failure:
+                report.support, flag, lhs, rhs = failure
+                fail(flag, lhs, rhs)
+                return report
+            report.support = math.factorial(n)
         else:
             report.flags.append(f"localization skipped (n={n} > {localization_max_n})")
 
@@ -260,7 +357,7 @@ def verify_equivariant_suite(
             return report
 
         # each single-block base class is the one-block equivariant class
-        for m in mu.parts:
+        for m in dict.fromkeys(mu.parts):  # each distinct part once, in order of first appearance
             one_block = equivariant_class(Composition((m,)))
             if mismatch(base_class(m), one_block, f"base-class factorization fails for part {m}"):
                 return report

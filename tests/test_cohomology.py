@@ -386,6 +386,33 @@ def test_weight_product_matches_oracle_at_n6(parts):
         assert coh.fixed_point_weight_product(mu, w) == weight_product_oracle(mu, w), (mu, w)
 
 
+def restrictions_by_point(f, parts=None):
+    """
+    {w: restriction} at every w of S_n, read off fixed_point_restrictions' items:
+    w takes the image of the one item whose word is a prefix of w with the letters of
+    each block sorted; a short item must have vanished, a leaf must rise in its blocks,
+    and every item must serve some w.
+    """
+    n = f.space.n
+    parts = parts or (1,) * n
+    bounds = [sum(parts[:i]) for i in range(len(parts) + 1)]
+    items = list(coh.fixed_point_restrictions(f, parts if parts != (1,) * n else None))
+    for word, image in items:
+        assert image.is_zero() or len(word) == n, word
+        assert all(list(word[a:b]) == sorted(word[a:b]) for a, b in zip(bounds, bounds[1:])), word
+    by_word = dict(items)
+    assert len(by_word) == len(items)
+    points, served = {}, set()
+    for w in all_permutations(n):
+        key = tuple(v for a, b in zip(bounds, bounds[1:]) for v in sorted(w.word[a:b]))
+        matches = [key[:d] for d in range(n + 1) if key[:d] in by_word]
+        assert len(matches) == 1, (w, matches)
+        points[w] = by_word[matches[0]]
+        served.add(matches[0])
+    assert served == set(by_word)
+    return points
+
+
 @pytest.mark.parametrize(
     "family, n", [("orthogonal", n) for n in range(1, 6)] + [("symplectic", n) for n in (2, 4)]
 )
@@ -395,13 +422,15 @@ def test_fixed_point_tree_matches_single_restrictions_exhaustive(family, n):
         "orthogonal": coh.equivariant_class_orthogonal,
         "symplectic": coh.equivariant_class_symplectic,
     }[family]
-    perms = list(all_permutations(n))
     for mu in enumerate_compositions(n, even_parts_only=family == "symplectic"):
-        for f in (coh.cross_block_chern_class(mu), equivariant_class(mu)):
-            pairs = list(coh.fixed_point_restrictions(f))
-            assert [w for w, _ in pairs] == perms, mu
-            for w, restricted in pairs:
-                assert restricted == coh.restrict_to_fixed_point(f, w), (mu, w)
+        chern = coh.cross_block_chern_class(mu)
+        f = equivariant_class(mu)
+        for w, restricted in restrictions_by_point(f).items():
+            assert restricted == coh.restrict_to_fixed_point(f, w), (mu, w)
+        # every w on its own, and by block orbit: the Chern class is symmetric in each block
+        by_orbit = restrictions_by_point(chern, mu.parts)
+        for w, restricted in restrictions_by_point(chern).items():
+            assert restricted == by_orbit[w] == coh.restrict_to_fixed_point(chern, w), (mu, w)
 
 
 @pytest.mark.parametrize(
@@ -410,15 +439,24 @@ def test_fixed_point_tree_matches_single_restrictions_exhaustive(family, n):
     ids=["3,3", "2,2,2", "1^6", "1,1,1,2,1"],
 )
 def test_fixed_point_tree_matches_single_restrictions_at_n6(parts, sample):
-    # every w for two light classes, a seeded sample of w for two heavy ones
+    # every w for two light classes, a seeded sample of w for two heavy ones, per w and by block orbit
     mu = Composition(parts)
     chern = coh.cross_block_chern_class(mu)
-    pairs = list(coh.fixed_point_restrictions(chern))
-    assert [w for w, _ in pairs] == list(all_permutations(6))
+    by_orbit = restrictions_by_point(chern, mu.parts)
+    pairs = list(restrictions_by_point(chern).items())
     if sample:
         pairs = random.Random(6).sample(pairs, sample)
     for w, restricted in pairs:
-        assert restricted == coh.restrict_to_fixed_point(chern, w), (mu, w)
+        assert restricted == by_orbit[w] == coh.restrict_to_fixed_point(chern, w), (mu, w)
+
+
+def test_preserves_blocks_reads_prefixes():
+    mu = Composition((2, 1))
+    assert coh.preserves_blocks((), mu) and coh.preserves_blocks((2,), mu) and coh.preserves_blocks((2, 1), mu)
+    assert not coh.preserves_blocks((3,), mu) and not coh.preserves_blocks((1, 3), mu)
+    assert coh.preserves_blocks((2, 1, 3), mu) == coh.preserves_blocks(Permutation((2, 1, 3)), mu) is True
+    with pytest.raises(ValueError, match="size mismatch"):
+        coh.preserves_blocks((1, 2, 3, 4), mu)
 
 
 # -- block-torus restriction ------------------------------------------------------------------

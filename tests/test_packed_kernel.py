@@ -9,6 +9,7 @@ raise ValueError instead.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,27 +170,76 @@ def test_grouped_substitute_matches_dense(case):
     expect(result, overflow, lambda: packed(f).substitute({v: packed(img) for v, img in images.items()}))
 
 
+_substituted_poly = st.one_of(_dense_poly, st.dictionaries(st.tuples(*[st.integers(0, 2)] * N), _coefficient, max_size=8))
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(_dense_poly, st.dictionaries(st.tuples(*[st.integers(0, 2)] * N), _coefficient, max_size=8)),
-    st.permutations(range(N)),
-    st.integers(0, 4),
-)
+@given(_substituted_poly, st.permutations(range(N)), st.integers(0, 4))
 def test_bijective_substitutions_match_dense(f, order, k):
     # k distinct sources and k other targets, anywhere among the x, y, y-block and z fields
     sources, targets = order[:k], order[k : 2 * k]
     units = [{unit(vid): 1} for vid in targets]
-    leaves = bijective_substitutions(packed(f), sources, targets)
-    for w in itertools.permutations(range(k)):
-        result, overflow = dense_substitute(f, {v: units[j] for v, j in zip(sources, w)})
+    items = bijective_substitutions(packed(f), sources, targets)
+    words = list(itertools.permutations(range(k)))
+    at = 0  # the first word that no item has covered yet
+    while at < len(words):
         try:
-            leaf = next(leaves)
+            prefix, image = next(items)
         except ValueError as exc:
             # raised at the first w whose path holds a term above the limit
-            assert overflow and "exponent" in str(exc), w
+            _, overflow = dense_substitute(f, {v: units[j] for v, j in zip(sources, words[at])})
+            assert overflow and "exponent" in str(exc), words[at]
             return
-        assert dense(leaf) == result and max(map(max, result), default=0) <= MAX_EXPONENT, w
-    assert next(leaves, None) is None
+        # an item covers the completions of its word, the next ones in word order; a short one vanished
+        covered = words[at : at + math.factorial(k - len(prefix))]
+        assert all(tuple(j + 1 for j in w[: len(prefix)]) == prefix for w in covered), (prefix, covered)
+        assert len(prefix) == k or image.is_zero(), prefix
+        for w in covered:
+            result, _ = dense_substitute(f, {v: units[j] for v, j in zip(sources, w)})
+            assert dense(image) == result and max(map(max, result), default=0) <= MAX_EXPONENT, w
+        at += len(covered)
+    assert next(items, None) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_substituted_poly, st.permutations(range(N)), st.integers(0, 4), st.data())
+def test_bijective_substitutions_block_orbits_match_dense(f, order, k, data):
+    # blocks of consecutive sources, and f symmetrized over the permutations inside them
+    sources, targets = order[:k], order[k : 2 * k]
+    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+    bounds = [0, *cuts, k] if k else [0]
+    parts = [b - a for a, b in zip(bounds, bounds[1:])]
+    symmetric = {}
+    for sigma in itertools.product(*[itertools.permutations(range(a, b)) for a, b in zip(bounds, bounds[1:])]):
+        moved = [i for block in sigma for i in block]  # source i takes the exponent of source moved[i]
+        for exp, c in f.items():
+            new = list(exp)
+            for i, j in enumerate(moved):
+                new[sources[i]] = exp[sources[j]]
+            symmetric[tuple(new)] = symmetric.get(tuple(new), 0) + c
+    symmetric = {e: c for e, c in symmetric.items() if c}
+    units = [{unit(vid): 1} for vid in targets]
+    expected = [
+        dense_substitute(symmetric, {v: units[j] for v, j in zip(sources, w)})
+        for w in itertools.permutations(range(k))
+    ]
+    try:
+        items = list(bijective_substitutions(packed(symmetric), sources, targets, parts))
+    except ValueError as exc:
+        assert any(overflow for _, overflow in expected) and "exponent" in str(exc)
+        return
+    for prefix, image in items:
+        # a leaf's word rises inside every block; a short item vanished
+        assert len(prefix) == k or image.is_zero(), prefix
+        for a, b in zip(bounds, bounds[1:]):
+            assert list(prefix[a:b]) == sorted(prefix[a:b]), prefix
+    served = set()
+    for w, (result, _) in zip(itertools.permutations(range(k)), expected):
+        key = tuple(v for a, b in zip(bounds, bounds[1:]) for v in sorted(j + 1 for j in w[a:b]))
+        matches = [(prefix, image) for prefix, image in items if key[: len(prefix)] == prefix]
+        assert len(matches) == 1 and dense(matches[0][1]) == result, (w, parts)
+        served.add(matches[0][0])
+    assert served == {prefix for prefix, _ in items}  # no item stands for a prefix with no rising completion
 
 
 @settings(max_examples=150, deadline=None)

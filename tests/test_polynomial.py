@@ -265,6 +265,15 @@ def test_big_coefficients_exact():
     assert math.comb(70, 35) > 2 ** 63
 
 
+def test_variables_lists_the_variables_that_occur():
+    assert (x(1) * y(2) ** 3 + 3 * x(3)).variables() == (SPACE3.x(1), SPACE3.x(3), SPACE3.yfull(2))
+    assert (x(1) * y(2) - y(2) * x(1) + 5).variables() == ()  # the terms cancel; a constant has no variable
+    assert Polynomial.zero(SPACE3).variables() == ()
+    # the last field, z2, and an exponent of 127
+    f = Polynomial.variable(SPACE22, SPACE22.z(2)) * x(2, SPACE22) ** 127
+    assert f.variables() == (SPACE22.x(2), SPACE22.z(2))
+
+
 # -- divided differences -------------------------------------------------------
 
 
@@ -527,45 +536,103 @@ def test_exponents_up_to_127_work():
 
 
 def substitutions_by_word(f, sources, targets):
-    """f.substitute at every w of S_k, in the order bijective_substitutions yields them."""
+    """f.substitute at every w of S_k, in word order."""
     return [
         f.substitute({v: Polynomial.variable(f.space, targets[j]) for v, j in zip(sources, w)})
         for w in itertools.permutations(range(len(sources)))
     ]
 
 
+def block_sorted(word, parts):
+    """word with the letters of each run of `parts` positions sorted."""
+    out, start = (), 0
+    for p in parts:
+        out += tuple(sorted(word[start : start + p]))
+        start += p
+    return out
+
+
+def images_by_word(items, k, parts=None):
+    """
+    The image at every w of S_k, in word order, read off bijective_substitutions'
+    items: w takes the image of the one item whose word is a prefix of w with the
+    letters of each block sorted; a shorter item must be a vanished subtree, and
+    every item must serve some w.
+    """
+    items = list(items)
+    for prefix, image in items:
+        assert image.is_zero() or len(prefix) == k, prefix
+    images, served = [], set()
+    for w in itertools.permutations(range(1, k + 1)):
+        key = block_sorted(w, parts or [1] * k)
+        matches = [(prefix, image) for prefix, image in items if key[: len(prefix)] == prefix]
+        assert len(matches) == 1, (w, matches)
+        served.add(matches[0][0])
+        images.append(matches[0][1])
+    assert served == {prefix for prefix, _ in items}
+    return images
+
+
 def test_bijective_substitutions_examples():
     f = x(1) ** 2 * y(3) - 3 * x(2) * x(3) + y(1) + 4
-    leaves = list(bijective_substitutions(f, XS, YS))
+    items = list(bijective_substitutions(f, XS, YS))
+    assert [word for word, _ in items] == list(itertools.permutations((1, 2, 3)))
+    leaves = images_by_word(items, 3)
     assert leaves == substitutions_by_word(f, XS, YS)
     assert leaves[0] == y(1) ** 2 * y(3) - 3 * y(2) * y(3) + y(1) + 4
     # w = 312: x1 -> y3, x2 -> y1, x3 -> y2
     assert leaves[4] == y(3) ** 3 - 3 * y(1) * y(2) + y(1) + 4
     # a target in a source's place (y1 -> x1) and a source that f lacks (y2)
     assert list(bijective_substitutions(f, [YS[0], YS[1]], [XS[0], XS[1]])) == [
-        f - y(1) + x(1), f - y(1) + x(2)
+        ((1, 2), f - y(1) + x(1)), ((2, 1), f - y(1) + x(2))
     ]
-    # cancelling terms vanish on the way down
+    # cancelling terms vanish on the way down: w = 12 is a vanished leaf
     assert list(bijective_substitutions(x(1) * y(2) - x(2) * y(1), XS[:2], YS[:2])) == [
-        Polynomial.zero(SPACE3), y(2) ** 2 - y(1) ** 2
+        ((1, 2), Polynomial.zero(SPACE3)), ((2, 1), y(2) ** 2 - y(1) ** 2)
     ]
+
+
+def test_bijective_substitutions_vanished_subtree_is_one_item():
+    # x1 -> y1 kills every term, so the subtree of prefix 1 yields one item and is not walked
+    f = (x(1) - y(1)) * (x(2) + x(3) * y(2))
+    items = list(bijective_substitutions(f, XS, YS))
+    assert items[0] == ((1,), Polynomial.zero(SPACE3))
+    assert [word for word, _ in items[1:]] == [(2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    assert images_by_word(items, 3) == substitutions_by_word(f, XS, YS)
+
+
+def test_bijective_substitutions_one_leaf_per_block_orbit():
+    # symmetric in x1, x2: blocks (2, 1) take the words rising in x1, x2, one leaf per orbit
+    f = x(1) * x(2) * y(3) + (x(1) + x(2)) * x(3) ** 2 - 2 * y(1)
+    items = list(bijective_substitutions(f, XS, YS, (2, 1)))
+    assert [word for word, _ in items] == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    assert images_by_word(items, 3, (2, 1)) == substitutions_by_word(f, XS, YS)
+    # one block of all three: the single rising word
+    g = x(1) * x(2) * x(3) + x(1) + x(2) + x(3)
+    assert list(bijective_substitutions(g, XS, YS, (3,))) == [((1, 2, 3), y(1) * y(2) * y(3) + y(1) + y(2) + y(3))]
+    # a vanished prefix stands for the orbits of its rising completions
+    h = (x(1) - y(1)) * (x(2) - y(1)) * x(3)
+    items = list(bijective_substitutions(h, XS, YS, (2, 1)))
+    assert items == [((1,), Polynomial.zero(SPACE3)), ((2, 3, 1), (y(2) - y(1)) * (y(3) - y(1)) * y(1))]
+    assert images_by_word(items, 3, (2, 1)) == substitutions_by_word(h, XS, YS)
 
 
 def test_bijective_substitutions_edge_cases():
     zero = Polynomial.zero(SPACE3)
-    assert list(bijective_substitutions(zero, XS, YS)) == [zero] * 6
+    assert list(bijective_substitutions(zero, XS, YS)) == [((), zero)]
     f = x(1) ** 3 + x(2) * y(1)
-    assert list(bijective_substitutions(f, XS[:1], YS[2:])) == [y(3) ** 3 + x(2) * y(1)]
-    assert list(bijective_substitutions(f, [], [])) == [f]
+    assert list(bijective_substitutions(f, XS[:1], YS[2:])) == [((1,), y(3) ** 3 + x(2) * y(1))]
+    assert list(bijective_substitutions(f, [], [])) == [((), f)]
 
 
 def test_bijective_substitutions_overflow():
-    leaves = bijective_substitutions(x(1) ** 100 * y(2) ** 100, XS, YS)
-    assert next(leaves) == next(leaves) == y(1) ** 100 * y(2) ** 100  # w(1) = 1
+    items = bijective_substitutions(x(1) ** 100 * y(2) ** 100, XS, YS)
+    assert next(items) == ((1, 2, 3), y(1) ** 100 * y(2) ** 100)  # w(1) = 1
+    assert next(items) == ((1, 3, 2), y(1) ** 100 * y(2) ** 100)
     with pytest.raises(ValueError, match="exponent above 127"):
-        next(leaves)  # w(1) = 2: y2^200
+        next(items)  # w(1) = 2: y2^200
     f = x(1) ** 27 * y(2) ** 100
-    leaves = list(bijective_substitutions(f, XS, YS))
+    leaves = images_by_word(bijective_substitutions(f, XS, YS), 3)
     assert leaves == substitutions_by_word(f, XS, YS)
     assert leaves[2] == leaves[3] == y(2) ** 127
 
@@ -573,7 +640,7 @@ def test_bijective_substitutions_overflow():
 def test_bijective_substitutions_moved_term_cancels_an_unmoved_one():
     # at w(1) = 1, x1 x2 moves onto the key of -y1 x2, which has no x1
     f = x(1) * x(2) - y(1) * x(2) + x(3)
-    leaves = list(bijective_substitutions(f, XS, YS))
+    leaves = images_by_word(bijective_substitutions(f, XS, YS), 3)
     assert leaves == substitutions_by_word(f, XS, YS)
     assert leaves[0] == leaves[1] - y(2) + y(3) == y(3)
 
@@ -581,7 +648,7 @@ def test_bijective_substitutions_moved_term_cancels_an_unmoved_one():
 def test_bijective_substitutions_several_exponent_groups():
     # x1 in exponents 1, 2 and 3 at one node; at w(1) = 1 three groups and an unmoved term meet in y1^3
     f = x(1) ** 3 + 2 * x(1) ** 2 * y(1) - 3 * x(1) * y(1) ** 2 + y(1) ** 3 + x(1) ** 2 * x(2) * y(3)
-    leaves = list(bijective_substitutions(f, XS, YS))
+    leaves = images_by_word(bijective_substitutions(f, XS, YS), 3)
     assert leaves == substitutions_by_word(f, XS, YS)
     assert leaves[0] == y(1) ** 3 + y(1) ** 2 * y(2) * y(3)
 
@@ -589,12 +656,14 @@ def test_bijective_substitutions_several_exponent_groups():
 def test_bijective_substitutions_overflow_at_the_third_level():
     # x1 moves at level 0; x3^100 meets y1^100 only at level 2 of w = 231
     f = x(1) * x(3) ** 100 * y(1) ** 100
-    leaves = bijective_substitutions(f, XS, YS)
-    assert [next(leaves) for _ in range(3)] == [  # w = 123, 132, 213
-        y(1) ** 101 * y(3) ** 100, y(1) ** 101 * y(2) ** 100, y(1) ** 100 * y(2) * y(3) ** 100
+    items = bijective_substitutions(f, XS, YS)
+    assert [next(items) for _ in range(3)] == [
+        ((1, 2, 3), y(1) ** 101 * y(3) ** 100),
+        ((1, 3, 2), y(1) ** 101 * y(2) ** 100),
+        ((2, 1, 3), y(1) ** 100 * y(2) * y(3) ** 100),
     ]
     with pytest.raises(ValueError, match="exponent above 127"):
-        next(leaves)
+        next(items)
 
 
 @pytest.mark.parametrize("sources, targets, message", [
@@ -607,6 +676,12 @@ def test_bijective_substitutions_overflow_at_the_third_level():
 def test_bijective_substitutions_reject_invalid_input(sources, targets, message):
     with pytest.raises(ValueError, match=message):
         bijective_substitutions(x(1) * y(2), sources, targets)
+
+
+@pytest.mark.parametrize("parts", [(2, 2), (2,), (0, 3), (2, -1, 2), (True, 2), (1.0, 2)])
+def test_bijective_substitutions_reject_invalid_blocks(parts):
+    with pytest.raises(ValueError, match="block sizes"):
+        bijective_substitutions(x(1) * y(2), XS, YS, parts)
 
 
 OVERFLOWS = {

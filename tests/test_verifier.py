@@ -270,6 +270,7 @@ def test_equivariant_suite_22():
     report = verify_equivariant_suite(Composition((2, 2)), ORTHOGONAL)
     assert report.passed, report.text()
     assert report.support == 24  # all of S_4 restricted
+    assert 0 < report.ms < 60_000  # the elapsed time of this call, not of the process
 
 
 def test_equivariant_suite_trivial_single_block():
@@ -320,6 +321,52 @@ def test_equivariant_suite_localization_mismatch(monkeypatch):
     }
 
 
+def _admit_prefix_23(preserves_blocks):
+    return lambda w, mu: preserves_blocks(w, mu) or w == (2, 3)
+
+
+def _drop_prefix_13(fixed_point_restrictions):
+    def restrictions(f, parts=None):
+        return (item for item in fixed_point_restrictions(f, parts) if item[0] != (1, 3))
+
+    return restrictions
+
+
+def _vanish_at_prefix_12(fixed_point_restrictions):
+    def restrictions(f, parts=None):
+        for word, image in fixed_point_restrictions(f, parts):
+            yield (word[:2], image * 0) if word == (1, 2, 3) else (word, image)
+
+    return restrictions
+
+
+@pytest.mark.parametrize(
+    "attr, plant, support, witness, flag",
+    [
+        # the predicate admits the vanished prefix 23, whose points 231 and 321 keep weight 0
+        ("preserves_blocks", _admit_prefix_23, 4, None, "localization: the block predicate admits the vanished prefix 23"),
+        # the tree drops the leaf 123 for a zero at the block-preserving prefix 12
+        ("fixed_point_restrictions", _vanish_at_prefix_12, 1, ["y3^2", "0", "1"], "localization mismatch at w=123"),
+        # the tree loses the vanished prefix 13, which stands for 132 and 312
+        ("fixed_point_restrictions", _drop_prefix_13, 4, None, "localization: the tree's items stand for 4 of 6 fixed points"),
+    ],
+)
+def test_equivariant_suite_vanished_prefix_faults(monkeypatch, attr, plant, support, witness, flag):
+    # the tree's items for (2,1): the leaf 123 (orbit 123, 213) and the vanished prefixes 13 and 23
+    monkeypatch.setattr(coh, attr, plant(getattr(coh, attr)))
+    report = verify_equivariant_suite(Composition((2, 1)), ORTHOGONAL)
+    assert report.to_json_dict() == {
+        "family": "orthogonal",
+        "mu": [2, 1],
+        "verdict": "fail",
+        "degree": 2,
+        "support": support,
+        "witness": witness,
+        "flags": [flag],
+        "ms": None,
+    }
+
+
 def test_equivariant_suite_block_torus_mismatch(monkeypatch):
     cross_block_factor = coh.cross_block_factor
     monkeypatch.setattr(coh, "cross_block_factor", lambda mu: cross_block_factor(mu) * 2)
@@ -350,6 +397,9 @@ SPECIALIZATION_FLAG = "equivariant class does not specialize to the ordinary cla
          ["x1^2 x2", "-2", "2"], [SPECIALIZATION_FLAG]),
         ("zero_equivariant_vars", lambda f: -f, (3, 3), ORTHOGONAL, 13, 0,
          ["x1^4 x2^4 x3^3 x4 x5", "-4", "4"], ["localization skipped (n=6 > 5)", SPECIALIZATION_FLAG]),
+        # a Chern class times x1 is not symmetric in x1, x2: the orbit walk must not run
+        ("cross_block_chern_class", lambda f: f * Polynomial.variable(f.space, 0), (2, 1), ORTHOGONAL, 3, 0,
+         ["y3^2", "1", "0"], ["Chern class is not symmetric in x1, x2 inside block 1"]),
     ],
 )
 def test_equivariant_suite_later_stage_mismatch(
