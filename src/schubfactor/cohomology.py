@@ -350,8 +350,14 @@ def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:
     if not preserves_blocks(w, mu):
         return Polynomial.zero(space)
     word = w.word
-    pairs = sorted((word[k - 1], word[l - 1]) for k, l in cross_block_roots(mu))
+    pairs = sorted((word[k], word[l]) for k, l in _root_indices(mu))
     return _root_image_product(space, tuple(pairs))
+
+
+@functools.cache
+def _root_indices(mu: Composition) -> tuple[tuple[int, int], ...]:
+    """The cross-block roots (k, l) of mu as 0-based positions (k - 1, l - 1), built once per composition."""
+    return tuple((k - 1, l - 1) for k, l in cross_block_roots(mu))
 
 
 @functools.lru_cache(maxsize=256)

@@ -215,6 +215,17 @@ def divided_difference_terms(
     return out
 
 
+def _check_keys(space: VariableSpace, terms: Mapping[int, int]) -> None:
+    """
+    ValueError unless every key of terms fits the space's fields: the OR of
+    the keys has no guard bit set (no exponent above MAX_EXPONENT) and no bit
+    above the top field (a negative key has infinitely many).
+    """
+    bits = reduce(operator.or_, terms, 0)
+    if bits & space._guard or bits >> 8 * space.num_vars:
+        raise ValueError(f"a monomial key does not fit the {space.num_vars} fields of {space}")
+
+
 def _product_terms(a: Mapping[int, int], b: Mapping[int, int], guard: int) -> dict[int, int]:
     """
     The term map of a * b with zero entries dropped: the one product loop,
@@ -242,7 +253,8 @@ class Polynomial:
     and `terms` are read-only attributes, and `terms` is a read-only view of
     the constructor's own copy of its argument, with zero coefficients
     dropped (or of a kernel's own zero-free map, handed over by _owned);
-    every operation returns a new polynomial.  Outside this module
+    both raise ValueError for a key that does not fit the space's fields.
+    Every operation returns a new polynomial.  Outside this module
     a key is opaque: read it back through text(), degree_in() or the JSON
     form.
 
@@ -257,6 +269,7 @@ class Polynomial:
         self._space = space
         # one C-level copy when no coefficient is 0
         terms = {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
+        _check_keys(space, terms)
         self._terms = types.MappingProxyType(terms)
         self._degrees: tuple[int, ...] | None = None  # per-variable degrees, on first degree_in
         self._total_degree: int | None = None  # on first total_degree, or set by product_of_linear_forms
@@ -568,6 +581,7 @@ def _owned(space: VariableSpace, terms: Mapping[int, int]) -> Polynomial:
     map with no zero value that its builder hands over and no one changes
     again (a kernel's own output).
     """
+    _check_keys(space, terms)
     product = Polynomial.__new__(Polynomial)
     product._space = space
     product._terms = types.MappingProxyType(terms)

@@ -23,24 +23,18 @@ monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
 The raw x-only maps below key S_w of S_m by m-field keys; a space with more
-variables takes them shifted up past its remaining fields.  A map comes
-from one walk down the divided-difference tree (_schubert_maps) that pops
-back to the prefix shared with the previous path.  The basis expansion
-feeds its greedy words to one walk.  A sum (schubert_poly, schubert_sum,
-to_polynomial) meets in the middle, one size at a time, since divided
-differences are linear (Macdonald, Notes on Schubert Polynomials, 1991):
-
-  * split rule  each path from w0 splits into a head and a suffix, its last
-                d steps, at the deepest d where the paths have no more
-                distinct suffixes than distinct heads (_split_depth)
-  * top         the walk, over the sorted heads, yields each distinct
-                head's map once; it is added, times the member's
-                coefficient, into the group of the member's suffix
-  * bottom      the suffixes form a trie keyed from the outermost step,
-                folded depth first: a node's map is its group plus d_a of
-                each child a, so each trie node runs one divided difference
-                on an already summed map, and the root's share goes
-                straight into the sum's terms
+variables takes them shifted up past its remaining fields.  The basis
+expansion feeds its greedy words to one walk down the divided-difference
+tree (_schubert_maps) that pops back to the prefix shared with the previous
+path.  A sum (schubert_poly, schubert_sum, to_polynomial) folds one suffix
+trie per size instead, since divided differences are linear (Macdonald,
+Notes on Schubert Polynomials, 1991).  Each word's path from w0, read from
+its outermost step, is the key of its trie node, whose map starts as
+c * S_w0: the staircase monomial times the word's coefficient c (a node on
+no word's path starts empty).  The trie is folded depth first: a node's map
+is its own plus d_a of each child a, so each trie node runs one divided
+difference on an already summed map, and the root's share goes straight
+into the sum's terms.
 
 Nothing is kept from one call to the next.  The oracle shares none of this
 code.
@@ -49,7 +43,7 @@ code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_terms, packed_key
@@ -83,36 +77,31 @@ def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return k
 
 
-def _schubert_maps(steps: Iterable[tuple]) -> Iterator[tuple[object, dict[int, int]]]:
+def _schubert_maps(n: int, words: Iterable[tuple]) -> Iterator[tuple[tuple, dict[int, int]]]:
     """
-    (label, x-only key map of d_{i_k} ... d_{i_1} S_{w0}) for each
-    (n, path, label) step with path (i_1, ..., i_k), in the caller's order,
-    in one walk down the divided-difference tree from the staircase
-    monomial of each w0; for path = _path(word) the map is S_word.  The
-    walk keeps one map per level of the current path, pops back to the
-    prefix shared with the previous path and extends from there, so steps
-    sorted by size and then by path compute each distinct node once.  A
-    step is pulled only after the caller has read the previous map.  A
-    yielded map may be the parent of later ones, so the caller reads it and
-    never changes it.
+    (word, x-only key map of S_word) for each word of S_n, in the caller's
+    order, in one walk down the divided-difference tree from the staircase
+    monomial of w0 along each _path(word).  The walk keeps one map per level
+    of the current path, pops back to the prefix shared with the previous
+    path and extends from there, so each node shared by consecutive paths is
+    computed once.  A word is pulled only after the caller has read the
+    previous map.  A yielded map may be the parent of later ones, so the
+    caller reads it and never changes it.
     """
-    stack: list[dict[int, int]] = []  # stack[d]: the map d steps below w0 on the current path
-    prev_n, prev = 0, ()
-    for n, path, label in steps:
-        if n != prev_n:
-            stack = [{packed_key(range(n - 1, -1, -1)): 1}]
-        else:
-            del stack[_shared(path, prev) + 1 :]
+    stack = [{packed_key(range(n - 1, -1, -1)): 1}]  # stack[d]: the map d steps below w0 on the current path
+    prev: tuple[int, ...] = ()
+    for word in words:
+        path = _path(word)
+        del stack[_shared(path, prev) + 1 :]
         for i in path[len(stack) - 1 :]:
             stack.append(divided_difference_terms(stack[-1], i, n))
-        prev_n, prev = n, path
-        yield label, stack[-1]
+        prev = path
+        yield word, stack[-1]
 
 
-def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
-    """terms += c * x_terms, each key shifted up by `shift` bits; sums that reach 0 are dropped."""
+def _add_terms(terms: dict, x_terms: Mapping, c: int) -> None:
+    """terms += c * x_terms; sums that reach 0 are dropped."""
     for key, c2 in x_terms.items():
-        key <<= shift
         nc = terms.get(key, 0) + c * c2
         if nc:
             terms[key] = nc
@@ -120,49 +109,20 @@ def _add_terms(terms: dict, x_terms: Mapping, c: int, shift: int) -> None:
             del terms[key]
 
 
-def _split_depth(paths: Collection[tuple[int, ...]]) -> int:
-    """
-    The deepest d at which the paths have no more distinct suffixes (their
-    last d steps) than distinct heads (the rest); a path of at most d steps
-    is all suffix, under the empty head.  d = 0 always qualifies, and one
-    path splits at its own length.  A deeper suffix determines a shallower
-    one and a shorter head is read off a longer one, so suffixes only gain
-    and heads only lose as d grows, and a binary search finds the d.
-    """
-    lo, hi = 0, max(map(len, paths), default=0)  # lo qualifies, nothing above hi does
-    while lo < hi:
-        d = (lo + hi + 1) // 2
-        if len({p[-d:] for p in paths}) <= len({p[:-d] for p in paths}):
-            lo = d
-        else:
-            hi = d - 1
-    return lo
-
-
 def _fold_size(paths: Mapping[tuple[int, ...], int], n: int, terms: dict, width: int) -> None:
     """
     terms += sum c * S_w over the {_path(w): c} of the words w of one size
-    n, into a term map whose keys have `width` fields: the walk over the
-    heads fills one group per suffix, and the suffix trie is folded depth
-    first into terms (see the module docstring).  A group is dropped once
-    folded.
+    n, into a term map whose keys have `width` fields, by folding the suffix
+    trie depth first (see the module docstring).
     """
+    top = packed_key(range(n - 1, -1, -1))  # S_w0, the staircase monomial
     shift = 8 * (width - n)  # an n-field key moves up past the other fields
-    d = _split_depth(paths)
-    heads: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}  # head -> [(tail, c)]
-    for path, c in paths.items():
-        # the tail is the suffix read from its outermost step, the key of its trie node
-        heads.setdefault(path[: max(len(path) - d, 0)], []).append((path[::-1][:d], c))
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for head, x_terms in _schubert_maps([(n, head, head) for head in sorted(heads)]):
-        for tail, c in heads[head]:
-            if tail:
-                _add_terms(groups.setdefault(tail, {}), x_terms, c, 0)
-            else:
-                _add_terms(terms, x_terms, c, shift)
+    tails = {path[::-1]: c for path, c in paths.items()}  # each path read from its outermost step
+    if () in tails:  # w0 itself: its one key, shifted
+        _add_terms(terms, {top << shift: 1}, tails.pop(()))
     stack: list[tuple[int, dict[int, int]]] = []  # (step, summed map) per trie node of the current tail
     prev: tuple[int, ...] = ()
-    for tail in [*sorted(groups), ()]:  # the closing () folds what is left into the root
+    for tail in [*sorted(tails), ()]:  # the closing () folds what is left into the root
         shared = _shared(tail, prev)
         while len(stack) > shared:
             i, x_terms = stack.pop()
@@ -174,7 +134,7 @@ def _fold_size(paths: Mapping[tuple[int, ...], int], n: int, terms: dict, width:
         for i in tail[shared:-1]:
             stack.append((i, {}))
         if tail:
-            stack.append((tail[-1], groups.pop(tail)))
+            stack.append((tail[-1], {top: tails[tail]}))
         prev = tail
 
 
@@ -355,13 +315,13 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     remainder = {key >> drop: c for key, c in f.terms.items()}
     coeffs: dict[tuple[int, ...], int] = {}
 
-    def greedy_steps():
+    def greedy_words():
         while remainder:
             key = min(remainder)
             word = from_code(key.to_bytes(n, "big")).word
             coeffs[word] = remainder[key]
-            yield n, _path(word), word
+            yield word
 
-    for word, x_terms in _schubert_maps(greedy_steps()):
-        _add_terms(remainder, x_terms, -coeffs[word], 0)
+    for word, x_terms in _schubert_maps(n, greedy_words()):
+        _add_terms(remainder, x_terms, -coeffs[word])
     return SchubertExpansion(n, {Permutation(word): c for word, c in coeffs.items()})

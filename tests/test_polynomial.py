@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from schubfactor.polynomial import (
     Polynomial,
     VariableSpace,
+    _owned,
     bijective_substitutions,
     product_of_linear_forms,
 )
@@ -231,6 +232,12 @@ def test_terms_are_a_read_only_zero_free_copy():
         q.space = VariableSpace(3)
     assert q.terms == {e: 3} and q.text() == "3 x1" and q.space == sp
     assert q + q == Polynomial(sp, {e: 6})
+    # a key must fit the space's fields, whether copied or handed over by a kernel: one
+    # past the top field, a field of 128 (its guard bit) and a negative key are refused
+    for bad in (1 << 8 * sp.num_vars, 128, -e):
+        for build in (Polynomial, _owned):
+            with pytest.raises(ValueError, match="does not fit the 4 fields"):
+                build(sp, {e: 1, bad: 1})
 
 
 @pytest.mark.parametrize("other", [2.5, "3", None])

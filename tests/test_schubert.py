@@ -335,48 +335,18 @@ def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
         Permutation((1, 3, 2)),
     ]
     assert members.count(Permutation((4, 6, 5, 3, 2, 1))) == 2
-    # per size, each path splits into a head and its last d steps; the walk runs one
-    # divided difference per distinct nonempty prefix of a head, and the fold one per
-    # distinct nonempty tail of a suffix (a node of the trie keyed from the outermost step)
+    # per size, the fold runs one divided difference per distinct nonempty suffix of a
+    # path (a node of the trie keyed from the outermost step)
     want = 0
     for n in {w.n for w in members}:
         paths = {_climb(w) for w in members if w.n == n}
-        d = schubert._split_depth(paths)
-        heads = {p[: max(len(p) - d, 0)] for p in paths}
-        want += len({h[:k] for h in heads for k in range(1, len(h) + 1)})
-        want += len({p[-k:] for p in paths for k in range(1, min(d, len(p)) + 1)})
+        want += len({p[-k:] for p in paths for k in range(1, len(p) + 1)})
     nodes = set().union(*map(_nodes_below_w0, members))
     assert want == 21 and len(nodes) == 22  # the parent's walk ran one per distinct node
     first = schubert.schubert_sum(members, sp)
     assert len(dd_calls) == want
     assert schubert.schubert_sum(members, sp) == first
     assert len(dd_calls) == 2 * want  # the second call recomputes: nothing is kept
-
-
-def test_split_depth_is_the_deepest_with_no_more_suffixes_than_heads():
-    paths = [_climb(w) for w in member_set(Composition((9,)), ORTHOGONAL).members]
-    assert len(paths) == 384 and schubert._split_depth(paths) == 7
-    assert len({p[-7:] for p in paths}) == 163 and len({p[:-7] for p in paths}) == 207
-    assert schubert._split_depth([_climb(w) for w in member_set(Composition((1, 8)), ORTHOGONAL).members]) == 5
-    one = _climb(Permutation((2, 1, 5, 3, 4)))
-    assert schubert._split_depth([one]) == len(one) == 7
-    assert schubert._split_depth([()]) == 0  # w0 alone: the empty path
-
-    def deepest(paths):  # every d tried, none skipped
-        def qualifies(d):
-            heads = {p[: max(len(p) - d, 0)] for p in paths}
-            return len({p[len(p) - min(d, len(p)) :] for p in paths}) <= len(heads)
-
-        return max(d for d in range(max(map(len, paths)) + 1) if qualifies(d))
-
-    rng = random.Random(9)
-    for n in range(1, 9):
-        for mu in enumerate_compositions(n):
-            paths = [_climb(w) for w in member_set(mu, ORTHOGONAL).members]
-            assert schubert._split_depth(paths) == deepest(paths), mu
-    for k in (2, 3, 5, 12, 40):
-        paths = [_climb(w) for w in rng.sample(list(all_permutations(6)), k)]
-        assert schubert._split_depth(paths) == deepest(paths), paths
 
 
 def test_expansion_walks_each_greedy_step_from_the_previous_path(dd_calls):
@@ -430,6 +400,15 @@ def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups(dd_cal
         *all_permutations(3),
     ]
     assert {w.n for w in members} == {3, 4, 5}
+    want = _oracle_fold([(w, 1) for w in members], sp, dd_calls)
+    assert schubert.schubert_sum(members, sp) == want
+    # paths that share their first 7 steps from w0 and end in different last steps, so the
+    # trie keyed from the outermost step shares none of that prefix between them
+    members = [
+        Permutation(word) for word in ((2, 3, 1, 4, 5), (3, 1, 2, 4, 5), (2, 1, 3, 4, 5), (1, 3, 2, 4, 5))
+    ]
+    paths = [_climb(w) for w in members]
+    assert {p[:7] for p in paths} == {(1, 2, 3, 4, 1, 2, 3)} and {p[-1] for p in paths} == {1, 2}
     want = _oracle_fold([(w, 1) for w in members], sp, dd_calls)
     assert schubert.schubert_sum(members, sp) == want
 
