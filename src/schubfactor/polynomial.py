@@ -606,11 +606,12 @@ def product_of_linear_forms(
     multiplies the map while it is small, which cuts the work on the
     equivariant and cross-block classes (they mix two- and three-term
     forms) and leaves the order of the Chern and ordinary classes as it is.
-    Each form c + sum a_v x_v multiplies the map in one step: the output
-    starts as every term times c (or, without c, as every key plus the unit
-    key of the first variable, times its coefficient), and then one pass
-    over the terms per further variable v adds each key plus the unit key
-    of v, times a_v.  Entries that cancel are dropped before the next form.
+    Each form c + sum a_v x_v multiplies the map in one step over its
+    bumps, the constant c first with unit key 0: the output starts as every
+    key plus the first bump's unit key, times its coefficient, and then one
+    pass over the terms per further bump adds each key plus its unit key,
+    times its coefficient.  Entries that cancel are dropped before the next
+    form.
 
     Overflow: over the integers the degree in v of a nonzero product is the
     head's exponent of v plus the number of forms that mention v, and a
@@ -635,35 +636,31 @@ def product_of_linear_forms(
         terms = dict(head._terms)
     degrees = sum(terms)  # per field, the head's exponent plus the forms so far that mention its variable
     total = sum(degrees.to_bytes(space.num_vars, "big"))  # the head's degree, then one per linear part
-    steps: list[tuple[int, int, int, list[tuple[int, int]]]] = []  # (-terms, position, constant, bumps) per form
+    steps: list[tuple[int, int, list[tuple[int, int]]]] = []  # (-terms, position, bumps) per form
     nonzero = bool(terms)  # the product so far: over the integers it is 0 iff the head or a form is
     for position, form in enumerate(forms):
         if form._space is not space and form._space != space:
             raise ValueError(f"variable space mismatch: {space} vs {form._space}")
-        const = 0
-        bumps: list[tuple[int, int]] = []  # (unit key, coefficient)
+        bumps: list[tuple[int, int]] = []  # (unit key, coefficient), the constant first with unit key 0
         for key, c in form._terms.items():
             if not key:
-                const = c
+                bumps.insert(0, (0, c))
             elif key & (key - 1) or (key.bit_length() - 1) % 8:  # not one variable to the first power
                 raise ValueError(f"non-linear factor of degree {form.total_degree()}")
             else:
                 bumps.append((key, c))
         degrees += sum(form._terms)
-        total += bool(bumps)
+        total += any(form._terms)  # a linear part has a nonzero key
         if degrees & guard and nonzero:
             raise ValueError(f"exponent above {MAX_EXPONENT} in a product of linear forms")
         nonzero = nonzero and bool(form._terms)
-        steps.append((-len(form._terms), position, const, bumps))
+        steps.append((-len(form._terms), position, bumps))
     if not nonzero:
         return _owned(space, {})
     steps.sort()  # the forms with more terms first, in the given order among equals
-    for _, _, const, bumps in steps:
-        if const:
-            out = {key: c * const for key, c in terms.items()}
-        else:  # no constant: the first variable's step maps keys one to one, so no entry is 0 or merged
-            (unit, a), *bumps = bumps
-            out = {key + unit: c * a for key, c in terms.items()}
+    for _, _, ((unit, a), *bumps) in steps:
+        # the first bump maps keys one to one (a nonzero a times a nonzero c), so no entry is 0 or merged
+        out = {key + unit: c * a for key, c in terms.items()}
         get = out.get
         for unit, a in bumps:
             for key, c in terms.items():

@@ -22,19 +22,18 @@ is the lexicographically smallest monomial of S_w, with coefficient 1.  A
 monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
-The raw x-only maps below key S_w of S_m by m-field keys; a space with more
-variables takes them shifted up past its remaining fields.  The basis
-expansion feeds its greedy words to one walk down the divided-difference
-tree (_schubert_maps) that pops back to the prefix shared with the previous
-path.  A sum (schubert_poly, schubert_sum, to_polynomial) folds one suffix
-trie per size instead, since divided differences are linear (Macdonald,
-Notes on Schubert Polynomials, 1991).  Each word's path from w0, read from
-its outermost step, is the key of its trie node, whose map starts as
-c * S_w0: the staircase monomial times the word's coefficient c (a node on
-no word's path starts empty).  The trie is folded depth first: a node's map
-is its own plus d_a of each child a, so each trie node runs one divided
-difference on an already summed map, and the root's share goes straight
-into the sum's terms.
+One fold builds every Schubert combination, on the space's own keys: the
+staircase key of S_w0 is shifted once into the top fields, and every divided
+difference runs on keys of the space's width.  Divided differences are
+linear (Macdonald, Notes on Schubert Polynomials, 1991), so a sum
+(schubert_poly, schubert_sum, to_polynomial) and each step of the basis
+expansion fold one suffix trie per size, rooted at the term map being summed
+into.  Each word's path from w0, read from its outermost step, is the key of
+its trie node, which adds c * S_w0: the staircase monomial times the word's
+coefficient c (w0's own empty path adds it to the root).  The trie is folded
+depth first: a node's map is its own plus d_a of each child a, so each trie
+node runs one divided difference on an already summed map, and the root's
+children divide straight into the sum's terms.
 
 Nothing is kept from one call to the next.  The oracle shares none of this
 code.
@@ -43,7 +42,7 @@ code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_terms, packed_key
@@ -77,64 +76,29 @@ def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return k
 
 
-def _schubert_maps(n: int, words: Iterable[tuple]) -> Iterator[tuple[tuple, dict[int, int]]]:
-    """
-    (word, x-only key map of S_word) for each word of S_n, in the caller's
-    order, in one walk down the divided-difference tree from the staircase
-    monomial of w0 along each _path(word).  The walk keeps one map per level
-    of the current path, pops back to the prefix shared with the previous
-    path and extends from there, so each node shared by consecutive paths is
-    computed once.  A word is pulled only after the caller has read the
-    previous map.  A yielded map may be the parent of later ones, so the
-    caller reads it and never changes it.
-    """
-    stack = [{packed_key(range(n - 1, -1, -1)): 1}]  # stack[d]: the map d steps below w0 on the current path
-    prev: tuple[int, ...] = ()
-    for word in words:
-        path = _path(word)
-        del stack[_shared(path, prev) + 1 :]
-        for i in path[len(stack) - 1 :]:
-            stack.append(divided_difference_terms(stack[-1], i, n))
-        prev = path
-        yield word, stack[-1]
-
-
-def _add_terms(terms: dict, x_terms: Mapping, c: int) -> None:
-    """terms += c * x_terms; sums that reach 0 are dropped."""
-    for key, c2 in x_terms.items():
-        nc = terms.get(key, 0) + c * c2
-        if nc:
-            terms[key] = nc
-        elif key in terms:
-            del terms[key]
-
-
 def _fold_size(paths: Mapping[tuple[int, ...], int], n: int, terms: dict, width: int) -> None:
     """
     terms += sum c * S_w over the {_path(w): c} of the words w of one size
     n, into a term map whose keys have `width` fields, by folding the suffix
-    trie depth first (see the module docstring).
+    trie depth first with terms as its root (see the module docstring).
     """
-    top = packed_key(range(n - 1, -1, -1))  # S_w0, the staircase monomial
-    shift = 8 * (width - n)  # an n-field key moves up past the other fields
-    tails = {path[::-1]: c for path, c in paths.items()}  # each path read from its outermost step
-    if () in tails:  # w0 itself: its one key, shifted
-        _add_terms(terms, {top << shift: 1}, tails.pop(()))
-    stack: list[tuple[int, dict[int, int]]] = []  # (step, summed map) per trie node of the current tail
+    top = packed_key(range(n - 1, -1, -1)) << 8 * (width - n)  # S_w0, the staircase monomial, in the top n fields
+    stack: list[tuple[int, dict[int, int]]] = [(0, terms)]  # (step, summed map) per trie node of the current tail
     prev: tuple[int, ...] = ()
-    for tail in [*sorted(tails), ()]:  # the closing () folds what is left into the root
+    for tail, c in [*sorted((path[::-1], c) for path, c in paths.items()), ((), 0)]:
+        # each path read from its outermost step; the closing ((), 0) folds what is left into the root
         shared = _shared(tail, prev)
-        while len(stack) > shared:
-            i, x_terms = stack.pop()
-            if stack:
-                divided_difference_terms(x_terms, i, n, stack[-1][1])
-            else:  # a root child: its map, shifted into the space's fields, is divided straight into terms
-                x_terms = {key << shift: c for key, c in x_terms.items()}
-                divided_difference_terms(x_terms, i, width, terms)
-        for i in tail[shared:-1]:
+        while len(stack) > shared + 1:
+            i, child = stack.pop()
+            divided_difference_terms(child, i, width, stack[-1][1])
+        for i in tail[shared:]:
             stack.append((i, {}))
-        if tail:
-            stack.append((tail[-1], {top: tails[tail]}))
+        node = stack[-1][1]  # the tail's own node: c * S_w0 joins its map
+        nc = node.get(top, 0) + c
+        if nc:
+            node[top] = nc
+        else:
+            node.pop(top, None)
         prev = tail
 
 
@@ -157,7 +121,7 @@ def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     terms: dict[int, int] = {}
     for n in sorted(sizes):
         _fold_size(sizes[n], n, terms, space.num_vars)
-    return _owned(space, terms)  # _add_terms and divided_difference_terms drop every sum that reaches 0
+    return _owned(space, terms)  # _fold_size and divided_difference_terms drop every sum that reaches 0
 
 
 def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:
@@ -303,25 +267,20 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     order on keys is lexicographic order on exponent vectors) is the code of
     exactly one w in S_n, and ladder moves make every other monomial of S_w
     larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
-    smallest key and stays in the span.  The greedy words feed one walk,
-    each chosen from the remainder after the previous subtraction.
+    smallest key and stays in the span.  Each greedy word is folded
+    with -coeff straight into the remainder (_fold_size), whose smallest
+    key then picks the next word.
     """
     if type(n) is not int or not 1 <= n <= f.space.n:
         raise ValueError(f"need an integer 1 <= n <= {f.space.n} for this space, got n={n!r}")
     if not in_staircase_span(f, n):
         raise ValueError(f"polynomial is not in the staircase span for n={n}")
-    # in the span every field beyond x_n is 0, so shift them out and work on x1..x_n alone
-    drop = 8 * (f.space.num_vars - n)
-    remainder = {key >> drop: c for key, c in f.terms.items()}
+    drop = 8 * (f.space.num_vars - n)  # in the span only x1..x_n, the top n fields, are nonzero
+    remainder = dict(f.terms)
     coeffs: dict[tuple[int, ...], int] = {}
-
-    def greedy_words():
-        while remainder:
-            key = min(remainder)
-            word = from_code(key.to_bytes(n, "big")).word
-            coeffs[word] = remainder[key]
-            yield word
-
-    for word, x_terms in _schubert_maps(n, greedy_words()):
-        _add_terms(remainder, x_terms, -coeffs[word])
+    while remainder:
+        key = min(remainder)
+        word = from_code((key >> drop).to_bytes(n, "big")).word
+        c = coeffs[word] = remainder[key]
+        _fold_size({_path(word): -c}, n, remainder, f.space.num_vars)
     return SchubertExpansion(n, {Permutation(word): c for word, c in coeffs.items()})

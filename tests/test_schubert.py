@@ -345,25 +345,23 @@ def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
     assert want == 21 and len(nodes) == 22  # the parent's walk ran one per distinct node
     first = schubert.schubert_sum(members, sp)
     assert len(dd_calls) == want
+    assert {width for _i, width in dd_calls} == {sp.num_vars}  # every node, on the space's own keys
     assert schubert.schubert_sum(members, sp) == first
     assert len(dd_calls) == 2 * want  # the second call recomputes: nothing is kept
 
 
-def test_expansion_walks_each_greedy_step_from_the_previous_path(dd_calls):
-    # each greedy step raises the remainder's smallest key, so the steps come in
-    # increasing code order; a step recomputes only the nodes of its path that
-    # the previous step's path does not share
+def test_expansion_folds_each_greedy_word_from_w0(dd_calls):
+    # each greedy word is folded on its own into the remainder: one divided difference
+    # per step of its path from w0, on the space's own keys; the greedy steps raise the
+    # remainder's smallest key, so the words come in increasing code order
     rhs = product_side(Composition((6,)), ORTHOGONAL)
+    width = rhs.space.num_vars
     expansion = expand_in_schubert_basis(rhs, 6)
     steps = sorted(expansion.coeffs, key=Permutation.code)
-    want, prev = 0, set()
-    for w in steps:
-        nodes = _nodes_below_w0(w)
-        want += len(nodes - prev)
-        prev = nodes
-    assert len(dd_calls) == want == 70  # 90 when every step walks from w0
+    want = [(i, width) for w in steps for i in _climb(w)]
+    assert dd_calls == want and len(want) == 90 and width > 6  # keys above a nonzero field offset
     assert expand_in_schubert_basis(rhs, 6) == expansion
-    assert len(dd_calls) == 2 * want  # the second call recomputes: nothing is kept
+    assert dd_calls == 2 * want  # the second call recomputes: nothing is kept
 
 
 def test_oracle_shares_no_code_with_the_recursion(monkeypatch):
@@ -374,7 +372,7 @@ def test_oracle_shares_no_code_with_the_recursion(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached the recursion side")
 
-    for name in ("_add_terms", "_combination", "_schubert_maps", "divided_difference_terms", "packed_key"):
+    for name in ("_combination", "_fold_size", "divided_difference_terms", "packed_key"):
         monkeypatch.setattr(schubert, name, forbidden)
     assert schubert_poly_oracle(w, sp) == want
 
@@ -476,14 +474,16 @@ def test_macdonald_oracle_reads_off_each_schubert_polynomial(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_expansion_matches_macdonald_oracle_on_random_span_polynomials(n):
-    sp = VariableSpace(n)
     rng = random.Random(n)
     for _ in range(3):
-        f = Polynomial.zero(sp)
-        for _ in range(30):
-            exps = {sp.x(i): rng.randint(0, n - i) for i in range(1, n + 1)}
-            f = f + Polynomial.monomial(sp, exps, rng.randint(-3, 3))
-        assert expand_in_schubert_basis(f, n).coeffs == _macdonald_coefficients(f, n)
+        draws = [([rng.randint(0, n - i) for i in range(1, n + 1)], rng.randint(-3, 3)) for _ in range(30)]
+        # the same polynomial on x1..x_n alone and in a space whose keys hold x_{n+1}, y and z
+        # fields below x_n, so the expansion's keys sit above a nonzero field offset
+        for sp in (VariableSpace(n), VariableSpace(n + 1, (1, n))):
+            f = Polynomial.zero(sp)
+            for exps, c in draws:
+                f = f + Polynomial.monomial(sp, {sp.x(i): e for i, e in enumerate(exps, 1)}, c)
+            assert expand_in_schubert_basis(f, n).coeffs == _macdonald_coefficients(f, n)
 
 
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
