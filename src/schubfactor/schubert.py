@@ -22,18 +22,17 @@ is the lexicographically smallest monomial of S_w, with coefficient 1.  A
 monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
-One fold builds every Schubert combination, on the space's own keys: the
-staircase key of S_w0 is shifted once into the top fields, and every divided
-difference runs on keys of the space's width.  Divided differences are
-linear (Macdonald, Notes on Schubert Polynomials, 1991), so a sum
-(schubert_poly, schubert_sum, to_polynomial) and each step of the basis
-expansion fold one suffix trie per size, rooted at the term map being summed
-into.  Each word's path from w0, read from its outermost step, is the key of
-its trie node, which adds c * S_w0: the staircase monomial times the word's
-coefficient c (w0's own empty path adds it to the root).  The trie is folded
-depth first: a node's map is its own plus d_a of each child a, so each trie
-node runs one divided difference on an already summed map, and the root's
-children divide straight into the sum's terms.
+One recursion builds every Schubert combination, on the space's own keys.
+It rests on S_w = d_i S_{w s_i} at an ascent i of w, and on the linearity
+of divided differences (Macdonald, Notes on Schubert Polynomials, 1991).  A
+sum (schubert_poly, schubert_sum, to_polynomial) and each step of the basis
+expansion group their words by smallest ascent i, fold each group's words
+w s_i into one child map and add d_i of it into the term map being summed
+into.  The groups are the nodes of one suffix trie over words of every size,
+keyed by each word's path from w0 read from its outermost step, so each
+trie node runs one divided difference on an already summed map.  A word
+with no ascent is w0 of its size m and adds c * S_w0: the staircase
+monomial in the top m fields, times the word's coefficient c.
 
 Nothing is kept from one call to the next.  The oracle shares none of this
 code.
@@ -42,71 +41,50 @@ code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_terms, packed_key
 
 
-def _path(word: tuple[int, ...]) -> tuple[int, ...]:
+def _fold(items: list, terms: dict, width: int) -> None:
     """
-    The indices (i_1, ..., i_k) with S_word = d_{i_k} ... d_{i_1} S_{w0}:
-    S_w = d_i S_{w s_i} at the smallest ascent i of w, climbed up to w0 and
-    read back from the top.  A node's path is a prefix of the path of every
-    word below it.  The climb is a bubble sort into decreasing order: the
-    entries before position j stay decreasing, so a swap at j + 1 leaves the
-    next smallest ascent at j or later.
+    terms += sum c * S_w over items [w as a list, c, scan start], into a
+    term map whose keys have `width` fields (see the module docstring).
+    Each w steps up to w s_i at its smallest ascent i, swapped in place:
+    the entries before the scan start are decreasing, so after a swap at
+    position j the next smallest ascent is at j - 1 or later.  The items of
+    one step i fold into one child map, and d_i of it joins terms; a word
+    with no ascent is w0 of its size m and adds c * S_w0, the staircase
+    monomial in the top m fields.
     """
-    w, path, j = list(word), [], 0
-    while j < len(w) - 1:
-        if w[j] < w[j + 1]:
-            w[j], w[j + 1] = w[j + 1], w[j]
-            path.append(j + 1)
-            j = max(j - 1, 0)
-        else:
+    groups: dict[int, list] = {}
+    for item in items:
+        w, c, j = item
+        while j < len(w) - 1 and w[j] > w[j + 1]:
             j += 1
-    return tuple(reversed(path))
-
-
-def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """The length of the longest common prefix of a and b."""
-    k = 0
-    while k < min(len(a), len(b)) and a[k] == b[k]:
-        k += 1
-    return k
-
-
-def _fold_size(paths: Mapping[tuple[int, ...], int], n: int, terms: dict, width: int) -> None:
-    """
-    terms += sum c * S_w over the {_path(w): c} of the words w of one size
-    n, into a term map whose keys have `width` fields, by folding the suffix
-    trie depth first with terms as its root (see the module docstring).
-    """
-    top = packed_key(range(n - 1, -1, -1)) << 8 * (width - n)  # S_w0, the staircase monomial, in the top n fields
-    stack: list[tuple[int, dict[int, int]]] = [(0, terms)]  # (step, summed map) per trie node of the current tail
-    prev: tuple[int, ...] = ()
-    for tail, c in [*sorted((path[::-1], c) for path, c in paths.items()), ((), 0)]:
-        # each path read from its outermost step; the closing ((), 0) folds what is left into the root
-        shared = _shared(tail, prev)
-        while len(stack) > shared + 1:
-            i, child = stack.pop()
-            divided_difference_terms(child, i, width, stack[-1][1])
-        for i in tail[shared:]:
-            stack.append((i, {}))
-        node = stack[-1][1]  # the tail's own node: c * S_w0 joins its map
-        nc = node.get(top, 0) + c
-        if nc:
-            node[top] = nc
+        if j < len(w) - 1:
+            w[j], w[j + 1] = w[j + 1], w[j]
+            item[2] = max(j - 1, 0)
+            groups.setdefault(j + 1, []).append(item)
         else:
-            node.pop(top, None)
-        prev = tail
+            top = packed_key(range(len(w) - 1, -1, -1)) << 8 * (width - len(w))
+            nc = terms.get(top, 0) + c
+            if nc:
+                terms[top] = nc
+            else:
+                terms.pop(top, None)
+    for i, group in groups.items():
+        child: dict[int, int] = {}
+        _fold(group, child, width)
+        divided_difference_terms(child, i, width, terms)
 
 
 def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     """
     sum c * S_w over (w, c) pairs, a repeat counted each time: the
     coefficients of each word are summed first, zero sums are dropped, and
-    each size is folded on its own (_fold_size).
+    the words of every size are folded together (_fold).
     """
     coeffs: dict[tuple[int, ...], int] = {}
     for w, c in pairs:
@@ -114,14 +92,9 @@ def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     need = max(map(len, coeffs), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
-    sizes: dict[int, dict[tuple[int, ...], int]] = {}  # size -> {_path(word): c}
-    for word, c in coeffs.items():
-        if c:
-            sizes.setdefault(len(word), {})[_path(word)] = c
     terms: dict[int, int] = {}
-    for n in sorted(sizes):
-        _fold_size(sizes[n], n, terms, space.num_vars)
-    return _owned(space, terms)  # _fold_size and divided_difference_terms drop every sum that reaches 0
+    _fold([[list(word), c, 0] for word, c in coeffs.items() if c], terms, space.num_vars)
+    return _owned(space, terms)  # _fold and divided_difference_terms drop every sum that reaches 0
 
 
 def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:
@@ -268,8 +241,10 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     exactly one w in S_n, and ladder moves make every other monomial of S_w
     larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
     smallest key and stays in the span.  Each greedy word is folded
-    with -coeff straight into the remainder (_fold_size), whose smallest
-    key then picks the next word.
+    with -coeff straight into the remainder (_fold), whose smallest key
+    then picks the next word.  A step that does not raise the smallest
+    key is a fault of the fold, not of f (which passed the span check),
+    and raises RuntimeError instead of looping.
     """
     if type(n) is not int or not 1 <= n <= f.space.n:
         raise ValueError(f"need an integer 1 <= n <= {f.space.n} for this space, got n={n!r}")
@@ -278,9 +253,13 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     drop = 8 * (f.space.num_vars - n)  # in the span only x1..x_n, the top n fields, are nonzero
     remainder = dict(f.terms)
     coeffs: dict[tuple[int, ...], int] = {}
+    prev, word = -1, ()
     while remainder:
         key = min(remainder)
+        if key <= prev:
+            raise RuntimeError(f"the greedy step at {Permutation(word)} did not raise the smallest key")
         word = from_code((key >> drop).to_bytes(n, "big")).word
         c = coeffs[word] = remainder[key]
-        _fold_size({_path(word): -c}, n, remainder, f.space.num_vars)
+        _fold([[list(word), -c, 0]], remainder, f.space.num_vars)
+        prev = key
     return SchubertExpansion(n, {Permutation(word): c for word, c in coeffs.items()})

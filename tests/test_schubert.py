@@ -335,14 +335,13 @@ def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
         Permutation((1, 3, 2)),
     ]
     assert members.count(Permutation((4, 6, 5, 3, 2, 1))) == 2
-    # per size, the fold runs one divided difference per distinct nonempty suffix of a
-    # path (a node of the trie keyed from the outermost step)
-    want = 0
-    for n in {w.n for w in members}:
-        paths = {_climb(w) for w in members if w.n == n}
-        want += len({p[-k:] for p in paths for k in range(1, len(p) + 1)})
+    # over all sizes together, the fold runs one divided difference per distinct nonempty
+    # suffix of a path (a node of the trie keyed from the outermost step): the S_3 and S_6
+    # words share nodes, where one trie per size ran 21
+    paths = {_climb(w) for w in members}
+    want = len({p[-k:] for p in paths for k in range(1, len(p) + 1)})
     nodes = set().union(*map(_nodes_below_w0, members))
-    assert want == 21 and len(nodes) == 22  # the parent's walk ran one per distinct node
+    assert want == 19 and len(nodes) == 22  # a walk per distinct node would run 22
     first = schubert.schubert_sum(members, sp)
     assert len(dd_calls) == want
     assert {width for _i, width in dd_calls} == {sp.num_vars}  # every node, on the space's own keys
@@ -364,6 +363,16 @@ def test_expansion_folds_each_greedy_word_from_w0(dd_calls):
     assert dd_calls == 2 * want  # the second call recomputes: nothing is kept
 
 
+def test_expansion_raises_when_a_greedy_step_leaves_the_smallest_key(monkeypatch):
+    # a fold that subtracts nothing leaves the first word's code as the smallest key: the
+    # greedy loop fails at the second step instead of running forever
+    rhs = product_side(Composition((6,)), ORTHOGONAL)
+    first = from_code((min(rhs.terms) >> 8 * (rhs.space.num_vars - 6)).to_bytes(6, "big"))
+    monkeypatch.setattr(schubert, "_fold", lambda items, terms, width: None)
+    with pytest.raises(RuntimeError, match=f"greedy step at {first} did not raise the smallest key"):
+        expand_in_schubert_basis(rhs, 6)
+
+
 def test_oracle_shares_no_code_with_the_recursion(monkeypatch):
     sp = VariableSpace(5, (2, 3))
     w = Permutation((3, 1, 2))  # padded from S_3
@@ -372,7 +381,7 @@ def test_oracle_shares_no_code_with_the_recursion(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached the recursion side")
 
-    for name in ("_combination", "_fold_size", "divided_difference_terms", "packed_key"):
+    for name in ("_combination", "_fold", "divided_difference_terms", "packed_key"):
         monkeypatch.setattr(schubert, name, forbidden)
     assert schubert_poly_oracle(w, sp) == want
 
@@ -430,6 +439,19 @@ def test_to_polynomial_matches_oracle_fold_with_signed_coefficients(dd_calls):
     expansion = SchubertExpansion(4, coeffs)
     for sp in (VariableSpace(4), VariableSpace(5, (2, 3))):
         assert expansion.to_polynomial(sp) == _oracle_fold(coeffs.items(), sp, dd_calls)
+    # words of three sizes whose paths share trie nodes: S_312 - S_3124 and 2 S_21 - 2 S_21345
+    # cancel across sizes, and 3 S_14235 = 3 S_1423 is left
+    coeffs = {
+        Permutation((3, 1, 2)): 1,
+        Permutation((3, 1, 2, 4)): -1,
+        Permutation((2, 1)): 2,
+        Permutation((2, 1, 3, 4, 5)): -2,
+        Permutation((1, 4, 2, 3, 5)): 3,
+    }
+    sp = VariableSpace(5, (2, 3))
+    got = SchubertExpansion(5, coeffs).to_polynomial(sp)
+    assert got == _oracle_fold(coeffs.items(), sp, dd_calls)
+    assert got == schubert_poly_oracle(Permutation((1, 4, 2, 3)), sp) * 3
 
 
 def test_expansion_json():
