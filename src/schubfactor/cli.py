@@ -59,10 +59,9 @@ def _parse_mu(args) -> Composition:
         if min(parts) >= 1:
             _check_size(args, sum(parts))
         mu = Composition(parts)
+        cohomology.check_even_parts(mu, not verifier.needs_even_parts(args.family))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if verifier.needs_even_parts(args.family) and not mu.all_even():
-        raise _UsageError(f"symplectic family needs even parts, got {mu}")
     return mu
 
 

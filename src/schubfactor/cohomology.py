@@ -33,12 +33,11 @@ are one Polynomial.substitute call each.  fixed_point_restrictions restricts
 at every w of S_n at once through polynomial.bijective_substitutions: a
 depth-first tree over raw term maps whose level i moves x_i into one unused
 y_j, so the permutations that share a prefix share its partial restriction,
-whose terms merge and cancel before the deeper levels.  A subtree whose
-restriction cancels to zero is one item, its prefix.  Given the block sizes
-of a class symmetric in the x's of each block, the tree takes only the words
-that rise inside every block, so one leaf serves a block orbit w S_mu
-(permutation.block_orbit lists it).  restrict_to_fixed_point remains the
-independent single-w route.
+whose terms merge and cancel before the deeper levels.  Given the block
+sizes of a class symmetric in the x's of each block, the tree takes only the
+words that rise inside every block and yields one item for each, so one
+item serves a block orbit w S_mu (permutation.block_orbit lists it).
+restrict_to_fixed_point remains the independent single-w route.
 
 fixed_point_weight_product builds its product from the w-images of the
 roots, never from restricted factors, and memoizes it (a bounded LRU memo)
@@ -232,7 +231,7 @@ class FactoredClass(NamedTuple):
         return tail if head == "1" else f"{head} {tail}"
 
 
-def _check_even_parts(mu: Composition, half_slots: bool) -> None:
+def check_even_parts(mu: Composition, half_slots: bool) -> None:
     """Without half slots (the symplectic family) every part must be even."""
     if not half_slots and not mu.all_even():
         raise ValueError(f"symplectic family needs even parts, got {mu}")
@@ -245,7 +244,7 @@ def ordinary_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
     binomials (x_j + x_k).  half_slots=True is the orthogonal family, False
     the symplectic one.
     """
-    _check_even_parts(mu, half_slots)
+    check_even_parts(mu, half_slots)
     space = space_for(mu)
     exps = []
     for i in range(1, mu.total + 1):
@@ -262,7 +261,7 @@ def equivariant_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
     (the orthogonal family) also the half-block factors and one 2 per
     half-block slot.
     """
-    _check_even_parts(mu, half_slots)
+    check_even_parts(mu, half_slots)
     space = space_for(mu)
     factors = []
     for i in range(1, mu.s + 1):
@@ -310,11 +309,11 @@ def fixed_point_restrictions(
 ) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
     """
     The (word, restriction) items of polynomial.bijective_substitutions over
-    x_i -> y_{w(i)}, in word order: a leaf for each word rising inside every
-    block of the sizes `parts` (default: blocks of one, so every w of S_n)
-    and a vanished prefix for each subtree that restricts to zero.  With
-    parts, f must be symmetric in the x's of each block, so that a leaf is
-    the restriction at every w of its block orbit; the caller checks that.
+    x_i -> y_{w(i)}, in word order: one for each word rising inside every
+    block of the sizes `parts` (default: blocks of one, so every w of S_n).
+    With parts, f must be symmetric in the x's of each block, so that an
+    item's restriction is the one at every w of its block orbit; the caller
+    checks that.
     """
     space = f.space
     xs = [space.x(i) for i in range(1, space.n + 1)]
@@ -324,16 +323,13 @@ def fixed_point_restrictions(
 
 def preserves_blocks(w: Permutation | Sequence[int], mu: Composition) -> bool:
     """
-    True iff every letter of w lies in the block of its position.  w is a
-    permutation of size mu.total, so True means it maps every block of mu
-    onto itself, or a prefix of a one-line word, so True means some
-    completion of it does, and False that none does.
+    True iff w, a permutation or the whole one-line word of one, of size
+    mu.total, maps every block of mu onto itself: every letter lies in the
+    block of its position.
     """
     if isinstance(w, Permutation):
-        if w.n != mu.total:
-            raise ValueError("size mismatch")
         w = w.word
-    elif len(w) > mu.total:
+    if len(w) != mu.total:
         raise ValueError("size mismatch")
     blocks = mu.blocks
     return all(blocks[v - 1] == b for v, b in zip(w, blocks))

@@ -676,28 +676,19 @@ def bijective_substitutions(
     f: Polynomial, sources: Sequence[int], targets: Sequence[int], parts: Sequence[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
     """
-    f with sources[i] -> targets[w(i) - 1] substituted, over the one-line
-    words w of S_k (k = len(sources)) that rise inside every block, as
-    (word, image) items in lexicographic word order.  The blocks are runs of
+    f with sources[i] -> targets[w(i) - 1] substituted, as one (w, image)
+    item per one-line word w of S_k (k = len(sources)) that rises inside
+    every block, in lexicographic word order.  The blocks are runs of
     consecutive sources of the sizes in `parts` (default: k blocks of one, so
     every word rises).  Raises ValueError, before any substitution, for a
     variable id outside f's space, lists of different lengths, a variable
     listed twice in the two lists together (so no source is also a target),
     or parts that are not positive ints summing to k.
 
-    Two kinds of item:
-
-    - a leaf (w, image) for a word w of length k whose image is not 0.  When
-      f is symmetric in the sources of each block, the image at w is also the
-      image at every word that permutes w's letters inside blocks (w's block
-      orbit), so one leaf serves the whole orbit; the caller checks that
-      symmetry, this walk assumes it.
-    - a vanished subtree (prefix, 0): the partial map cancelled to zero after
-      len(prefix) levels, so the image is 0 at every rising completion of the
-      prefix and at every word of their orbits.  Its subtree is not walked.
-
-    The items partition S_k: each word w belongs to the one item whose word
-    is a prefix of w with the letters of each block sorted.
+    When f is symmetric in the sources of each block, the image at w is also
+    the image at every word that permutes w's letters inside blocks (w's
+    block orbit), so one item serves the whole orbit; the caller checks that
+    symmetry, this walk assumes it.
 
     A depth-first walk over raw term maps: level i moves the field of
     sources[i] into the field of one unused target, above the previous
@@ -707,7 +698,9 @@ def bijective_substitutions(
     A node splits its terms once: those without the source are copied into
     each branch's map, and the rest, grouped by their source exponent e,
     move by one delta e * (target unit - source unit) per group and branch,
-    an add per term.  Only leaves become polynomials, over the walk's own
+    an add per term.  A map that cancelled to zero has no term with the
+    source, so it passes down every branch as it is, and each word below it
+    gets the image 0.  Only leaves become polynomials, over the walk's own
     maps.
 
     Overflow: on every path each target field receives exactly one source
@@ -740,15 +733,13 @@ def bijective_substitutions(
         terms: Mapping[int, int], top: int, level: int, free: list[int], prefix: tuple[int, ...]
     ) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
         # top: the OR of the keys of terms, a bound on every field; free: the unused letters, ascending
-        if not terms:
-            yield prefix, zero
-        elif level == k:
-            yield prefix, _owned(space, terms)
+        if level == k:
+            yield prefix, _owned(space, terms) if terms else zero
         else:
             s = src[level]
             still: dict[int, int] = {}  # the terms without the source, the same in every branch
             groups: dict[int, list[tuple[int, int]]] = {}  # source exponent e -> its terms
-            if top >> s & 255:  # 0: no term has the source, so every move leaves the map as it is
+            if top >> s & 255:  # 0: no term has the source (or no term at all), so every move leaves the map as it is
                 for key, c in terms.items():
                     e = key >> s & 255
                     if e:

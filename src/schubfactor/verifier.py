@@ -25,19 +25,18 @@ the specialization of the equivariant class to (a power of two times) the
 ordinary class.
 
 Localization takes the restrictions down the polynomial kernel's tree of
-raw term maps, once per block orbit w S_mu and once per subtree that
-restricts to zero, and every step of that shortcut is checked:
+raw term maps, one item per block orbit w S_mu, and every step of that
+shortcut is checked:
 
   - the Chern class is symmetric in the x's of each block (the divided
     difference in every adjacent pair inside a block is 0), so its
     restriction is one polynomial on each block orbit;
-  - a leaf equals fixed_point_weight_product, built on its own from the
-    roots, at every point of its orbit;
-  - a subtree that vanished has a prefix with a letter outside its block
-    (preserves_blocks, the predicate the weight product uses), so every
-    point it covers has weight 0;
-  - the items stand for n! points in all (each leaf for its orbit, each
-    vanished prefix for the orbits of its rising completions).
+  - an item equals fixed_point_weight_product, built on its own from the
+    roots, at every point of its orbit, except that a zero image on a word
+    with a letter outside its block (preserves_blocks, the predicate the
+    weight product uses) is not compared, since its weight is 0 at every
+    point of the orbit;
+  - the items stand for n! points in all, |S_mu| each.
 
 The first failing point in word order is reported, with its 1-based rank
 as the support, so a failing report names the point a walk over all of S_n
@@ -56,7 +55,7 @@ import time
 from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
-from .permutation import Permutation, all_permutations, block_orbit
+from .permutation import Permutation, block_orbit
 from . import cohomology
 from .polynomial import Polynomial
 # perfbench wraps these four names on verifier; schubert_sum alone is called here, and
@@ -234,60 +233,26 @@ def _word_rank(w: Permutation) -> int:
     return 1 + sum(c * math.factorial(n - 1 - i) for i, c in enumerate(w.code()))
 
 
-def _block_sorted(word: tuple[int, ...], mu: Composition) -> tuple[int, ...]:
-    """word with the letters of each block sorted: the rising word of its block orbit."""
-    return tuple(v for a, b in zip(mu.nu, mu.nu[1:]) for v in sorted(word[a:b]))
-
-
-def _points_covered(prefix: tuple[int, ...], mu: Composition) -> int:
-    """
-    How many w of S_n the tree item with this word stands for: its
-    completions that rise inside every block, times |S_mu| for their orbits.
-    """
-    n, d = mu.total, len(prefix)
-    count, rest = math.prod(map(math.factorial, mu.parts)), n - d
-    if 0 < d < n and mu.blocks[d] == mu.blocks[d - 1]:  # the prefix stops inside a block
-        left = mu.nu[mu.blocks[d]] - d  # its positions still open, filled from the free letters above the last
-        count *= math.comb(sum(1 for v in range(prefix[-1] + 1, n + 1) if v not in prefix), left)
-        rest -= left
-    if rest:  # whole blocks: the multinomial number of ways to share the other letters out
-        count *= math.factorial(rest) // math.prod(math.factorial(p) for p in mu.parts[mu.blocks[n - rest] - 1 :])
-    return count
-
-
 def _localization_failure(
     mu: Composition, chern: Polynomial
 ) -> tuple[int, str, Polynomial, Polynomial] | None:
     """
     The first fixed point, in word order, at which the restriction of the
     Chern class (symmetric in the x's of each block) and the weight product
-    disagree or the vanished-subtree step fails, as (rank, flag,
-    restriction, weight product); None when localization holds at every w.
-    The items must stand for n! points in all, or the report fails with the
-    count as its support.
+    disagree, as (rank, flag, restriction, weight product); None when
+    localization holds at every w.  The items must stand for n! points in
+    all, or the report fails with the count as its support.
     """
-    failures, covered = [], 0
-    for prefix, image in cohomology.fixed_point_restrictions(chern, mu.parts):
-        covered += _points_covered(prefix, mu)
-        if image.is_zero():
-            if not cohomology.preserves_blocks(prefix, mu):
-                continue  # every point the item covers moves a letter out of its block: weight 0
-            # the points it covers: their block-sorted words extend the prefix (none without a rising completion)
-            points = [
-                w for w in all_permutations(mu.total) if _block_sorted(w.word, mu)[: len(prefix)] == prefix
-            ]
-        else:
-            points = block_orbit(Permutation(prefix), mu.parts)
-        for w in points:  # in word order, so the first mismatch is the item's first
+    failures, covered, orbit_size = [], 0, math.prod(map(math.factorial, mu.parts))
+    for word, image in cohomology.fixed_point_restrictions(chern, mu.parts):
+        covered += orbit_size
+        if image.is_zero() and not cohomology.preserves_blocks(word, mu):
+            continue  # every point of the orbit moves a letter out of its block: weight 0
+        for w in block_orbit(Permutation(word), mu.parts):  # in word order, so the first mismatch is the item's first
             rhs = cohomology.fixed_point_weight_product(mu, w)
             if image != rhs:
                 failures.append((_word_rank(w), f"localization mismatch at w={w}", image, rhs))
                 break
-        else:
-            if image.is_zero() and points:  # the predicate admits the prefix, though every weight below it is 0
-                text = ("" if mu.total <= 9 else ",").join(map(str, prefix))
-                flag = f"localization: the block predicate admits the vanished prefix {text}"
-                failures.append((_word_rank(points[0]), flag, image, image))
     if not failures and covered != math.factorial(mu.total):
         zero = Polynomial.zero(chern.space)
         flag = f"localization: the tree's items stand for {covered} of {math.factorial(mu.total)} fixed points"
@@ -308,8 +273,7 @@ def verify_equivariant_suite(
         raise ValueError(f"localization_max_n {localization_max_n!r} is not an integer")
     start = time.perf_counter()
     half_slots = not needs_even_parts(family)
-    if not half_slots and not mu.all_even():
-        raise ValueError(f"symplectic family needs even parts, got {mu}")
+    cohomology.check_even_parts(mu, half_slots)
     base_class, equivariant_class = by_family(
         family,
         (cohomology.base_class_orthogonal, cohomology.equivariant_class_orthogonal),
@@ -333,7 +297,7 @@ def verify_equivariant_suite(
     try:  # every return below is the report, stamped with its time in `finally`
         # localization: restriction at every fixed point equals the weight product
         if n <= localization_max_n:
-            # one leaf serves a block orbit only if the class is symmetric inside every block
+            # one item serves a block orbit only if the class is symmetric inside every block
             for i, (base, part) in enumerate(zip(mu.nu, mu.parts), start=1):
                 for k in range(base + 1, base + part):
                     asymmetry = chern.divided_difference(k)

@@ -9,7 +9,6 @@ raise ValueError instead.
 """
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,24 +179,17 @@ def test_bijective_substitutions_match_dense(f, order, k):
     sources, targets = order[:k], order[k : 2 * k]
     units = [{unit(vid): 1} for vid in targets]
     items = bijective_substitutions(packed(f), sources, targets)
-    words = list(itertools.permutations(range(k)))
-    at = 0  # the first word that no item has covered yet
-    while at < len(words):
+    for w in itertools.permutations(range(k)):
+        result, overflow = dense_substitute(f, {v: units[j] for v, j in zip(sources, w)})
         try:
-            prefix, image = next(items)
+            item = next(items, None)
         except ValueError as exc:
             # raised at the first w whose path holds a term above the limit
-            _, overflow = dense_substitute(f, {v: units[j] for v, j in zip(sources, words[at])})
-            assert overflow and "exponent" in str(exc), words[at]
+            assert overflow and "exponent" in str(exc), w
             return
-        # an item covers the completions of its word, the next ones in word order; a short one vanished
-        covered = words[at : at + math.factorial(k - len(prefix))]
-        assert all(tuple(j + 1 for j in w[: len(prefix)]) == prefix for w in covered), (prefix, covered)
-        assert len(prefix) == k or image.is_zero(), prefix
-        for w in covered:
-            result, _ = dense_substitute(f, {v: units[j] for v, j in zip(sources, w)})
-            assert dense(image) == result and max(map(max, result), default=0) <= MAX_EXPONENT, w
-        at += len(covered)
+        # one item per word, in word order: a walk that prunes, skips or repeats a word fails here
+        assert item is not None and item[0] == tuple(j + 1 for j in w), (item, w)
+        assert dense(item[1]) == result and max(map(max, result), default=0) <= MAX_EXPONENT, w
     assert next(items, None) is None
 
 
@@ -228,18 +220,15 @@ def test_bijective_substitutions_block_orbits_match_dense(f, order, k, data):
     except ValueError as exc:
         assert any(overflow for _, overflow in expected) and "exponent" in str(exc)
         return
-    for prefix, image in items:
-        # a leaf's word rises inside every block; a short item vanished
-        assert len(prefix) == k or image.is_zero(), prefix
-        for a, b in zip(bounds, bounds[1:]):
-            assert list(prefix[a:b]) == sorted(prefix[a:b]), prefix
-    served = set()
-    for w, (result, _) in zip(itertools.permutations(range(k)), expected):
-        key = tuple(v for a, b in zip(bounds, bounds[1:]) for v in sorted(j + 1 for j in w[a:b]))
-        matches = [(prefix, image) for prefix, image in items if key[: len(prefix)] == prefix]
-        assert len(matches) == 1 and dense(matches[0][1]) == result, (w, parts)
-        served.add(matches[0][0])
-    assert served == {prefix for prefix, _ in items}  # no item stands for a prefix with no rising completion
+    def block_sorted(word):
+        return tuple(v for a, b in zip(bounds, bounds[1:]) for v in sorted(word[a:b]))
+
+    # one item per word rising inside every block, in word order: a walk that prunes, skips or repeats a word fails here
+    words = list(itertools.permutations(range(1, k + 1)))
+    assert [word for word, _ in items] == [w for w in words if block_sorted(w) == w], parts
+    by_word = dict(items)
+    for w, (result, _) in zip(words, expected):
+        assert dense(by_word[block_sorted(w)]) == result, (w, parts)
 
 
 @settings(max_examples=150, deadline=None)

@@ -562,22 +562,17 @@ def block_sorted(word, parts):
 def images_by_word(items, k, parts=None):
     """
     The image at every w of S_k, in word order, read off bijective_substitutions'
-    items: w takes the image of the one item whose word is a prefix of w with the
-    letters of each block sorted; a shorter item must be a vanished subtree, and
-    every item must serve some w.
+    items: their words must be exactly the words of S_k rising inside every block,
+    in word order, each once, and w takes the image of w with the letters of each
+    block sorted.
     """
+    parts = parts or [1] * k
     items = list(items)
-    for prefix, image in items:
-        assert image.is_zero() or len(prefix) == k, prefix
-    images, served = [], set()
-    for w in itertools.permutations(range(1, k + 1)):
-        key = block_sorted(w, parts or [1] * k)
-        matches = [(prefix, image) for prefix, image in items if key[: len(prefix)] == prefix]
-        assert len(matches) == 1, (w, matches)
-        served.add(matches[0][0])
-        images.append(matches[0][1])
-    assert served == {prefix for prefix, _ in items}
-    return images
+    words = list(itertools.permutations(range(1, k + 1)))
+    # a walk that prunes, skips or repeats a word fails here
+    assert [word for word, _ in items] == [w for w in words if block_sorted(w, parts) == w]
+    by_word = dict(items)
+    return [by_word[block_sorted(w, parts)] for w in words]
 
 
 def test_bijective_substitutions_examples():
@@ -593,23 +588,23 @@ def test_bijective_substitutions_examples():
     assert list(bijective_substitutions(f, [YS[0], YS[1]], [XS[0], XS[1]])) == [
         ((1, 2), f - y(1) + x(1)), ((2, 1), f - y(1) + x(2))
     ]
-    # cancelling terms vanish on the way down: w = 12 is a vanished leaf
+    # cancelling terms vanish on the way down: w = 12 has the image 0
     assert list(bijective_substitutions(x(1) * y(2) - x(2) * y(1), XS[:2], YS[:2])) == [
         ((1, 2), Polynomial.zero(SPACE3)), ((2, 1), y(2) ** 2 - y(1) ** 2)
     ]
 
 
-def test_bijective_substitutions_vanished_subtree_is_one_item():
-    # x1 -> y1 kills every term, so the subtree of prefix 1 yields one item and is not walked
+def test_bijective_substitutions_vanished_subtree_yields_every_word():
+    # x1 -> y1 kills every term, so each word below prefix 1 is an item with the image 0
     f = (x(1) - y(1)) * (x(2) + x(3) * y(2))
     items = list(bijective_substitutions(f, XS, YS))
-    assert items[0] == ((1,), Polynomial.zero(SPACE3))
-    assert [word for word, _ in items[1:]] == [(2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    assert items[:2] == [((1, 2, 3), Polynomial.zero(SPACE3)), ((1, 3, 2), Polynomial.zero(SPACE3))]
+    assert [word for word, _ in items[2:]] == [(2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     assert images_by_word(items, 3) == substitutions_by_word(f, XS, YS)
 
 
 def test_bijective_substitutions_one_leaf_per_block_orbit():
-    # symmetric in x1, x2: blocks (2, 1) take the words rising in x1, x2, one leaf per orbit
+    # symmetric in x1, x2: blocks (2, 1) take the words rising in x1, x2, one item per orbit
     f = x(1) * x(2) * y(3) + (x(1) + x(2)) * x(3) ** 2 - 2 * y(1)
     items = list(bijective_substitutions(f, XS, YS, (2, 1)))
     assert [word for word, _ in items] == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
@@ -617,16 +612,17 @@ def test_bijective_substitutions_one_leaf_per_block_orbit():
     # one block of all three: the single rising word
     g = x(1) * x(2) * x(3) + x(1) + x(2) + x(3)
     assert list(bijective_substitutions(g, XS, YS, (3,))) == [((1, 2, 3), y(1) * y(2) * y(3) + y(1) + y(2) + y(3))]
-    # a vanished prefix stands for the orbits of its rising completions
+    # a map that cancelled gives the image 0 at each of its rising completions
     h = (x(1) - y(1)) * (x(2) - y(1)) * x(3)
     items = list(bijective_substitutions(h, XS, YS, (2, 1)))
-    assert items == [((1,), Polynomial.zero(SPACE3)), ((2, 3, 1), (y(2) - y(1)) * (y(3) - y(1)) * y(1))]
+    zero = Polynomial.zero(SPACE3)
+    assert items == [((1, 2, 3), zero), ((1, 3, 2), zero), ((2, 3, 1), (y(2) - y(1)) * (y(3) - y(1)) * y(1))]
     assert images_by_word(items, 3, (2, 1)) == substitutions_by_word(h, XS, YS)
 
 
 def test_bijective_substitutions_edge_cases():
     zero = Polynomial.zero(SPACE3)
-    assert list(bijective_substitutions(zero, XS, YS)) == [((), zero)]
+    assert list(bijective_substitutions(zero, XS, YS)) == [(w, zero) for w in itertools.permutations((1, 2, 3))]
     f = x(1) ** 3 + x(2) * y(1)
     assert list(bijective_substitutions(f, XS[:1], YS[2:])) == [((1,), y(3) ** 3 + x(2) * y(1))]
     assert list(bijective_substitutions(f, [], [])) == [((), f)]

@@ -321,21 +321,27 @@ def test_equivariant_suite_localization_mismatch(monkeypatch):
     }
 
 
-def _admit_prefix_23(preserves_blocks):
-    return lambda w, mu: preserves_blocks(w, mu) or w == (2, 3)
-
-
-def _drop_prefix_13(fixed_point_restrictions):
+def _vanish_at_123(fixed_point_restrictions):
     def restrictions(f, parts=None):
-        return (item for item in fixed_point_restrictions(f, parts) if item[0] != (1, 3))
+        for word, image in fixed_point_restrictions(f, parts):
+            yield word, image * 0 if word == (1, 2, 3) else image
 
     return restrictions
 
 
-def _vanish_at_prefix_12(fixed_point_restrictions):
+def _drop_item_132(fixed_point_restrictions):
     def restrictions(f, parts=None):
+        return (item for item in fixed_point_restrictions(f, parts) if item[0] != (1, 3, 2))
+
+    return restrictions
+
+
+def _nonzero_at_132(fixed_point_restrictions):
+    def restrictions(f, parts=None):
+        images = {}
         for word, image in fixed_point_restrictions(f, parts):
-            yield (word[:2], image * 0) if word == (1, 2, 3) else (word, image)
+            images[word] = image
+            yield word, images[(1, 2, 3)] if word == (1, 3, 2) else image
 
     return restrictions
 
@@ -343,16 +349,16 @@ def _vanish_at_prefix_12(fixed_point_restrictions):
 @pytest.mark.parametrize(
     "attr, plant, support, witness, flag",
     [
-        # the predicate admits the vanished prefix 23, whose points 231 and 321 keep weight 0
-        ("preserves_blocks", _admit_prefix_23, 4, None, "localization: the block predicate admits the vanished prefix 23"),
-        # the tree drops the leaf 123 for a zero at the block-preserving prefix 12
-        ("fixed_point_restrictions", _vanish_at_prefix_12, 1, ["y3^2", "0", "1"], "localization mismatch at w=123"),
-        # the tree loses the vanished prefix 13, which stands for 132 and 312
-        ("fixed_point_restrictions", _drop_prefix_13, 4, None, "localization: the tree's items stand for 4 of 6 fixed points"),
+        # the tree zeroes the block-preserving item 123, so the weight product at 123 is compared
+        ("fixed_point_restrictions", _vanish_at_123, 1, ["y3^2", "0", "1"], "localization mismatch at w=123"),
+        # the tree loses the item 132, which stands for 132 and 312
+        ("fixed_point_restrictions", _drop_item_132, 4, None, "localization: the tree's items stand for 4 of 6 fixed points"),
+        # the tree gives 132, which moves 3 into block 1 and so has weight 0, the image at 123
+        ("fixed_point_restrictions", _nonzero_at_132, 2, ["y3^2", "1", "0"], "localization mismatch at w=132"),
     ],
 )
 def test_equivariant_suite_vanished_prefix_faults(monkeypatch, attr, plant, support, witness, flag):
-    # the tree's items for (2,1): the leaf 123 (orbit 123, 213) and the vanished prefixes 13 and 23
+    # the tree's items for (2,1): 123 (orbit 123, 213), and 132 and 231, whose images are 0
     monkeypatch.setattr(coh, attr, plant(getattr(coh, attr)))
     report = verify_equivariant_suite(Composition((2, 1)), ORTHOGONAL)
     assert report.to_json_dict() == {
