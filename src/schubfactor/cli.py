@@ -27,7 +27,7 @@ import sys
 from typing import Sequence
 
 from . import cohomology, verifier
-from .composition import Composition
+from .composition import Composition, check_even_parts
 from .permutation import parse_permutation
 from .schubert import expand_in_schubert_basis, schubert_poly
 from .wset import WSet
@@ -59,7 +59,7 @@ def _parse_mu(args) -> Composition:
         if min(parts) >= 1:
             _check_size(args, sum(parts))
         mu = Composition(parts)
-        cohomology.check_even_parts(mu, not verifier.needs_even_parts(args.family))
+        check_even_parts(mu, not verifier.needs_even_parts(args.family))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return mu

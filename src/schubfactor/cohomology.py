@@ -39,12 +39,9 @@ words that rise inside every block and yields one item for each, so one
 item serves a block orbit w S_mu (permutation.block_orbit lists it).
 restrict_to_fixed_point remains the independent single-w route.
 
-fixed_point_weight_product builds its product from the w-images of the
-roots, never from restricted factors, and memoizes it (a bounded LRU memo)
-on the space and the sorted image pairs (w(k), w(l)).  The key is the image
-multiset, not mu or w: every block-preserving w maps the cross-block roots
-onto themselves, so in practice one entry serves every such w of a
-composition, but the code does not assume it.
+fixed_point_weight_product builds its product from the roots, never from
+restricted factors, once per composition: a block-preserving w permutes the
+cross-block roots.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple, Sequence
 
-from .composition import Composition
+from .composition import Composition, check_even_parts
 from .permutation import Permutation
 from .polynomial import Polynomial, VariableSpace, bijective_substitutions, product_of_linear_forms
 
@@ -231,12 +228,6 @@ class FactoredClass(NamedTuple):
         return tail if head == "1" else f"{head} {tail}"
 
 
-def check_even_parts(mu: Composition, half_slots: bool) -> None:
-    """Without half slots (the symplectic family) every part must be even."""
-    if not half_slots and not mu.all_even():
-        raise ValueError(f"symplectic family needs even parts, got {mu}")
-
-
 def ordinary_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
     """
     Factored ordinary class (the power of two already divided out):
@@ -338,28 +329,20 @@ def preserves_blocks(w: Permutation | Sequence[int], mu: Composition) -> bool:
 def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:
     """
     Product of the w-images (y_{w(k)} - y_{w(l)}) of the cross-block roots if
-    w preserves every block; the zero polynomial otherwise.  The product is
-    memoized on the space and the sorted image pairs (w(k), w(l)), so two
-    fixed points share it only when their images of the roots agree.
+    w preserves every block; the zero polynomial otherwise.  A block-preserving
+    w maps the cross-block roots onto themselves, so its product is the one
+    over the roots themselves, built once per composition.
     """
-    space = space_for(mu)
     if not preserves_blocks(w, mu):
-        return Polynomial.zero(space)
-    word = w.word
-    pairs = sorted((word[k], word[l]) for k, l in _root_indices(mu))
-    return _root_image_product(space, tuple(pairs))
+        return Polynomial.zero(space_for(mu))
+    return _cross_root_product(mu)
 
 
 @functools.cache
-def _root_indices(mu: Composition) -> tuple[tuple[int, int], ...]:
-    """The cross-block roots (k, l) of mu as 0-based positions (k - 1, l - 1), built once per composition."""
-    return tuple((k - 1, l - 1) for k, l in cross_block_roots(mu))
-
-
-@functools.lru_cache(maxsize=256)
-def _root_image_product(space: VariableSpace, pairs: tuple[tuple[int, int], ...]) -> Polynomial:
-    """Product of (y_a - y_b) over the image pairs (a, b)."""
-    forms = [Polynomial.linear_form(space, {space.yfull(a): 1, space.yfull(b): -1}) for a, b in pairs]
+def _cross_root_product(mu: Composition) -> Polynomial:
+    """Product of (y_k - y_l) over the cross-block roots (k, l) of mu."""
+    space = space_for(mu)
+    forms = [Polynomial.linear_form(space, {space.yfull(k): 1, space.yfull(l): -1}) for k, l in cross_block_roots(mu)]
     return product_of_linear_forms(space, forms)
 
 

@@ -99,6 +99,12 @@ class Composition:
         return list(self.parts)
 
 
+def check_even_parts(mu: Composition, half_slots: bool) -> None:
+    """Without half slots (the symplectic family) every part must be even."""
+    if not half_slots and not mu.all_even():
+        raise ValueError(f"symplectic family needs even parts, got {mu}")
+
+
 def parse_composition(text: str) -> Composition:
     """Parse "3,4" into Composition((3, 4))."""
     return Composition(int(part) for part in text.strip().split(","))

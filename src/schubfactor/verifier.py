@@ -54,7 +54,7 @@ import math
 import time
 from typing import Sequence
 
-from .composition import Composition, enumerate_compositions
+from .composition import Composition, check_even_parts, enumerate_compositions
 from .permutation import Permutation, block_orbit
 from . import cohomology
 from .polynomial import Polynomial
@@ -273,7 +273,7 @@ def verify_equivariant_suite(
         raise ValueError(f"localization_max_n {localization_max_n!r} is not an integer")
     start = time.perf_counter()
     half_slots = not needs_even_parts(family)
-    cohomology.check_even_parts(mu, half_slots)
+    check_even_parts(mu, half_slots)
     base_class, equivariant_class = by_family(
         family,
         (cohomology.base_class_orthogonal, cohomology.equivariant_class_orthogonal),

@@ -29,7 +29,7 @@ import functools
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, NamedTuple, Sequence
 
-from .composition import Composition
+from .composition import Composition, check_even_parts
 from .permutation import Permutation
 
 
@@ -118,15 +118,15 @@ class WSet(NamedTuple):
 
 def _assemble(mu: Composition, base_words, family: str) -> WSet:
     """
-    Cartesian product over blocks: block i draws its letters from
-    (n - nu_{i+1}, n - nu_i] and its word from base_words(mu_i), relabeled.
+    Cartesian product over blocks: block i draws its word from
+    base_words(mu_i) and its letters from the interval (low, low + mu_i] with
+    low = n - nu_{i+1}, so relabeling adds low to every letter.
     """
     n = mu.total
     prefixes: list[tuple[int, ...]] = [()]
     for i, part in enumerate(mu.parts, start=1):
-        low, high = n - mu.nu[i], n - mu.nu[i - 1]
-        letters = list(range(low + 1, high + 1))
-        blocks = [unstandardize(u, letters) for u in base_words(part)]
+        low = n - mu.nu[i]
+        blocks = [tuple(v + low for v in u.word) for u in base_words(part)]
         prefixes = [pre + b for pre in prefixes for b in blocks]
     members = tuple(sorted(Permutation(w) for w in prefixes))
     return WSet(family, mu, members)
@@ -184,6 +184,5 @@ def w_set_symplectic(mu: Composition) -> WSet:
     >>> [str(w) for w in w_set_symplectic(Composition((2, 4))).members]
     ['561342', '563124']
     """
-    if not mu.all_even():
-        raise ValueError(f"symplectic family needs even parts, got {mu}")
+    check_even_parts(mu, half_slots=False)
     return _assemble(mu, w_set_full_symplectic, "symplectic")

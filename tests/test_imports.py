@@ -1,5 +1,6 @@
-"""The package's import graph stays free of modules it does not use."""
+"""The package's import graph stays free of modules it does not use, and its combinatorial layer free of the rest."""
 
+import ast
 import json
 import os
 import subprocess
@@ -27,3 +28,27 @@ def test_importing_the_package_and_cli_loads_no_unused_module():
     added = json.loads(result.stdout)
     assert "schubfactor.cli" in added
     assert [name for name in UNUSED if name in added] == []
+
+
+# the combinatorial layer: no module here may import the polynomial layer or anything above it
+COMBINATORIAL = ("composition", "permutation", "wset")
+
+
+def _package_imports(module: str) -> set[str]:
+    """The schubfactor modules that `module`'s source imports, relative or absolute."""
+    source = (Path(schubfactor.__file__).parent / f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("schubfactor"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name.startswith("schubfactor"))
+    return found
+
+
+def test_combinatorial_modules_import_only_each_other():
+    for module in COMBINATORIAL:
+        assert _package_imports(module) <= set(COMBINATORIAL), module
+    assert _package_imports("wset") == {"composition", "permutation"}

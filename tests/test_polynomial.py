@@ -638,6 +638,13 @@ def test_bijective_substitutions_overflow():
     leaves = images_by_word(bijective_substitutions(f, XS, YS), 3)
     assert leaves == substitutions_by_word(f, XS, YS)
     assert leaves[2] == leaves[3] == y(2) ** 127
+    # blocks (2, 1): x1 -> y3 overflows, but leaves no letter above 3 for x2, so it lies on no rising word
+    items = bijective_substitutions(x(1) ** 100 * y(3) ** 100, XS, YS, (2, 1))
+    assert list(items) == [
+        ((1, 2, 3), y(1) ** 100 * y(3) ** 100),
+        ((1, 3, 2), y(1) ** 100 * y(3) ** 100),
+        ((2, 3, 1), y(2) ** 100 * y(3) ** 100),
+    ]
 
 
 def test_bijective_substitutions_moved_term_cancels_an_unmoved_one():
