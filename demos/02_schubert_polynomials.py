@@ -1,8 +1,9 @@
 """
 Schubert polynomials two ways, and expansion in the Schubert basis.
 
-The recursion starts from the staircase monomial of the longest element and
-applies divided differences down the weak order.  The independent oracle
+The recursion starts from the monomial x^code(u) of the first dominant
+(132-avoiding) permutation u above w in the weak order, which is S_u, and
+applies divided differences down to w.  The independent oracle
 sums one monomial per reduced pipe dream, enumerated by ladder moves from
 the left-justified diagram of the Lehmer code.  Ladder moves only lift
 crosses to earlier rows, so x^code(w) is the lexicographically smallest

@@ -67,16 +67,18 @@ class Permutation:
         """
         Lehmer code: c_i = #{j > i : w(j) < w(i)}.
 
-        Satisfies sum(code) == length and c_i <= n - i.
+        Satisfies sum(code) == length and c_i <= n - i.  Computed in one
+        pass: of the w(i) - 1 letters below w(i), those not yet seen lie
+        to its right, and `seen` holds bit v for each letter v already read.
 
         >>> Permutation((1, 3, 4, 2)).code()
         (0, 1, 1, 0)
         """
-        w = self.word
-        n = len(w)
-        return tuple(
-            sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n)
-        )
+        code, seen = [], 0
+        for v in self.word:
+            code.append(v - 1 - (seen & ((1 << v) - 1)).bit_count())
+            seen |= 1 << v
+        return tuple(code)
 
     def inverse(self) -> "Permutation":
         w = self.word

@@ -4,8 +4,7 @@ Schubert polynomials and expansion of polynomials in the Schubert basis.
 Two independent constructions are provided:
 
   * schubert_poly        top-down divided-difference recursion from the
-                         staircase monomial x1^{n-1} x2^{n-2} ... x_{n-1}
-                         of the longest element w0
+                         monomial x^{code(u)} of a dominant permutation u
   * schubert_poly_oracle sum over reduced pipe dreams (RC-graphs), enumerated
                          as the ladder-move closure of the left-justified
                          diagram of the Lehmer code
@@ -23,16 +22,20 @@ monomial key orders like its exponent vector (see polynomial), so expansion
 subtracts at the smallest key with no sort key.
 
 One recursion builds every Schubert combination, on the space's own keys.
-It rests on S_w = d_i S_{w s_i} at an ascent i of w, and on the linearity
-of divided differences (Macdonald, Notes on Schubert Polynomials, 1991).  A
-sum (schubert_poly, schubert_sum, to_polynomial) and each step of the basis
-expansion group their words by smallest ascent i, fold each group's words
-w s_i into one child map and add d_i of it into the term map being summed
-into.  The groups are the nodes of one suffix trie over words of every size,
-keyed by each word's path from w0 read from its outermost step, so each
-trie node runs one divided difference on an already summed map.  A word
-with no ascent is w0 of its size m and adds c * S_w0: the staircase
-monomial in the top m fields, times the word's coefficient c.
+It rests on S_w = d_i S_{w s_i} at an ascent i of w, on S_u = x^{code(u)}
+for a dominant u (a weakly decreasing Lehmer code, i.e. 132-avoiding), and
+on the linearity of divided differences (Macdonald, Notes on Schubert
+Polynomials, 1991; (4.7) is the dominant case).  A sum (schubert_poly,
+schubert_sum, to_polynomial) and each step of the basis expansion walk
+Lehmer codes, not words: a code steps at its smallest i with
+c_i < c_{i+1}, always an ascent of w, to the code of w s_i.  The codes of
+one step i fold into one child map, and d_i of it is added into the term
+map being summed into.  The groups are the nodes of one suffix trie over
+codes of every size, keyed by each word's path from its first dominant
+code read from its outermost step, so each trie node runs one divided
+difference on an already summed map.  A dominant code adds c * x^code in
+the top fields, times the word's coefficient c; padding a word with fixed
+points pads its code with zeros, so words of every size share these leaves.
 
 Nothing is kept from one call to the next.  The oracle shares none of this
 code.
@@ -49,31 +52,31 @@ from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_te
 
 def _fold(items: list, terms: dict, width: int) -> None:
     """
-    terms += sum c * S_w over items [w as a list, c, scan start], into a
-    term map whose keys have `width` fields (see the module docstring).
-    Each w steps up to w s_i at its smallest ascent i, swapped in place:
-    the entries before the scan start are decreasing, so after a swap at
-    position j the next smallest ascent is at j - 1 or later.  The items of
-    one step i fold into one child map, and d_i of it joins terms; a word
-    with no ascent is w0 of its size m and adds c * S_w0, the staircase
-    monomial in the top m fields.
+    terms += sum c * S_w over items [code(w) as a list, c, scan start], into
+    a term map whose keys have `width` fields (see the module docstring).
+    Each code steps to that of w s_i at its smallest i with c_i < c_{i+1},
+    rewritten in place to (c_{i+1} + 1, c_i): the entries before the scan
+    start are weakly decreasing, so after a step at position j the next
+    such i is at j - 1 or later.  The items of one step i fold into one
+    child map, and d_i of it joins terms; a weakly decreasing code is
+    dominant and adds c * x^code in the top fields.
     """
     groups: dict[int, list] = {}
     for item in items:
-        w, c, j = item
-        while j < len(w) - 1 and w[j] > w[j + 1]:
+        code, c, j = item
+        while j < len(code) - 1 and code[j] >= code[j + 1]:
             j += 1
-        if j < len(w) - 1:
-            w[j], w[j + 1] = w[j + 1], w[j]
+        if j < len(code) - 1:
+            code[j], code[j + 1] = code[j + 1] + 1, code[j]
             item[2] = max(j - 1, 0)
             groups.setdefault(j + 1, []).append(item)
         else:
-            top = packed_key(range(len(w) - 1, -1, -1)) << 8 * (width - len(w))
-            nc = terms.get(top, 0) + c
+            leaf = packed_key(code) << 8 * (width - len(code))
+            nc = terms.get(leaf, 0) + c
             if nc:
-                terms[top] = nc
+                terms[leaf] = nc
             else:
-                terms.pop(top, None)
+                terms.pop(leaf, None)
     for i, group in groups.items():
         child: dict[int, int] = {}
         _fold(group, child, width)
@@ -83,17 +86,21 @@ def _fold(items: list, terms: dict, width: int) -> None:
 def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     """
     sum c * S_w over (w, c) pairs, a repeat counted each time: the
-    coefficients of each word are summed first, zero sums are dropped, and
-    the words of every size are folded together (_fold).
+    coefficients of each word are summed first, with one code read per
+    distinct word, zero sums are dropped, and the codes of every size are
+    folded together (_fold).
     """
-    coeffs: dict[tuple[int, ...], int] = {}
+    items: dict[tuple[int, ...], list] = {}
     for w, c in pairs:
-        coeffs[w.word] = coeffs.get(w.word, 0) + c
-    need = max(map(len, coeffs), default=1)
+        item = items.get(w.word)
+        if item is None:
+            item = items[w.word] = [list(w.code()), 0, 0]
+        item[1] += c
+    need = max(map(len, items), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
     terms: dict[int, int] = {}
-    _fold([[list(word), c, 0] for word, c in coeffs.items() if c], terms, space.num_vars)
+    _fold([item for item in items.values() if item[1]], terms, space.num_vars)
     return _owned(space, terms)  # _fold and divided_difference_terms drop every sum that reaches 0
 
 
@@ -240,9 +247,10 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
     order on keys is lexicographic order on exponent vectors) is the code of
     exactly one w in S_n, and ladder moves make every other monomial of S_w
     larger.  So subtracting coeff * schubert_poly(w) cancels x^c, raises the
-    smallest key and stays in the span.  Each greedy word is folded
+    smallest key and stays in the span.  Each greedy code is folded
     with -coeff straight into the remainder (_fold), whose smallest key
-    then picks the next word.  A step that does not raise the smallest
+    then picks the next code; from_code turns each code into its word
+    once, when the result is built.  A step that does not raise the smallest
     key is a fault of the fold, not of f (which passed the span check),
     and raises RuntimeError instead of looping.
     """
@@ -252,14 +260,14 @@ def expand_in_schubert_basis(f: Polynomial, n: int) -> SchubertExpansion:
         raise ValueError(f"polynomial is not in the staircase span for n={n}")
     drop = 8 * (f.space.num_vars - n)  # in the span only x1..x_n, the top n fields, are nonzero
     remainder = dict(f.terms)
-    coeffs: dict[tuple[int, ...], int] = {}
-    prev, word = -1, ()
+    coeffs: dict[bytes, int] = {}
+    prev, code = -1, b""
     while remainder:
         key = min(remainder)
         if key <= prev:
-            raise RuntimeError(f"the greedy step at {Permutation(word)} did not raise the smallest key")
-        word = from_code((key >> drop).to_bytes(n, "big")).word
-        c = coeffs[word] = remainder[key]
-        _fold([[list(word), -c, 0]], remainder, f.space.num_vars)
+            raise RuntimeError(f"the greedy step at {from_code(code)} did not raise the smallest key")
+        code = (key >> drop).to_bytes(n, "big")
+        c = coeffs[code] = remainder[key]
+        _fold([[list(code), -c, 0]], remainder, f.space.num_vars)
         prev = key
-    return SchubertExpansion(n, {Permutation(word): c for word, c in coeffs.items()})
+    return SchubertExpansion(n, {from_code(code): c for code, c in coeffs.items()})

@@ -40,6 +40,15 @@ def test_code_examples():
     assert Permutation((1, 3, 4, 2)).code() == (0, 1, 1, 0)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_code_matches_its_definition_exhaustively(n):
+    # the one-pass bitmask count against c_i = #{j > i : w(j) < w(i)}, pair by pair
+    for w in all_permutations(n):
+        word = w.word
+        want = tuple(sum(1 for j in range(i + 1, n) if word[j] < word[i]) for i in range(n))
+        assert w.code() == want, w
+
+
 def test_longest_element():
     assert longest_element(1).word == (1,)
     assert longest_element(3).word == (3, 2, 1)

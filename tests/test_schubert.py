@@ -1,5 +1,6 @@
 import random
 import re
+from functools import reduce
 
 import pytest
 
@@ -50,8 +51,9 @@ def test_schubert_132():
 
 
 def test_schubert_chain_independence_spot():
-    # the recursion always takes the smallest ascent; w = 2143 also admits
-    # the chain 2143 -> 2413 -> 2431 -> 4231 -> 4321 through the larger one
+    # the recursion climbs 2143 -> 2413 -> 4213 (code 3100, dominant) at the smallest
+    # i with code_i < code_{i+1}; w = 2143 also admits the chain 2143 -> 2413 -> 2431
+    # -> 4231 -> 4321 from w0, through the larger ascent of 2413
     sp = VariableSpace(4)
     staircase = schubert_poly(longest_element(4), sp)
     alt = (
@@ -104,11 +106,12 @@ def dd_calls(monkeypatch):
 
 
 def test_too_small_space_is_rejected_before_any_work(monkeypatch, dd_calls):
-    w = Permutation((1, 2, 3, 4, 5, 6, 7, 8))  # the recursion would walk down from w0 in S_8
+    w = Permutation((1, 2, 3, 4, 5, 6, 8, 7))  # s_7 of S_8: code 0000 0010, six steps from its dominant code
     with pytest.raises(ValueError, match="space has 3 x variables, need 8"):
         schubert_poly(w, VariableSpace(3))
     assert dd_calls == []
-    assert schubert_poly(w, VariableSpace(8)).text() == "1" and len(dd_calls) == 28  # the counter counts
+    sevens = "x1 + x2 + x3 + x4 + x5 + x6 + x7"
+    assert schubert_poly(w, VariableSpace(8)).text() == sevens and len(dd_calls) == 6  # the counter counts
 
     def no_pipe_dreams(_w):
         raise AssertionError("pipe dreams enumerated before the size check")
@@ -305,43 +308,49 @@ def _oracle_fold(pairs, space, dd_calls):
     return total
 
 
-def _chain_below_w0(w):
-    """(i, v) for each word v on w's smallest-ascent chain w, w s_i, ... up to w0, w0 left out; i is v's smallest ascent."""
+def _chain_to_dominant(w):
+    """
+    (i, v) for each word v on w's chain w, w s_i, ... up to its first dominant word u (a weakly
+    decreasing code), u left out; i is the smallest with code(v)_i < code(v)_{i+1}, an ascent of v.
+    """
     chain = []
-    while w.length < w.n * (w.n - 1) // 2:
-        i = next(i for i in range(1, w.n) if w(i) < w(i + 1))
+    while True:
+        code = w.code()
+        i = next((i for i in range(1, w.n) if code[i - 1] < code[i]), None)
+        if i is None:
+            return chain
+        assert w(i) < w(i + 1)
         chain.append((i, w.word))
         w = w.times_s(i)
-    return chain
 
 
-def _nodes_below_w0(w):
-    """The words on w's smallest-ascent chain up to w0, w0 itself left out."""
-    return {v for _i, v in _chain_below_w0(w)}
+def _nodes_below_dominant(w):
+    """The words on w's chain up to its dominant word, that word itself left out."""
+    return {v for _i, v in _chain_to_dominant(w)}
 
 
 def _climb(w):
-    """The steps (i_1, ..., i_k) of w's chain read from w0 down: S_w = d_{i_k} ... d_{i_1} S_{w0}."""
-    return tuple(i for i, _v in reversed(_chain_below_w0(w)))
+    """The steps (i_1, ..., i_k) of w's chain read from its dominant word u down: S_w = d_{i_k} ... d_{i_1} x^code(u)."""
+    return tuple(i for i, _v in reversed(_chain_to_dominant(w)))
 
 
 def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
     sp = VariableSpace(6)
-    members = list(member_set(Composition((4, 2)), ORTHOGONAL).members) + [
-        Permutation((4, 6, 5, 3, 2, 1)),  # a repeat
-        Permutation((1, 2, 3, 4, 5, 6)),
-        Permutation((3, 1, 2)),  # from S_3
-        Permutation((2, 1)),  # w0 of S_2: the root alone
-        Permutation((1, 3, 2)),
+    members = list(member_set(Composition((6,)), ORTHOGONAL).members) + [
+        Permutation((3, 5, 6, 1, 4, 2)),  # a repeat
+        Permutation((1, 2, 3, 4, 5, 6)),  # dominant: a leaf of the root, no divided difference
+        Permutation((3, 1, 2)),  # from S_3, dominant
+        Permutation((2, 1)),  # from S_2, dominant
+        Permutation((1, 3, 2)),  # from S_3: its one step is the first step of S_6 words
     ]
-    assert members.count(Permutation((4, 6, 5, 3, 2, 1))) == 2
+    assert members.count(Permutation((3, 5, 6, 1, 4, 2))) == 2
     # over all sizes together, the fold runs one divided difference per distinct nonempty
     # suffix of a path (a node of the trie keyed from the outermost step): the S_3 and S_6
-    # words share nodes, where one trie per size ran 21
+    # words share nodes, where one trie per size ran 11
     paths = {_climb(w) for w in members}
     want = len({p[-k:] for p in paths for k in range(1, len(p) + 1)})
-    nodes = set().union(*map(_nodes_below_w0, members))
-    assert want == 19 and len(nodes) == 22  # a walk per distinct node would run 22
+    nodes = set().union(*map(_nodes_below_dominant, members))
+    assert want == 10 and len(nodes) == 24  # a walk per distinct node would run 24
     first = schubert.schubert_sum(members, sp)
     assert len(dd_calls) == want
     assert {width for _i, width in dd_calls} == {sp.num_vars}  # every node, on the space's own keys
@@ -349,18 +358,59 @@ def test_sum_runs_one_divided_difference_per_distinct_node(dd_calls):
     assert len(dd_calls) == 2 * want  # the second call recomputes: nothing is kept
 
 
-def test_expansion_folds_each_greedy_word_from_w0(dd_calls):
-    # each greedy word is folded on its own into the remainder: one divided difference
-    # per step of its path from w0, on the space's own keys; the greedy steps raise the
-    # remainder's smallest key, so the words come in increasing code order
+def test_expansion_folds_each_greedy_code_to_its_dominant_code(dd_calls):
+    # each greedy code is folded on its own into the remainder: one divided difference
+    # per step of its path from its dominant code, on the space's own keys; the greedy
+    # steps raise the remainder's smallest key, so the words come in increasing code order
     rhs = product_side(Composition((6,)), ORTHOGONAL)
     width = rhs.space.num_vars
     expansion = expand_in_schubert_basis(rhs, 6)
     steps = sorted(expansion.coeffs, key=Permutation.code)
     want = [(i, width) for w in steps for i in _climb(w)]
-    assert dd_calls == want and len(want) == 90 and width > 6  # keys above a nonzero field offset
+    assert dd_calls == want and len(want) == 24 and width > 6  # keys above a nonzero field offset
     assert expand_in_schubert_basis(rhs, 6) == expansion
     assert dd_calls == 2 * want  # the second call recomputes: nothing is kept
+
+
+def _avoids_132(word):
+    """No positions i < j < k with w(i) < w(k) < w(j), checked over all triples."""
+    n = len(word)
+    return not any(
+        word[i] < word[k] < word[j] for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dominant_words_are_leaves_read_off_their_code(n, dd_calls):
+    # a 132-avoiding w has a weakly decreasing code and S_w = x^code(w) (Macdonald (4.7)):
+    # the fold adds it as a leaf and runs no divided difference
+    sp = VariableSpace(n)
+    dominant = [w for w in all_permutations(n) if _avoids_132(w.word)]
+    assert len(dominant) == [1, 2, 5, 14, 42, 132][n - 1]  # the Catalan numbers
+    for w in dominant:
+        code = w.code()
+        assert all(a >= b for a, b in zip(code, code[1:])), w
+        monomial = Polynomial.monomial(sp, {sp.x(i + 1): c for i, c in enumerate(code) if c})
+        assert schubert_poly(w, sp) == monomial == schubert_poly_oracle(w, sp), w
+    assert dd_calls == []
+
+
+def test_words_of_two_sizes_share_one_dominant_leaf(dd_calls):
+    sp = VariableSpace(5, (2, 3))
+    small, padded = Permutation((3, 1, 2)), Permutation((3, 1, 2, 4))  # both of code 200
+    x1 = xvar(sp, 1)
+    assert schubert.schubert_sum([small, padded], sp) == x1 * x1 * 2
+    assert SchubertExpansion(4, {small: 1, padded: -1}).to_polynomial(sp).is_zero()
+    assert dd_calls == []
+
+
+def test_orthogonal_nine_sum_starts_at_dominant_codes(dd_calls):
+    # each of the 384 members climbs only to its first dominant code; climbs to w0 would run 3311
+    mu = Composition((9,))
+    members = member_set(mu, ORTHOGONAL).members
+    rhs = product_side(mu, ORTHOGONAL)
+    assert schubert.schubert_sum(members, rhs.space) == rhs
+    assert len(dd_calls) == 467
 
 
 def test_expansion_raises_when_a_greedy_step_leaves_the_smallest_key(monkeypatch):
@@ -400,7 +450,7 @@ def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups(dd_cal
     assert schubert.schubert_sum(iter(members), sp) == want
     assert schubert.schubert_sum([], sp).is_zero()
     # words of three sizes, each size with many members whose paths share suffixes: all of
-    # S_4 (the suffix groups hold up to 8 members), the orthogonal (5) set (8 members, 5 suffixes) and S_3
+    # S_4 (the suffix groups hold up to 6 members), the orthogonal (5) set (8 members, 4 suffixes) and S_3
     members = [
         *all_permutations(4),
         *member_set(Composition((5,)), ORTHOGONAL).members,
@@ -409,13 +459,14 @@ def test_schubert_sum_matches_oracle_fold_with_repeats_and_smaller_groups(dd_cal
     assert {w.n for w in members} == {3, 4, 5}
     want = _oracle_fold([(w, 1) for w in members], sp, dd_calls)
     assert schubert.schubert_sum(members, sp) == want
-    # paths that share their first 7 steps from w0 and end in different last steps, so the
-    # trie keyed from the outermost step shares none of that prefix between them
+    # paths that share their dominant code 42000 and their first 2 steps from it and end in
+    # different last steps, so the trie keyed from the outermost step shares none of that prefix
     members = [
-        Permutation(word) for word in ((2, 3, 1, 4, 5), (3, 1, 2, 4, 5), (2, 1, 3, 4, 5), (1, 3, 2, 4, 5))
+        Permutation(word) for word in ((1, 3, 2, 5, 4), (1, 3, 5, 2, 4), (3, 1, 2, 5, 4), (3, 1, 5, 2, 4))
     ]
     paths = [_climb(w) for w in members]
-    assert {p[:7] for p in paths} == {(1, 2, 3, 4, 1, 2, 3)} and {p[-1] for p in paths} == {1, 2}
+    assert {p[:2] for p in paths} == {(1, 2)} and {p[-1] for p in paths} == {1, 2, 3}
+    assert {reduce(Permutation.times_s, reversed(p), w).code() for w, p in zip(members, paths)} == {(4, 2, 0, 0, 0)}
     want = _oracle_fold([(w, 1) for w in members], sp, dd_calls)
     assert schubert.schubert_sum(members, sp) == want
 
@@ -431,16 +482,17 @@ def test_to_polynomial_matches_oracle_fold_with_signed_coefficients(dd_calls):
     assert expansion.to_polynomial() == _oracle_fold(coeffs.items(), VariableSpace(5), dd_calls)
     with pytest.raises(ValueError, match="space has 4 x variables, need 5"):
         expansion.to_polynomial(VariableSpace(4))
-    # all of S_4 with signed coefficients: 1243 and 1324 end in the same two steps, so
-    # they share a suffix group, and their heads' maps share a monomial that cancels there
+    # all of S_4 with signed coefficients: 1432 and 2413 take the same first step, so they
+    # share a group, and their children S_4132 and S_4213 share a monomial that cancels there
     rng = random.Random(4)
     coeffs = {w: rng.choice([-2, -1, 1, 3]) for w in all_permutations(4)}
-    coeffs.update({Permutation((1, 2, 4, 3)): 1, Permutation((1, 3, 2, 4)): -1})
+    coeffs.update({Permutation((1, 4, 3, 2)): 1, Permutation((2, 4, 1, 3)): -1})
     expansion = SchubertExpansion(4, coeffs)
     for sp in (VariableSpace(4), VariableSpace(5, (2, 3))):
         assert expansion.to_polynomial(sp) == _oracle_fold(coeffs.items(), sp, dd_calls)
-    # words of three sizes whose paths share trie nodes: S_312 - S_3124 and 2 S_21 - 2 S_21345
-    # cancel across sizes, and 3 S_14235 = 3 S_1423 is left
+    # words of three sizes that share dominant leaves of the root: 312 and 3124 (code 200),
+    # 21 and 21345 (code 10), so S_312 - S_3124 and 2 S_21 - 2 S_21345 cancel across sizes
+    # there, and 3 S_14235 = 3 S_1423 is left
     coeffs = {
         Permutation((3, 1, 2)): 1,
         Permutation((3, 1, 2, 4)): -1,
