@@ -51,7 +51,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .composition import Composition, check_even_parts
 from .permutation import Permutation
-from .polynomial import Polynomial, VariableSpace, bijective_substitutions, product_of_linear_forms
+from .polynomial import (
+    Polynomial, VariableSpace, _linear_form_product, bijective_substitutions, product_of_linear_forms
+)
 
 
 def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
@@ -219,6 +221,14 @@ class FactoredClass(NamedTuple):
     def expand(self) -> Polynomial:
         """The expanded class: one product of the factors whose term map starts from the head."""
         return product_of_linear_forms(self.space, self.factors, head=self._head())
+
+    def expanded_terms(self) -> tuple[dict[int, int], int]:
+        """
+        expand() as (the product kernel's own new term map, the class's
+        degree), with no Polynomial around the map: its keys stay opaque, and
+        the caller may add into it.
+        """
+        return _linear_form_product(self.space, self.factors, self._head())
 
     def text(self) -> str:
         head = self._head().text()

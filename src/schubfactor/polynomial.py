@@ -191,7 +191,9 @@ def divided_difference_terms(
     Polynomial.divided_difference and the Schubert recursion.  Every output
     field is below the larger of its two inputs, so it cannot overflow.
     With `out`, the result is added into that map (sums that reach 0 are
-    dropped), which is returned.
+    dropped), which is returned.  Neither `terms` nor `out` may hold a zero
+    coefficient: then every step adds a nonzero sign, so a sum that reaches
+    0 was an entry of `out`.
     """
     sa = 8 * (width - i)  # the field of x_i; x_{i+1} is the next one down
     sb = sa - 8
@@ -209,7 +211,7 @@ def divided_difference_terms(
             nc = out.get(k, 0) + sign
             if nc:
                 out[k] = nc
-            elif k in out:
+            else:
                 del out[k]
             k += step
     return out
@@ -625,6 +627,19 @@ def product_of_linear_forms(
     of forms with a linear part, and its total_degree() reads that number
     without decoding a key.
     """
+    terms, total = _linear_form_product(space, forms, head)
+    product = _owned(space, terms)
+    product._total_degree = total
+    return product
+
+
+def _linear_form_product(
+    space: VariableSpace, forms: Iterable[Polynomial], head: Polynomial | None
+) -> tuple[dict[int, int], int]:
+    """
+    product_of_linear_forms as (its term map, its degree): a new zero-free
+    map that no Polynomial shares, so the caller may add into it in place.
+    """
     guard = space._guard
     if head is None:
         terms: dict[int, int] = {0: 1}
@@ -656,7 +671,7 @@ def product_of_linear_forms(
         nonzero = nonzero and bool(form._terms)
         steps.append((-len(form._terms), position, bumps))
     if not nonzero:
-        return _owned(space, {})
+        return {}, 0
     steps.sort()  # the forms with more terms first, in the given order among equals
     for _, _, ((unit, a), *bumps) in steps:
         # the first bump maps keys one to one (a nonzero a times a nonzero c), so no entry is 0 or merged
@@ -667,9 +682,7 @@ def product_of_linear_forms(
                 key += unit
                 out[key] = get(key, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
-    product = _owned(space, terms)
-    product._total_degree = total
-    return product
+    return terms, total
 
 
 def bijective_substitutions(

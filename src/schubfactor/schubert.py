@@ -30,7 +30,8 @@ schubert_sum, to_polynomial) and each step of the basis expansion walk
 Lehmer codes, not words: a code steps at its smallest i with
 c_i < c_{i+1}, always an ascent of w, to the code of w s_i.  The codes of
 one step i fold into one child map, and d_i of it is added into the term
-map being summed into.  The groups are the nodes of one suffix trie over
+map being summed into, which may already hold terms: the verifier folds
+-S_w straight into the product side's own map.  The groups are the nodes of one suffix trie over
 codes of every size, keyed by each word's path from its first dominant
 code read from its outermost step, so each trie node runs one divided
 difference on an already summed map.  A dominant code adds c * x^code in
@@ -53,7 +54,9 @@ from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_te
 def _fold(items: list, terms: dict, width: int) -> None:
     """
     terms += sum c * S_w over items [code(w) as a list, c, scan start], into
-    a term map whose keys have `width` fields (see the module docstring).
+    a term map whose keys have `width` fields (see the module docstring);
+    every c and every value of terms is nonzero, as divided_difference_terms
+    requires.
     Each code steps to that of w s_i at its smallest i with c_i < c_{i+1},
     rewritten in place to (c_{i+1} + 1, c_i): the entries before the scan
     start are weakly decreasing, so after a step at position j the next
@@ -76,19 +79,20 @@ def _fold(items: list, terms: dict, width: int) -> None:
             if nc:
                 terms[leaf] = nc
             else:
-                terms.pop(leaf, None)
+                del terms[leaf]  # a nonzero c brought the sum to 0, so the leaf was in terms
     for i, group in groups.items():
         child: dict[int, int] = {}
         _fold(group, child, width)
         divided_difference_terms(child, i, width, terms)
 
 
-def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
+def _combination(pairs: Iterable, space: VariableSpace, terms: dict[int, int]) -> dict[int, int]:
     """
-    sum c * S_w over (w, c) pairs, a repeat counted each time: the
+    terms += sum c * S_w over (w, c) pairs, a repeat counted each time,
+    into a zero-free map of the space's keys, which is returned: the
     coefficients of each word are summed first, with one code read per
     distinct word, zero sums are dropped, and the codes of every size are
-    folded together (_fold).
+    folded together (_fold), which drops every sum that reaches 0.
     """
     items: dict[tuple[int, ...], list] = {}
     for w, c in pairs:
@@ -99,14 +103,13 @@ def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     need = max(map(len, items), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
-    terms: dict[int, int] = {}
     _fold([item for item in items.values() if item[1]], terms, space.num_vars)
-    return _owned(space, terms)  # _fold and divided_difference_terms drop every sum that reaches 0
+    return terms
 
 
 def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:
     """Exact sum of the Schubert polynomials of all members; a repeated member counts each time."""
-    return _combination(((w, 1) for w in members), space)
+    return _owned(space, _combination(((w, 1) for w in members), space, {}))
 
 
 def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynomial:
@@ -120,7 +123,8 @@ def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynom
     >>> schubert_poly(Permutation((1, 3, 2))).text()
     'x1 + x2'
     """
-    return _combination([(w, 1)], space or VariableSpace(w.n))
+    space = space or VariableSpace(w.n)
+    return _owned(space, _combination([(w, 1)], space, {}))
 
 
 # -- independent oracle: reduced pipe dreams ---------------------------------
@@ -226,7 +230,8 @@ class SchubertExpansion(NamedTuple):
         return set(self.coeffs)
 
     def to_polynomial(self, space: VariableSpace | None = None) -> Polynomial:
-        return _combination(self.coeffs.items(), space or VariableSpace(self.n))
+        space = space or VariableSpace(self.n)
+        return _owned(space, _combination(self.coeffs.items(), space, {}))
 
     def to_json_dict(self) -> dict:
         return {

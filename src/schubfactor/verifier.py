@@ -10,8 +10,12 @@ statements about integer polynomials:
   (c) expanding the product side in the Schubert basis returns exactly the
       member set, every coefficient 1.
 
-The verdict is (a) for distinct members of S_n, built as one Schubert sum
-that also gives a failing report's witness.  The Schubert polynomials of
+The verdict is (a) for distinct members of S_n.  The product kernel builds
+the product side's term map once, -S_w of every member is folded straight
+into that map (divided differences are linear), and (a) holds iff the map
+ends empty; no Schubert sum is held beside the product side.  Only a failing
+report rebuilds the product side, for the coefficients of its witness, the
+canonically first monomial of the remainder.  The Schubert polynomials of
 S_n are a Z-basis of the staircase span (Macdonald, Notes on Schubert
 Polynomials, 1991), so (b) and (c) follow from (a): the sum lies in the
 span, and its expansion is unique.
@@ -58,8 +62,8 @@ from .composition import Composition, check_even_parts, enumerate_compositions
 from .permutation import Permutation, block_orbit
 from . import cohomology
 from .polynomial import Polynomial
-# perfbench wraps these four names on verifier; schubert_sum alone is called here, and
-# expand_in_schubert_basis, in_staircase_span and schubert_poly are imported only so the wraps resolve
+from .schubert import _combination
+# perfbench wraps these four names on verifier; none is called here, so they are imported only for the wraps
 from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly, schubert_sum
 from .wset import WSet, w_set_orthogonal, w_set_symplectic
 
@@ -151,14 +155,16 @@ def needs_even_parts(family: str) -> bool:
     return by_family(family, False, True)
 
 
-def _first_mismatch(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | None:
-    """Canonically first monomial whose coefficients differ."""
-    diff = lhs - rhs
-    if diff.is_zero():
+def _first_mismatch(remainder: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | None:
+    """
+    The canonically first monomial of remainder = rhs - lhs, as (monomial,
+    lhs coefficient, rhs coefficient); None when the remainder is 0.
+    """
+    if remainder.is_zero():
         return None
-    exp, _ = diff.leading_term()
-    text = Polynomial(lhs.space, {exp: 1}).text()
-    return (text, str(lhs.terms.get(exp, 0)), str(rhs.terms.get(exp, 0)))
+    key, r = remainder.leading_term()
+    rhs_c = rhs.terms.get(key, 0)
+    return (Polynomial(rhs.space, {key: 1}).text(), str(rhs_c - r), str(rhs_c))
 
 
 def product_side(mu: Composition, family: str) -> Polynomial:
@@ -177,12 +183,17 @@ def verify_identity_for_members(
     """Check sum-equals-product for an explicit member set (see module docstring)."""
     start = time.perf_counter()
     n = mu.total
-    rhs = product_side(mu, family)
-    # a member of a larger S_m has no Schubert polynomial in rhs's space
-    lhs = schubert_sum(members, rhs.space) if all(w.n <= n for w in members) else None
+    factored = cohomology.ordinary_factored(mu, half_slots=not needs_even_parts(family))
+    remainder, degree = factored.expanded_terms()
+    # a member of a larger S_m has no Schubert polynomial in the product side's space
+    fits = all(w.n <= n for w in members)
+    if fits:
+        _combination(((w, -1) for w in members), factored.space, remainder)  # now rhs - lhs
     # only members of S_n count: S_312 == S_3124, so a member of a smaller S_m can match rhs
-    ok = all(w.n == n for w in members) and len(set(members)) == len(members) and lhs == rhs
-    witness = None if ok or lhs is None else _first_mismatch(lhs, rhs)
+    ok = all(w.n == n for w in members) and len(set(members)) == len(members) and not remainder
+    witness = None
+    if fits and remainder:  # only a failing report rebuilds the product side, for its witness
+        witness = _first_mismatch(Polynomial(factored.space, remainder), factored.expand())
     flags: list[str] = []
     if not ok and witness is None:
         flags.append("Schubert expansion of the product side is not the member set with unit coefficients")
@@ -191,7 +202,7 @@ def verify_identity_for_members(
         family=family,
         mu=mu,
         verdict="pass" if ok else "fail",
-        degree=rhs.total_degree(),
+        degree=degree,
         support=len(members),
         witness=witness,
         flags=flags,
@@ -285,7 +296,7 @@ def verify_equivariant_suite(
 
     def fail(flag: str, lhs: Polynomial, rhs: Polynomial) -> None:
         report.verdict = "fail"
-        report.witness = _first_mismatch(lhs, rhs)  # None when the two agree
+        report.witness = _first_mismatch(rhs - lhs, rhs)  # None when the two agree
         report.flags.append(flag)
 
     def mismatch(lhs: Polynomial, rhs: Polynomial, flag: str) -> bool:

@@ -120,7 +120,10 @@ def _assemble(mu: Composition, base_words, family: str) -> WSet:
     """
     Cartesian product over blocks: block i draws its word from
     base_words(mu_i) and its letters from the interval (low, low + mu_i] with
-    low = n - nu_{i+1}, so relabeling adds low to every letter.
+    low = n - nu_{i+1}, so relabeling adds low to every letter.  The
+    intervals are disjoint and cover 1..n, and each block word is a checked
+    base word, so every assembled word is a permutation and is stored
+    without the constructor's check, in sorted word order.
     """
     n = mu.total
     prefixes: list[tuple[int, ...]] = [()]
@@ -128,8 +131,14 @@ def _assemble(mu: Composition, base_words, family: str) -> WSet:
         low = n - mu.nu[i]
         blocks = [tuple(v + low for v in u.word) for u in base_words(part)]
         prefixes = [pre + b for pre in prefixes for b in blocks]
-    members = tuple(sorted(Permutation(w) for w in prefixes))
-    return WSet(family, mu, members)
+    prefixes.sort()
+    new, init = Permutation.__new__, object.__setattr__
+    members = []
+    for word in prefixes:
+        w = new(Permutation)
+        init(w, "word", word)
+        members.append(w)
+    return WSet(family, mu, tuple(members))
 
 
 def w_set_orthogonal(mu: Composition) -> WSet:

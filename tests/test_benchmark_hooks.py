@@ -30,10 +30,11 @@ def test_install_spans_wraps_and_restores_every_attribute():
         tracer.remove()
     assert [dict(vars(owner)) for owner in OWNERS] == before
     spans = tracer.summary(1)["spans"]
-    for span in ("verifier", "wset.member_set", "cohomology.product_side", "schubert.sum"):
+    for span in ("verifier", "wset.member_set"):
         assert spans[span]["calls"] >= 1, span
-    # the Schubert sum alone decides the verdict: no span scan, no basis expansion
-    for span in ("schubert.expand", "schubert.span"):
+    # the Schubert sum is folded into the product side's own term map, which decides the
+    # verdict: no ordinary class, no separate Schubert sum, no span scan, no basis expansion
+    for span in ("cohomology.product_side", "schubert.sum", "schubert.expand", "schubert.span"):
         assert spans[span]["calls"] == 0, span
 
 

@@ -18,6 +18,7 @@ from schubfactor.polynomial import (
     Polynomial,
     VariableSpace,
     bijective_substitutions,
+    divided_difference_terms,
     product_of_linear_forms,
 )
 
@@ -60,6 +61,13 @@ def dense_mul(a, b):
         for e2, c2 in b.items():
             e = tuple(map(int.__add__, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dense_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
@@ -232,9 +240,18 @@ def test_bijective_substitutions_block_orbits_match_dense(f, order, k, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_dense_poly, st.integers(1, SPACE.n - 1))
-def test_divided_difference_matches_dense(f, i):
-    assert packed(f).divided_difference(i) == packed(dense_divided_difference(f, i))
+@given(_dense_poly, st.integers(1, SPACE.n - 1), _dense_poly, st.booleans())
+def test_divided_difference_matches_dense(f, i, g, cancel):
+    df = dense_divided_difference(f, i)
+    assert packed(f).divided_difference(i) == packed(df)
+    # added into g's own zero-free map through `out`; with `cancel`, g also holds -d_i f, so
+    # every term of d_i f meets its negative there and each sum that reaches 0 must leave
+    if cancel:
+        g = dense_add(g, {e: -c for e, c in df.items()})
+    out = dict(packed(g).terms)
+    assert divided_difference_terms(packed(f).terms, i, N, out) is out
+    assert 0 not in out.values()
+    assert Polynomial(SPACE, out) == packed(dense_add(g, df))
 
 
 @settings(max_examples=350, deadline=None)

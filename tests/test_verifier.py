@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -148,10 +150,12 @@ def test_duplicated_member_fails_with_witness():
 
 def test_repeated_member_fails_even_when_the_sum_matches(monkeypatch):
     # no real product side has a coefficient 2, so give one: 2 S_213, the sum of [213, 213]
+    # (S_213 = x1, so the factored class 2 * x1 with no linear factors)
     mu, w = Composition((2, 1)), Permutation((2, 1, 3))
     sp = coh.space_for(mu)
-    monkeypatch.setattr(verifier, "product_side", lambda mu, family: 2 * schubert_poly(w, sp))
-    assert schubert_sum([w, w], sp) == verifier.product_side(mu, ORTHOGONAL)
+    doubled = coh.FactoredClass(sp, 2, ((sp.x(1), 1),), ())
+    monkeypatch.setattr(coh, "ordinary_factored", lambda mu, half_slots: doubled)
+    assert schubert_sum([w, w], sp) == doubled.expand() == 2 * schubert_poly(w, sp)
     report = verify_identity_for_members(mu, ORTHOGONAL, [w, w])
     assert report.verdict == "fail"
     assert report.witness is None and report.flags == [EXPANSION_FLAG]
@@ -168,6 +172,28 @@ def test_report_text_shows_witness_and_notes():
     )
     report = verify_identity_for_members(mu, ORTHOGONAL, [Permutation((3, 2, 1, 4))])
     assert report.text().splitlines()[1:] == [f"  note: {EXPANSION_FLAG}"]
+
+
+@pytest.mark.parametrize("parts", [(8,), (1, 8)])
+def test_verify_path_peaks_within_a_bound_of_its_product_side(parts):
+    # the Schubert sum is folded into the product side's own term map, so no product-sized
+    # map is held beside it; a sum built beside the product side peaks at about 2.9 times it
+    mu = Composition(parts)
+    verify_identity(mu, ORTHOGONAL)  # builds and keeps the base sets, which are not the path's cost
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rhs = product_side(mu, ORTHOGONAL)
+        size = tracemalloc.get_traced_memory()[0] - base
+        del rhs
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_identity(mu, ORTHOGONAL).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.65 * size, f"verify peaks at {peak / size:.2f} times its product side"
 
 
 def _expansion_verdict(rhs, n, members):
