@@ -27,7 +27,7 @@ import sys
 from typing import Sequence
 
 from . import cohomology, verifier
-from .composition import Composition, check_even_parts
+from .composition import Composition, check_even_parts, parse_composition
 from .permutation import parse_permutation
 from .schubert import expand_in_schubert_basis, schubert_poly
 from .wset import WSet
@@ -52,13 +52,9 @@ def _check_n(args) -> None:
 
 
 def _parse_mu(args) -> Composition:
-    # the guard runs before Composition lays out one entry per position;
-    # a part below 1 is left to Composition's own error
     try:
-        parts = [int(part) for part in args.mu.strip().split(",")]
-        if min(parts) >= 1:
-            _check_size(args, sum(parts))
-        mu = Composition(parts)
+        mu = parse_composition(args.mu)
+        _check_size(args, mu.total)
         check_even_parts(mu, not verifier.needs_even_parts(args.family))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -59,15 +59,11 @@ from .polynomial import (
 def cross_block_roots(mu: Composition) -> list[tuple[int, int]]:
     """
     Positive roots e_k - e_l (k < l) of GL_n, as pairs (k, l), that straddle
-    two different blocks; count = sum_{i<j} mu_i mu_j.
+    two different blocks; count = sum_{i<j} mu_i mu_j.  Block b covers
+    (nu_b, nu_{b+1}], so its k pair with every l past its end.
     """
-    n, blocks = mu.total, mu.blocks
-    return [
-        (k, l)
-        for k in range(1, n + 1)
-        for l in range(k + 1, n + 1)
-        if blocks[k - 1] != blocks[l - 1]
-    ]
+    n, nu = mu.total, mu.nu
+    return [(k, l) for lo, hi in zip(nu, nu[1:]) for k in range(lo + 1, hi + 1) for l in range(hi + 1, n + 1)]
 
 
 @functools.cache
@@ -332,8 +328,8 @@ def preserves_blocks(w: Permutation | Sequence[int], mu: Composition) -> bool:
         w = w.word
     if len(w) != mu.total:
         raise ValueError("size mismatch")
-    blocks = mu.blocks
-    return all(blocks[v - 1] == b for v, b in zip(w, blocks))
+    nu = mu.nu
+    return all(lo < v <= hi for lo, hi in zip(nu, nu[1:]) for v in w[lo:hi])
 
 
 def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:

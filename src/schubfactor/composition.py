@@ -14,6 +14,7 @@ statistics defined here drive every product formula in the cohomology module:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 
@@ -27,7 +28,7 @@ class Composition:
 
     # Hand-written rather than a dataclass: importing dataclasses also loads
     # inspect, ast and dis, which no code here uses (tests/test_imports.py).
-    __slots__ = ("parts", "nu", "blocks")  # blocks[i - 1] == block_of(i)
+    __slots__ = ("parts", "nu")
 
     def __init__(self, parts: Iterable[int]):
         parts = tuple(parts)
@@ -39,7 +40,6 @@ class Composition:
         # the only writers: __setattr__ refuses every assignment
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "nu", tuple(nu))
-        object.__setattr__(self, "blocks", tuple(j for j, p in enumerate(parts, start=1) for _ in range(p)))
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"Composition is immutable; cannot set {attr}")
@@ -71,10 +71,10 @@ class Composition:
         return self.nu[-1]
 
     def block_of(self, i: int) -> int:
-        """The block containing position i."""
+        """The block b containing position i: the first b with i <= nu_{b+1}."""
         if type(i) is not int or not 1 <= i <= self.total:
             raise ValueError(f"position {i!r} out of range for {self}")
-        return self.blocks[i - 1]
+        return bisect_left(self.nu, i)
 
     def right_mass(self, i: int) -> int:
         """Total size of the blocks strictly to the right of position i's block."""

@@ -37,7 +37,14 @@ class Permutation:
             raise ValueError("empty permutation word")
         if sorted(word) != list(range(1, n + 1)) or set(map(type, word)) != {int}:
             raise ValueError(f"not a permutation of 1..{n}: {word}")
-        object.__setattr__(self, "word", word)  # the only writer: __setattr__ refuses every assignment
+        object.__setattr__(self, "word", word)  # with _unchecked, the only writers: __setattr__ refuses every assignment
+
+    @classmethod
+    def _unchecked(cls, word: tuple[int, ...]) -> "Permutation":
+        """The permutation of `word`, a tuple the caller knows holds each of 1..n once."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "word", word)
+        return w
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"Permutation is immutable; cannot set {attr}")
@@ -183,11 +190,7 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("empty permutation word")
-    new, init = Permutation.__new__, object.__setattr__
-    for word in _itertools_permutations(range(1, n + 1)):
-        w = new(Permutation)
-        init(w, "word", word)
-        yield w
+    yield from map(Permutation._unchecked, _itertools_permutations(range(1, n + 1)))
 
 
 def block_orbit(w: Permutation, parts: Sequence[int]) -> Iterator[Permutation]:
@@ -206,11 +209,8 @@ def block_orbit(w: Permutation, parts: Sequence[int]) -> Iterator[Permutation]:
     for p in parts:
         starts.append(starts[-1] + p)
     blocks = [_itertools_permutations(sorted(w.word[a:b])) for a, b in zip(starts, starts[1:])]
-    new, init = Permutation.__new__, object.__setattr__
     for pieces in _itertools_product(*blocks):
-        u = new(Permutation)
-        init(u, "word", sum(pieces, ()))  # the same letters as w's, so no check is needed
-        yield u
+        yield Permutation._unchecked(sum(pieces, ()))  # the same letters as w's, so no check is needed
 
 
 def parse_permutation(text: str) -> Permutation:

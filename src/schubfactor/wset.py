@@ -132,13 +132,7 @@ def _assemble(mu: Composition, base_words, family: str) -> WSet:
         blocks = [tuple(v + low for v in u.word) for u in base_words(part)]
         prefixes = [pre + b for pre in prefixes for b in blocks]
     prefixes.sort()
-    new, init = Permutation.__new__, object.__setattr__
-    members = []
-    for word in prefixes:
-        w = new(Permutation)
-        init(w, "word", word)
-        members.append(w)
-    return WSet(family, mu, tuple(members))
+    return WSet(family, mu, tuple(map(Permutation._unchecked, prefixes)))
 
 
 def w_set_orthogonal(mu: Composition) -> WSet:

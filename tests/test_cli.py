@@ -224,9 +224,9 @@ def test_n_above_guard_is_a_usage_error(capsys, argv):
     assert err == "error: ambient size 10 exceeds guard --max-n 9\n"
 
 
-def test_mu_above_guard_is_rejected_before_the_composition_is_built():
-    # a Composition of 10^8 positions would lay out 10^8 block entries; under a
-    # 128 MB address-space cap that is a MemoryError unless the guard runs first
+def test_mu_above_guard_is_rejected_in_128_mb():
+    # a Composition of 10^8 positions is two short tuples, so under a 128 MB
+    # address-space cap the guard still reports the size as a usage error
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"

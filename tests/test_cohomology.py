@@ -40,9 +40,11 @@ def test_space_for_builds_each_space_once():
 
 def test_root_counts():
     assert len(coh.cross_block_roots(Composition((2, 3)))) == 2 * 3
-    for n in range(2, 7):
+    for n in range(2, 8):
         for mu in enumerate_compositions(n):
             cross = coh.cross_block_roots(mu)
+            per_position = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1) if mu.block_of(k) != mu.block_of(l)]
+            assert cross == per_position
             expected = sum(
                 mu.parts[i] * mu.parts[j]
                 for i in range(mu.s)

@@ -1,8 +1,13 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from schubfactor import composition
 from schubfactor.cohomology import space_for
 from schubfactor.composition import Composition, enumerate_compositions, parse_composition
 
@@ -67,10 +72,23 @@ def test_non_integer_parts_are_rejected_not_truncated(parts):
         Composition(parts)
 
 
-def test_blocks_are_stored_per_position():
+def test_block_of_every_position():
     mu = Composition((3, 1, 2))
-    assert mu.blocks == (1, 1, 1, 2, 3, 3)
-    assert [mu.block_of(i) for i in range(1, 7)] == list(mu.blocks)
+    assert [mu.block_of(i) for i in range(1, 7)] == [1, 1, 1, 2, 3, 3]
+
+
+def test_a_large_composition_is_built_from_its_parts_alone():
+    # a Composition keeps only its parts and offsets, so 10^8 positions fit in 128 MB of address space
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "from schubfactor.composition import Composition, parse_composition\n"
+        "for mu in (parse_composition('100000000'), Composition((10**8,))):\n"
+        "    assert (mu.total, mu.block_of(1), mu.block_of(10**8), mu.right_mass(1)) == (10**8, 1, 1, 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(composition.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
 def test_enumerate_compositions():
@@ -115,13 +133,13 @@ def test_value_semantics():
     assert a == b and hash(a) == hash(b)
     assert a != Composition((3, 2))
     assert space_for(a) is space_for(b)
-    for attr in ("parts", "nu", "blocks"):
+    for attr in ("parts", "nu"):
         with pytest.raises(AttributeError):
             setattr(a, attr, (5,))
         with pytest.raises(AttributeError):
             delattr(a, attr)
-    assert (a.parts, a.nu, a.blocks) == ((2, 3), (0, 2, 5), (1, 1, 2, 2, 2))
+    assert (a.parts, a.nu) == ((2, 3), (0, 2, 5))
     for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
-        assert twin == a and twin.nu == a.nu and twin.blocks == a.blocks
+        assert twin == a and twin.nu == a.nu
     assert repr(a) == "Composition(parts=(2, 3))"
     assert a != (2, 3) and (2, 3) != a
