@@ -11,11 +11,13 @@ Subcommands:
     verify      check one identity           (--mu, --family)
     sweep       check all compositions of n  (--n, --family)
 
-Output goes to stdout (--format text|json), diagnostics to stderr.  JSON
-output is byte-identical across runs; pass --timings to verify/sweep to
-include real elapsed milliseconds instead of null.  Exit status: 0 on
-success/pass, 1 on verification failure, 2 on usage errors, 3 on an
-internal error.
+Output goes to stdout (--format text|json), diagnostics to stderr.
+formula and equivariant print the factored class as text unless --expand
+is given; their JSON is always the expanded class, --expand or not, so its
+cost is the expansion's (ROADMAP item 4).  JSON output is byte-identical
+across runs; pass --timings to verify/sweep to include real elapsed
+milliseconds instead of null.  Exit status: 0 on success/pass, 1 on
+verification failure, 2 on usage errors, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ _OPTIONS = {
         type=int, default=9, help="guard: reject ambient sizes above this (default 9)"
     ),
     "--dot": dict(action="store_true", help="emit a DOT graph of isolated labeled vertices"),
-    "--expand": dict(action="store_true", help="print the expanded polynomial"),
+    "--expand": dict(action="store_true", help="print the expanded polynomial (text only: JSON is always expanded)"),
     "--timings": dict(action="store_true", help="include elapsed ms in JSON output"),
 }
 _COMMANDS = (  # (name, help, handler, options)

@@ -36,8 +36,8 @@ y_j, so the permutations that share a prefix share its partial restriction,
 whose terms merge and cancel before the deeper levels.  Given the block
 sizes of a class symmetric in the x's of each block, the tree takes only the
 words that rise inside every block and yields one item for each, so one
-item serves a block orbit w S_mu (permutation.block_orbit lists it).
-restrict_to_fixed_point remains the independent single-w route.
+item serves a block orbit w S_mu, the words that permute w's letters inside
+each block.  restrict_to_fixed_point remains the independent single-w route.
 
 fixed_point_weight_product builds its product from the roots, never from
 restricted factors, once per composition: a block-preserving w permutes the
@@ -47,7 +47,7 @@ cross-block roots.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .composition import Composition, check_even_parts
 from .permutation import Permutation
@@ -318,18 +318,15 @@ def fixed_point_restrictions(
     return bijective_substitutions(f, xs, ys, parts)
 
 
-def preserves_blocks(w: Permutation | Sequence[int], mu: Composition) -> bool:
+def preserves_blocks(w: Permutation, mu: Composition) -> bool:
     """
-    True iff w, a permutation or the whole one-line word of one, of size
-    mu.total, maps every block of mu onto itself: every letter lies in the
-    block of its position.
+    True iff w, of size mu.total, maps every block of mu onto itself: every
+    letter lies in the block of its position.
     """
-    if isinstance(w, Permutation):
-        w = w.word
-    if len(w) != mu.total:
+    if w.n != mu.total:
         raise ValueError("size mismatch")
     nu = mu.nu
-    return all(lo < v <= hi for lo, hi in zip(nu, nu[1:]) for v in w[lo:hi])
+    return all(lo < v <= hi for lo, hi in zip(nu, nu[1:]) for v in w.word[lo:hi])
 
 
 def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:

@@ -11,7 +11,6 @@ caller.
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
-from itertools import product as _itertools_product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -191,26 +190,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     if n < 1:
         raise ValueError("empty permutation word")
     yield from map(Permutation._unchecked, _itertools_permutations(range(1, n + 1)))
-
-
-def block_orbit(w: Permutation, parts: Sequence[int]) -> Iterator[Permutation]:
-    """
-    Every permutation whose word permutes w's letters inside each block of
-    consecutive positions of the sizes in `parts` (w times the Young subgroup
-    S_parts), in lexicographic order of one-line words.  Raises ValueError
-    unless parts are positive ints summing to w.n.
-
-    >>> [str(u) for u in block_orbit(Permutation((3, 1, 4, 2)), (2, 2))]
-    ['1324', '1342', '3124', '3142']
-    """
-    if any(type(p) is not int or p < 1 for p in parts) or sum(parts) != w.n:
-        raise ValueError(f"block sizes {list(parts)} are not positive integers summing to {w.n}")
-    starts = [0]
-    for p in parts:
-        starts.append(starts[-1] + p)
-    blocks = [_itertools_permutations(sorted(w.word[a:b])) for a, b in zip(starts, starts[1:])]
-    for pieces in _itertools_product(*blocks):
-        yield Permutation._unchecked(sum(pieces, ()))  # the same letters as w's, so no check is needed
 
 
 def parse_permutation(text: str) -> Permutation:

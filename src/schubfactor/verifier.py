@@ -36,15 +36,16 @@ shortcut is checked:
     difference in every adjacent pair inside a block is 0), so its
     restriction is one polynomial on each block orbit;
   - an item equals fixed_point_weight_product, built on its own from the
-    roots, at every point of its orbit, except that a zero image on a word
-    with a letter outside its block (preserves_blocks, the predicate the
-    weight product uses) is not compared, since its weight is 0 at every
-    point of the orbit;
+    roots, at the item's own word, compared once for its whole orbit: for
+    s in S_mu, (k, l) -> (s(k), s(l)) permutes the cross-block roots and
+    keeps k < l, so the weight product at ws is the one at w, and
+    preserves_blocks reads only each block's letter set, which ws shares;
   - the items stand for n! points in all, |S_mu| each.
 
-The first failing point in word order is reported, with its 1-based rank
-as the support, so a failing report names the point a walk over all of S_n
-would stop at.
+An item's word is the first point of its orbit in word order, and the tree
+yields its items in word order, so the first failing item is reported, with
+its 1-based rank as the support: the point a walk over all of S_n would stop
+at.
 
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the
@@ -59,7 +60,7 @@ import time
 from typing import Sequence
 
 from .composition import Composition, check_even_parts, enumerate_compositions
-from .permutation import Permutation, block_orbit
+from .permutation import Permutation
 from . import cohomology
 from .polynomial import Polynomial
 from .schubert import _combination
@@ -248,27 +249,24 @@ def _localization_failure(
     mu: Composition, chern: Polynomial
 ) -> tuple[int, str, Polynomial, Polynomial] | None:
     """
-    The first fixed point, in word order, at which the restriction of the
-    Chern class (symmetric in the x's of each block) and the weight product
-    disagree, as (rank, flag, restriction, weight product); None when
-    localization holds at every w.  The items must stand for n! points in
-    all, or the report fails with the count as its support.
+    The first item, in word order, at which the restriction of the Chern
+    class (symmetric in the x's of each block) and the weight product at the
+    item's own word disagree, as (rank, flag, restriction, weight product);
+    None when localization holds at every w.  The items must stand for n!
+    points in all, or the report fails with the count as its support.
     """
-    failures, covered, orbit_size = [], 0, math.prod(map(math.factorial, mu.parts))
+    covered, orbit_size = 0, math.prod(map(math.factorial, mu.parts))
     for word, image in cohomology.fixed_point_restrictions(chern, mu.parts):
         covered += orbit_size
-        if image.is_zero() and not cohomology.preserves_blocks(word, mu):
-            continue  # every point of the orbit moves a letter out of its block: weight 0
-        for w in block_orbit(Permutation(word), mu.parts):  # in word order, so the first mismatch is the item's first
-            rhs = cohomology.fixed_point_weight_product(mu, w)
-            if image != rhs:
-                failures.append((_word_rank(w), f"localization mismatch at w={w}", image, rhs))
-                break
-    if not failures and covered != math.factorial(mu.total):
+        w = Permutation(word)
+        rhs = cohomology.fixed_point_weight_product(mu, w)
+        if image != rhs:
+            return _word_rank(w), f"localization mismatch at w={w}", image, rhs
+    if covered != math.factorial(mu.total):
         zero = Polynomial.zero(chern.space)
         flag = f"localization: the tree's items stand for {covered} of {math.factorial(mu.total)} fixed points"
         return covered, flag, zero, zero
-    return min(failures, key=lambda failure: failure[0], default=None)
+    return None
 
 
 def verify_equivariant_suite(

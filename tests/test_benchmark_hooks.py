@@ -51,9 +51,9 @@ def test_install_spans_sees_every_restriction_of_the_suite():
     restrictions = ("cohomology.block_torus", "cohomology.specialize")
     for span in restrictions + ("cohomology.weight_product", "polynomial.substitute", "polynomial.mul"):
         assert calls.get(span, 0) >= 1, span
-    # one weight product per block-preserving point of S_3 (123 and 213, the orbit of the one
-    # leaf); the fixed-point tree runs in the polynomial kernel, so only the block-torus
+    # one weight product per item of the tree (123, 132 and 231, one per block orbit of S_3);
+    # the fixed-point tree runs in the polynomial kernel, so only the block-torus
     # restriction and the specialization substitute, once each
-    assert calls["cohomology.weight_product"] == 2
+    assert calls["cohomology.weight_product"] == 3
     assert calls.get("cohomology.fixed_point", 0) == 0
     assert calls["polynomial.substitute"] == sum(calls[span] for span in restrictions) == 2

@@ -447,14 +447,14 @@ def test_fixed_point_tree_matches_single_restrictions_at_n6(parts, sample):
         assert restricted == by_orbit[w] == coh.restrict_to_fixed_point(chern, w), (mu, w)
 
 
-def test_preserves_blocks_reads_prefixes():
-    # a whole one-line word reads as its permutation; a prefix, like a longer word, is a size mismatch
+def test_preserves_blocks_needs_a_permutation_of_the_composition_size():
+    # a permutation of mu.total letters is read block by block; one of any other size is a size mismatch
     mu = Composition((2, 1))
-    assert coh.preserves_blocks((2, 1, 3), mu) == coh.preserves_blocks(Permutation((2, 1, 3)), mu) is True
-    assert not coh.preserves_blocks((1, 3, 2), mu) and not coh.preserves_blocks(Permutation((3, 1, 2)), mu)
-    for word in [(), (2,), (3,), (2, 1), (1, 3), (1, 2, 3, 4)]:
+    assert coh.preserves_blocks(Permutation((2, 1, 3)), mu)
+    assert not coh.preserves_blocks(Permutation((1, 3, 2)), mu) and not coh.preserves_blocks(Permutation((3, 1, 2)), mu)
+    for w in [identity(1), Permutation((2, 1)), identity(2), identity(4)]:
         with pytest.raises(ValueError, match="size mismatch"):
-            coh.preserves_blocks(word, mu)
+            coh.preserves_blocks(w, mu)
 
 
 # -- block-torus restriction ------------------------------------------------------------------

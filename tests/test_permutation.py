@@ -1,7 +1,6 @@
 import copy
 import itertools
 import pickle
-from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +8,6 @@ from hypothesis import given, strategies as st
 from schubfactor.permutation import (
     Permutation,
     all_permutations,
-    block_orbit,
     from_code,
     identity,
     longest_element,
@@ -178,16 +176,3 @@ def test_group_properties(word):
     assert w * w.inverse() == identity(w.n)
     for i in range(1, w.n):
         assert abs(w.times_s(i).length - w.length) == 1
-
-
-def test_block_orbit_lists_w_times_the_young_subgroup():
-    for parts in [(1, 1, 1, 1), (2, 2), (3, 1), (1, 3), (4,)]:
-        for w in all_permutations(4):
-            orbit = list(block_orbit(w, parts))
-            assert len(set(orbit)) == len(orbit) == prod(map(factorial, parts))
-            assert w in orbit and [u.word for u in orbit] == sorted(u.word for u in orbit)
-            # every member has the same letters as w in each block
-            assert {tuple(sorted(u.word[:parts[0]])) for u in orbit} == {tuple(sorted(w.word[:parts[0]]))}
-    for parts in [(2, 1), (2, 3), (0, 4), (True, 3), (2.0, 2)]:
-        with pytest.raises(ValueError, match="block sizes"):
-            list(block_orbit(identity(4), parts))

@@ -326,9 +326,10 @@ def test_equivariant_suite_symplectic_needs_even_parts():
 
 
 def test_equivariant_suite_localization_mismatch(monkeypatch):
-    # negate the weight product at one block-preserving point, the third of S_3
+    # negate the weight product at 123, the word of the one block-preserving item, which
+    # stands for its orbit 123, 213
     weight_product = coh.fixed_point_weight_product
-    perturbed = Permutation((2, 1, 3))
+    perturbed = Permutation((1, 2, 3))
     monkeypatch.setattr(
         coh,
         "fixed_point_weight_product",
@@ -340,9 +341,9 @@ def test_equivariant_suite_localization_mismatch(monkeypatch):
         "mu": [2, 1],
         "verdict": "fail",
         "degree": 2,
-        "support": 3,
+        "support": 1,
         "witness": ["y3^2", "1", "-1"],
-        "flags": ["localization mismatch at w=213"],
+        "flags": ["localization mismatch at w=123"],
         "ms": None,
     }
 
@@ -429,7 +430,7 @@ SPECIALIZATION_FLAG = "equivariant class does not specialize to the ordinary cla
          ["x1^2 x2", "-2", "2"], [SPECIALIZATION_FLAG]),
         ("zero_equivariant_vars", lambda f: -f, (3, 3), ORTHOGONAL, 13, 0,
          ["x1^4 x2^4 x3^3 x4 x5", "-4", "4"], ["localization skipped (n=6 > 5)", SPECIALIZATION_FLAG]),
-        # a Chern class times x1 is not symmetric in x1, x2: the orbit walk must not run
+        # a Chern class times x1 is not symmetric in x1, x2: the tree walk must not run
         ("cross_block_chern_class", lambda f: f * Polynomial.variable(f.space, 0), (2, 1), ORTHOGONAL, 3, 0,
          ["y3^2", "1", "0"], ["Chern class is not symmetric in x1, x2 inside block 1"]),
     ],
