@@ -30,8 +30,8 @@ from typing import Sequence
 
 from . import cohomology, verifier
 from .composition import Composition, check_even_parts, parse_composition
-from .permutation import parse_permutation
-from .schubert import expand_in_schubert_basis, schubert_poly
+from .permutation import Permutation, parse_permutation
+from .schubert import SchubertExpansion, _monk_expansion, schubert_poly
 from .wset import WSet
 
 USAGE_ERROR = 2
@@ -118,8 +118,14 @@ def _cmd_formula(args, equivariant: bool) -> int:
 
 def _cmd_expand(args) -> int:
     mu = _parse_mu(args)
-    poly = verifier.product_side(mu, args.family)
-    expansion = expand_in_schubert_basis(poly, mu.total)
+    factored = cohomology.ordinary_factored(mu, half_slots=not verifier.needs_even_parts(args.family))
+    n = mu.total
+    coeffs = {}
+    for word, c in _monk_expansion(*factored).items():
+        if len(word) > n:
+            raise ValueError(f"the ordinary class is not in the span of S_{n}")
+        coeffs[Permutation._unchecked(word + tuple(range(len(word) + 1, n + 1)))] = c
+    expansion = SchubertExpansion(n, coeffs)
     if args.format == "json":
         _emit_json(expansion.to_json_dict())
     else:

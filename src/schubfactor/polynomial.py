@@ -627,19 +627,6 @@ def product_of_linear_forms(
     of forms with a linear part, and its total_degree() reads that number
     without decoding a key.
     """
-    terms, total = _linear_form_product(space, forms, head)
-    product = _owned(space, terms)
-    product._total_degree = total
-    return product
-
-
-def _linear_form_product(
-    space: VariableSpace, forms: Iterable[Polynomial], head: Polynomial | None
-) -> tuple[dict[int, int], int]:
-    """
-    product_of_linear_forms as (its term map, its degree): a new zero-free
-    map that no Polynomial shares, so the caller may add into it in place.
-    """
     guard = space._guard
     if head is None:
         terms: dict[int, int] = {0: 1}
@@ -671,7 +658,7 @@ def _linear_form_product(
         nonzero = nonzero and bool(form._terms)
         steps.append((-len(form._terms), position, bumps))
     if not nonzero:
-        return {}, 0
+        return _owned(space, {})
     steps.sort()  # the forms with more terms first, in the given order among equals
     for _, _, ((unit, a), *bumps) in steps:
         # the first bump maps keys one to one (a nonzero a times a nonzero c), so no entry is 0 or merged
@@ -682,7 +669,9 @@ def _linear_form_product(
                 key += unit
                 out[key] = get(key, 0) + c * a
         terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
-    return terms, total
+    product = _owned(space, terms)
+    product._total_degree = total
+    return product
 
 
 def bijective_substitutions(

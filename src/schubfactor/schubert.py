@@ -30,13 +30,20 @@ schubert_sum, to_polynomial) and each step of the basis expansion walk
 Lehmer codes, not words: a code steps at its smallest i with
 c_i < c_{i+1}, always an ascent of w, to the code of w s_i.  The codes of
 one step i fold into one child map, and d_i of it is added into the term
-map being summed into, which may already hold terms: the verifier folds
--S_w straight into the product side's own map.  The groups are the nodes of one suffix trie over
-codes of every size, keyed by each word's path from its first dominant
-code read from its outermost step, so each trie node runs one divided
-difference on an already summed map.  A dominant code adds c * x^code in
+map being summed into, which may already hold terms: a failing verify
+report folds -S_w into a copy of the product side's map, for its witness.
+The groups are the nodes of one suffix trie over codes of every size,
+keyed by each word's path from its first dominant code read from its
+outermost step, so each trie node runs one divided difference on an
+already summed map.  A dominant code adds c * x^code in
 the top fields, times the word's coefficient c; padding a word with fixed
 points pads its code with zeros, so words of every size share these leaves.
+
+The verify and expand paths expand a factored class x^e * prod (x_j + x_k),
+e weakly decreasing, with no monomial (_monk_expansion): x^e = S_u, and
+Monk's rule x_k S_w = sum_{l > k} S_{w t_kl} - sum_{j < k} S_{w t_jk}, over
+the transpositions that raise the length by one (Monk, The geometry of flag
+manifolds, 1959; Macdonald, ch. IV), multiplies by each x of each binomial.
 
 Nothing is kept from one call to the next.  The oracle shares none of this
 code.
@@ -45,7 +52,7 @@ code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_terms, packed_key
@@ -125,6 +132,78 @@ def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynom
     """
     space = space or VariableSpace(w.n)
     return _owned(space, _combination([(w, 1)], space, {}))
+
+
+# -- Monk's rule: factored classes in the Schubert basis ------------------------
+
+
+def _stripped(word: Sequence[int]) -> tuple[int, ...]:
+    """The word without its trailing fixed points: one key for S_w in every S_m that holds w."""
+    m = len(word)
+    while m and word[m - 1] == m:
+        m -= 1
+    return tuple(word[:m])
+
+
+def _monk_step(out: dict, word: tuple[int, ...], k: int, c: int) -> None:
+    """
+    out += c * x_k S_w for a stripped word, by Monk's rule (module
+    docstring): w t_kl raises the length by one iff w(k) < w(l) and no
+    position between them holds a value between them, and so does w t_jk
+    iff w(j) < w(k) likewise.  The fixed point max(len, k) + 1 blocks every
+    l past it, so the word is padded that far.  Entries of out may reach 0.
+    """
+    u = list(word)
+    u.extend(range(len(u) + 1, max(len(u), k) + 2))
+    k -= 1
+    a = u[k]
+    hits = []
+    bound = len(u) + 1
+    for p in range(k + 1, len(u)):
+        if a < u[p] < bound:
+            bound = u[p]
+            hits.append((p, c))
+    bound = 0
+    for p in range(k - 1, -1, -1):
+        if bound < u[p] < a:
+            bound = u[p]
+            hits.append((p, -c))
+    for p, sign in hits:
+        u[k], u[p] = u[p], a
+        key = _stripped(u)
+        out[key] = out.get(key, 0) + sign
+        u[p], u[k] = u[k], a
+
+
+def _monk_expansion(
+    space: VariableSpace, scalar: int, monomial: Sequence[tuple[int, int]], factors: Sequence[Polynomial]
+) -> dict[tuple[int, ...], int]:
+    """
+    {stripped word: nonzero coefficient} of scalar * x^e * prod (x_j + x_k),
+    the fields of a cohomology.FactoredClass, from scalar * S_u for the
+    dominant u of code e: each factor takes E to x_j E + x_k E.  Raises
+    ValueError unless the head is x^e with e weakly decreasing and every
+    factor, read through variables(), is x_j + x_k with unit coefficients.
+    """
+    e = [0] * space.n
+    for vid, p in monomial:  # x_i has vid i - 1
+        if vid >= space.n:
+            raise ValueError(f"head variable {space.name(vid)} is not an x")
+        e[vid] = p
+    if any(p < q for p, q in zip(e, e[1:])):
+        raise ValueError(f"head exponents {e} are not weakly decreasing")
+    # from_code needs c_i <= len - 1 - i, which e[0] more zeros give a weakly decreasing code
+    expansion = {_stripped(from_code(e + [0] * e[0]).word): scalar} if scalar else {}
+    for f in factors:
+        vids = f.variables()
+        if len(vids) != 2 or vids[1] >= space.n or list(f.terms.values()) != [1, 1] or f.total_degree() != 1:
+            raise ValueError(f"factor {f.text()} is not x_j + x_k")
+        out: dict[tuple[int, ...], int] = {}
+        for w, c in expansion.items():
+            _monk_step(out, w, vids[0] + 1, c)
+            _monk_step(out, w, vids[1] + 1, c)
+        expansion = {w: c for w, c in out.items() if c}
+    return expansion
 
 
 # -- independent oracle: reduced pipe dreams ---------------------------------

@@ -10,15 +10,17 @@ statements about integer polynomials:
   (c) expanding the product side in the Schubert basis returns exactly the
       member set, every coefficient 1.
 
-The verdict is (a) for distinct members of S_n.  The product kernel builds
-the product side's term map once, -S_w of every member is folded straight
-into that map (divided differences are linear), and (a) holds iff the map
-ends empty; no Schubert sum is held beside the product side.  Only a failing
-report rebuilds the product side, for the coefficients of its witness, the
-canonically first monomial of the remainder.  The Schubert polynomials of
-S_n are a Z-basis of the staircase span (Macdonald, Notes on Schubert
-Polynomials, 1991), so (b) and (c) follow from (a): the sum lies in the
-span, and its expansion is unique.
+The verdict is (a) for distinct members of S_n, decided in the Schubert
+basis: Monk's rule expands the factored ordinary class, a dominant
+monomial times binomials x_j + x_k (schubert._monk_expansion), and (a)
+holds iff that expansion is 1 on each member and 0 elsewhere, as the
+Schubert polynomials of S_infinity are a Z-basis of Z[x1, x2, ...].  A
+passing check builds no monomial.  Only a failing report expands the
+product side and folds -S_w of every member into a copy of its terms, for
+its witness, the canonically first monomial of the remainder.  The
+Schubert polynomials of S_n are a Z-basis of the staircase span
+(Macdonald, Notes on Schubert Polynomials, 1991), so (b) and (c) follow
+from (a): the sum lies in the span, and its expansion is unique.
 
 verify_equivariant_suite checks the block-torus machinery for one
 composition: fixed-point localization of the cross-block Chern class at
@@ -63,7 +65,7 @@ from .composition import Composition, check_even_parts, enumerate_compositions
 from .permutation import Permutation
 from . import cohomology
 from .polynomial import Polynomial
-from .schubert import _combination
+from .schubert import _combination, _monk_expansion, _stripped
 # perfbench wraps these four names on verifier; none is called here, so they are imported only for the wraps
 from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly, schubert_sum
 from .wset import WSet, w_set_orthogonal, w_set_symplectic
@@ -185,16 +187,17 @@ def verify_identity_for_members(
     start = time.perf_counter()
     n = mu.total
     factored = cohomology.ordinary_factored(mu, half_slots=not needs_even_parts(family))
-    remainder, degree = factored.expanded_terms()
-    # a member of a larger S_m has no Schubert polynomial in the product side's space
-    fits = all(w.n <= n for w in members)
-    if fits:
-        _combination(((w, -1) for w in members), factored.space, remainder)  # now rhs - lhs
+    degree = sum(e for _, e in factored.monomial) + len(factored.factors)
     # only members of S_n count: S_312 == S_3124, so a member of a smaller S_m can match rhs
-    ok = all(w.n == n for w in members) and len(set(members)) == len(members) and not remainder
+    ok = all(w.n == n for w in members) and len(set(members)) == len(members)
+    ok = ok and _monk_expansion(*factored) == {_stripped(w.word): 1 for w in members}
     witness = None
-    if fits and remainder:  # only a failing report rebuilds the product side, for its witness
-        witness = _first_mismatch(Polynomial(factored.space, remainder), factored.expand())
+    # a member of a larger S_m has no Schubert polynomial in the product side's space
+    if not ok and all(w.n <= n for w in members):  # only a failing report builds monomials, for its witness
+        rhs = factored.expand()
+        remainder = _combination(((w, -1) for w in members), factored.space, dict(rhs.terms))  # rhs - lhs
+        if remainder:
+            witness = _first_mismatch(Polynomial(factored.space, remainder), rhs)
     flags: list[str] = []
     if not ok and witness is None:
         flags.append("Schubert expansion of the product side is not the member set with unit coefficients")
@@ -258,7 +261,7 @@ def _localization_failure(
     covered, orbit_size = 0, math.prod(map(math.factorial, mu.parts))
     for word, image in cohomology.fixed_point_restrictions(chern, mu.parts):
         covered += orbit_size
-        w = Permutation(word)
+        w = Permutation._unchecked(word)  # the tree yields each rising word of S_n once, as a tuple
         rhs = cohomology.fixed_point_weight_product(mu, w)
         if image != rhs:
             return _word_rank(w), f"localization mismatch at w={w}", image, rhs

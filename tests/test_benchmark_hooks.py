@@ -32,8 +32,8 @@ def test_install_spans_wraps_and_restores_every_attribute():
     spans = tracer.summary(1)["spans"]
     for span in ("verifier", "wset.member_set"):
         assert spans[span]["calls"] >= 1, span
-    # the Schubert sum is folded into the product side's own term map, which decides the
-    # verdict: no ordinary class, no separate Schubert sum, no span scan, no basis expansion
+    # the Monk expansion of the factored class decides the verdict: no expanded ordinary
+    # class, no Schubert sum, no span scan, no greedy basis expansion
     for span in ("cohomology.product_side", "schubert.sum", "schubert.expand", "schubert.span"):
         assert spans[span]["calls"] == 0, span
 

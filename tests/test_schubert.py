@@ -1,10 +1,11 @@
+import functools
 import random
 import re
 from functools import reduce
 
 import pytest
 
-from schubfactor.cohomology import cross_pair_factor, space_for
+from schubfactor.cohomology import cross_pair_factor, ordinary_factored, space_for
 from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations, from_code, identity, longest_element
 from schubfactor import schubert
@@ -431,7 +432,7 @@ def test_oracle_shares_no_code_with_the_recursion(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached the recursion side")
 
-    for name in ("_combination", "_fold", "divided_difference_terms", "packed_key"):
+    for name in ("_combination", "_fold", "divided_difference_terms", "packed_key", "_monk_step", "_monk_expansion"):
         monkeypatch.setattr(schubert, name, forbidden)
     assert schubert_poly_oracle(w, sp) == want
 
@@ -515,6 +516,72 @@ def test_expansion_json():
             {"perm": [2, 1, 3], "coeff": "2"},
         ],
     }
+
+
+# -- Monk's rule -------------------------------------------------------------------
+
+
+def _padded(word, n):
+    return Permutation(word + tuple(range(len(word) + 1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_monk_step_matches_oracle_product(n):
+    # x_k S_w against the pipe-dream oracle, for k up to n + 1 (past the word, which pads it)
+    sp = VariableSpace(n + 2)
+    oracle = functools.cache(lambda word: schubert_poly_oracle(_padded(word, n + 2), sp))
+    for w in all_permutations(n):
+        for k in range(1, n + 2):
+            out = {}
+            schubert._monk_step(out, schubert._stripped(w.word), k, k)
+            total = Polynomial.zero(sp)
+            for word, c in out.items():
+                assert c and word == schubert._stripped(word), (w, k, word)
+                total = total + c * oracle(word)
+            assert total == k * xvar(sp, k) * oracle(w.word), (w, k)
+
+
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_monk_expansion_matches_greedy_expansion_of_every_product_side(family):
+    even = needs_even_parts(family)
+    for n in (2, 4, 6, 8) if even else range(1, 8):
+        for mu in enumerate_compositions(n, even_parts_only=even):
+            factored = ordinary_factored(mu, half_slots=not even)
+            want = expand_in_schubert_basis(product_side(mu, family), n).coeffs
+            got = schubert._monk_expansion(*factored)
+            assert {_padded(word, n): c for word, c in got.items()} == want, mu
+
+
+def test_monk_expansion_honours_the_scalar():
+    sp = VariableSpace(3, (2, 1))
+    x1, x2 = sp.x(1), sp.x(2)
+    binomial = Polynomial.linear_form(sp, {x1: 1, x2: 1})
+    assert schubert._monk_expansion(sp, 2, ((x1, 1),), ()) == {(2, 1): 2}
+    # -3 x1 (x1 + x2) = -3 (S_312 + S_231)
+    assert schubert._monk_expansion(sp, -3, ((x1, 1),), (binomial,)) == {(3, 1, 2): -3, (2, 3, 1): -3}
+    assert schubert._monk_expansion(sp, 0, ((x1, 1),), (binomial,)) == {}
+
+
+def test_monk_expansion_refuses_what_is_not_a_dominant_head_times_binomials():
+    sp = VariableSpace(3, (2, 1))
+    x1, x2, x3 = sp.x(1), sp.x(2), sp.x(3)
+    form = functools.partial(Polynomial.linear_form, sp)
+    for factor in (
+        form({x1: 1, x2: 2}),
+        form({x1: 1}),
+        form({x1: 1, x2: 1, x3: 1}),
+        form({x1: 1, sp.z(1): 1}),
+        form({x1: 1, x2: 1}) + 1,
+        xvar(sp, 1) * xvar(sp, 2) + 1,
+        xvar(sp, 1) ** 2 + xvar(sp, 2),
+    ):
+        with pytest.raises(ValueError, match="is not x_j \\+ x_k"):
+            schubert._monk_expansion(sp, 1, (), (factor,))
+    for head in (((x2, 1),), ((x1, 1), (x2, 2))):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            schubert._monk_expansion(sp, 1, head, ())
+    with pytest.raises(ValueError, match="head variable y1 is not an x"):
+        schubert._monk_expansion(sp, 1, ((sp.yfull(1), 1),), ())
 
 
 # -- second expansion oracle: constant terms of divided differences ----------------

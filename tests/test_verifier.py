@@ -176,8 +176,8 @@ def test_report_text_shows_witness_and_notes():
 
 @pytest.mark.parametrize("parts", [(8,), (1, 8)])
 def test_verify_path_peaks_within_a_bound_of_its_product_side(parts):
-    # the Schubert sum is folded into the product side's own term map, so no product-sized
-    # map is held beside it; a sum built beside the product side peaks at about 2.9 times it
+    # a passing verify expands the class in the Schubert basis by Monk's rule and builds no
+    # monomial map at all; a Schubert sum built beside the product side peaks at about 2.9 times it
     mu = Composition(parts)
     verify_identity(mu, ORTHOGONAL)  # builds and keeps the base sets, which are not the path's cost
     gc.collect()
@@ -197,7 +197,7 @@ def test_verify_path_peaks_within_a_bound_of_its_product_side(parts):
 
 
 def _expansion_verdict(rhs, n, members):
-    """The verdict by span scan and Schubert expansion, the route the Schubert sum replaced."""
+    """The verdict by span scan and greedy Schubert expansion of the monomial product side."""
     return (
         len(set(members)) == len(members)
         and in_staircase_span(rhs, n)
