@@ -30,8 +30,8 @@ schubert_sum, to_polynomial) and each step of the basis expansion walk
 Lehmer codes, not words: a code steps at its smallest i with
 c_i < c_{i+1}, always an ascent of w, to the code of w s_i.  The codes of
 one step i fold into one child map, and d_i of it is added into the term
-map being summed into, which may already hold terms: a failing verify
-report folds -S_w into a copy of the product side's map, for its witness.
+map being summed into: a fresh map for a sum, the remainder for a step of
+the expansion.
 The groups are the nodes of one suffix trie over codes of every size,
 keyed by each word's path from its first dominant code read from its
 outermost step, so each trie node runs one divided difference on an
@@ -93,13 +93,13 @@ def _fold(items: list, terms: dict, width: int) -> None:
         divided_difference_terms(child, i, width, terms)
 
 
-def _combination(pairs: Iterable, space: VariableSpace, terms: dict[int, int]) -> dict[int, int]:
+def _combination(pairs: Iterable, space: VariableSpace) -> Polynomial:
     """
-    terms += sum c * S_w over (w, c) pairs, a repeat counted each time,
-    into a zero-free map of the space's keys, which is returned: the
-    coefficients of each word are summed first, with one code read per
-    distinct word, zero sums are dropped, and the codes of every size are
-    folded together (_fold), which drops every sum that reaches 0.
+    sum c * S_w over (w, c) pairs, a repeat counted each time, in the
+    space: the coefficients of each word are summed first, with one code
+    read per distinct word, zero sums are dropped, and the codes of every
+    size are folded together into a fresh map (_fold), which drops every
+    sum that reaches 0.
     """
     items: dict[tuple[int, ...], list] = {}
     for w, c in pairs:
@@ -110,13 +110,14 @@ def _combination(pairs: Iterable, space: VariableSpace, terms: dict[int, int]) -
     need = max(map(len, items), default=1)
     if space.n < need:
         raise ValueError(f"space has {space.n} x variables, need {need}")
+    terms: dict[int, int] = {}
     _fold([item for item in items.values() if item[1]], terms, space.num_vars)
-    return terms
+    return _owned(space, terms)
 
 
 def schubert_sum(members: Iterable[Permutation], space: VariableSpace) -> Polynomial:
     """Exact sum of the Schubert polynomials of all members; a repeated member counts each time."""
-    return _owned(space, _combination(((w, 1) for w in members), space, {}))
+    return _combination(((w, 1) for w in members), space)
 
 
 def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynomial:
@@ -131,7 +132,7 @@ def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynom
     'x1 + x2'
     """
     space = space or VariableSpace(w.n)
-    return _owned(space, _combination([(w, 1)], space, {}))
+    return _combination([(w, 1)], space)
 
 
 # -- Monk's rule: factored classes in the Schubert basis ------------------------
@@ -310,7 +311,7 @@ class SchubertExpansion(NamedTuple):
 
     def to_polynomial(self, space: VariableSpace | None = None) -> Polynomial:
         space = space or VariableSpace(self.n)
-        return _owned(space, _combination(self.coeffs.items(), space, {}))
+        return _combination(self.coeffs.items(), space)
 
     def to_json_dict(self) -> dict:
         return {

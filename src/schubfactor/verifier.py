@@ -15,9 +15,9 @@ basis: Monk's rule expands the factored ordinary class, a dominant
 monomial times binomials x_j + x_k (schubert._monk_expansion), and (a)
 holds iff that expansion is 1 on each member and 0 elsewhere, as the
 Schubert polynomials of S_infinity are a Z-basis of Z[x1, x2, ...].  A
-passing check builds no monomial.  Only a failing report expands the
-product side and folds -S_w of every member into a copy of its terms, for
-its witness, the canonically first monomial of the remainder.  The
+passing check builds no monomial.  Only a failing report builds both
+sides, the Schubert sum and the expanded product side, for its witness,
+the canonically first monomial of their difference.  The
 Schubert polynomials of S_n are a Z-basis of the staircase span
 (Macdonald, Notes on Schubert Polynomials, 1991), so (b) and (c) follow
 from (a): the sum lies in the span, and its expansion is unique.
@@ -65,9 +65,9 @@ from .composition import Composition, check_even_parts, enumerate_compositions
 from .permutation import Permutation
 from . import cohomology
 from .polynomial import Polynomial
-from .schubert import _combination, _monk_expansion, _stripped
-# perfbench wraps these four names on verifier; none is called here, so they are imported only for the wraps
-from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly, schubert_sum
+from .schubert import _monk_expansion, _stripped, schubert_sum
+# perfbench wraps these three names on verifier; none is called here, so they are imported only for the wraps
+from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
 from .wset import WSet, w_set_orthogonal, w_set_symplectic
 
 ORTHOGONAL = "orthogonal"
@@ -158,16 +158,16 @@ def needs_even_parts(family: str) -> bool:
     return by_family(family, False, True)
 
 
-def _first_mismatch(remainder: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | None:
+def _first_mismatch(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str, str] | None:
     """
-    The canonically first monomial of remainder = rhs - lhs, as (monomial,
-    lhs coefficient, rhs coefficient); None when the remainder is 0.
+    The canonically first monomial of rhs - lhs, as (monomial, lhs
+    coefficient, rhs coefficient); None when the two agree.
     """
+    remainder = rhs - lhs
     if remainder.is_zero():
         return None
-    key, r = remainder.leading_term()
-    rhs_c = rhs.terms.get(key, 0)
-    return (Polynomial(rhs.space, {key: 1}).text(), str(rhs_c - r), str(rhs_c))
+    key, _ = remainder.leading_term()
+    return (Polynomial(rhs.space, {key: 1}).text(), str(lhs.terms.get(key, 0)), str(rhs.terms.get(key, 0)))
 
 
 def product_side(mu: Composition, family: str) -> Polynomial:
@@ -194,10 +194,7 @@ def verify_identity_for_members(
     witness = None
     # a member of a larger S_m has no Schubert polynomial in the product side's space
     if not ok and all(w.n <= n for w in members):  # only a failing report builds monomials, for its witness
-        rhs = factored.expand()
-        remainder = _combination(((w, -1) for w in members), factored.space, dict(rhs.terms))  # rhs - lhs
-        if remainder:
-            witness = _first_mismatch(Polynomial(factored.space, remainder), rhs)
+        witness = _first_mismatch(schubert_sum(members, factored.space), factored.expand())
     flags: list[str] = []
     if not ok and witness is None:
         flags.append("Schubert expansion of the product side is not the member set with unit coefficients")
@@ -252,12 +249,22 @@ def _localization_failure(
     mu: Composition, chern: Polynomial
 ) -> tuple[int, str, Polynomial, Polynomial] | None:
     """
-    The first item, in word order, at which the restriction of the Chern
-    class (symmetric in the x's of each block) and the weight product at the
-    item's own word disagree, as (rank, flag, restriction, weight product);
-    None when localization holds at every w.  The items must stand for n!
-    points in all, or the report fails with the count as its support.
+    The first failure of localization, as (support, flag, lhs, rhs); None
+    when it holds at every w.  One item serves a block orbit only if the
+    Chern class is symmetric in the x's of each block, so a nonzero divided
+    difference inside a block fails first, as (0, flag, asymmetry, 0).  Then
+    the first item, in word order, whose restriction is not the weight
+    product at its own word fails, as (rank, flag, restriction, weight
+    product).  The items must stand for n! points in all, or the report
+    fails with the count as its support.
     """
+    zero = Polynomial.zero(chern.space)
+    for i, (base, part) in enumerate(zip(mu.nu, mu.parts), start=1):
+        for k in range(base + 1, base + part):
+            asymmetry = chern.divided_difference(k)
+            if not asymmetry.is_zero():
+                flag = f"Chern class is not symmetric in x{k}, x{k + 1} inside block {i}"
+                return 0, flag, asymmetry, zero
     covered, orbit_size = 0, math.prod(map(math.factorial, mu.parts))
     for word, image in cohomology.fixed_point_restrictions(chern, mu.parts):
         covered += orbit_size
@@ -266,7 +273,6 @@ def _localization_failure(
         if image != rhs:
             return _word_rank(w), f"localization mismatch at w={w}", image, rhs
     if covered != math.factorial(mu.total):
-        zero = Polynomial.zero(chern.space)
         flag = f"localization: the tree's items stand for {covered} of {math.factorial(mu.total)} fixed points"
         return covered, flag, zero, zero
     return None
@@ -297,7 +303,7 @@ def verify_equivariant_suite(
 
     def fail(flag: str, lhs: Polynomial, rhs: Polynomial) -> None:
         report.verdict = "fail"
-        report.witness = _first_mismatch(rhs - lhs, rhs)  # None when the two agree
+        report.witness = _first_mismatch(lhs, rhs)  # None when the two agree
         report.flags.append(flag)
 
     def mismatch(lhs: Polynomial, rhs: Polynomial, flag: str) -> bool:
@@ -309,14 +315,6 @@ def verify_equivariant_suite(
     try:  # every return below is the report, stamped with its time in `finally`
         # localization: restriction at every fixed point equals the weight product
         if n <= localization_max_n:
-            # one item serves a block orbit only if the class is symmetric inside every block
-            for i, (base, part) in enumerate(zip(mu.nu, mu.parts), start=1):
-                for k in range(base + 1, base + part):
-                    asymmetry = chern.divided_difference(k)
-                    if not asymmetry.is_zero():
-                        flag = f"Chern class is not symmetric in x{k}, x{k + 1} inside block {i}"
-                        fail(flag, asymmetry, Polynomial.zero(chern.space))
-                        return report
             failure = _localization_failure(mu, chern)
             if failure:
                 report.support, flag, lhs, rhs = failure

@@ -38,6 +38,23 @@ def test_install_spans_wraps_and_restores_every_attribute():
         assert spans[span]["calls"] == 0, span
 
 
+def test_install_spans_sees_the_witness_of_a_failing_verify():
+    # a failing report builds its witness from one Schubert sum, through the name the tracer wraps,
+    # and the factored class's own expansion, not the ordinary-class builders
+    mu = Composition((2, 1))
+    members = verifier.member_set(mu, verifier.ORTHOGONAL).members
+    tracer = Tracer()
+    try:
+        worker.install_spans(tracer)
+        report = verifier.verify_identity_for_members(mu, verifier.ORTHOGONAL, members[1:])
+    finally:
+        tracer.remove()
+    assert not report.passed and report.witness
+    spans = tracer.summary(1)["spans"]
+    assert spans["schubert.sum"]["calls"] == 1
+    assert spans["cohomology.product_side"]["calls"] == 0
+
+
 def test_install_spans_sees_every_restriction_of_the_suite():
     # the localization workload's substitute_calls counter reads these spans
     tracer = Tracer()

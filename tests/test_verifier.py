@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations
 from schubfactor.polynomial import Polynomial
 from schubfactor import cohomology as coh, verifier
-from schubfactor.schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
+from schubfactor.schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly, schubert_poly_oracle
 from schubfactor.verifier import (
     ORTHOGONAL,
     SYMPLECTIC,
@@ -205,6 +206,21 @@ def _expansion_verdict(rhs, n, members):
     )
 
 
+def _oracle_witness(rhs, members, oracle):
+    """
+    (monomial, lhs, rhs) at the canonically first monomial of rhs minus the
+    pipe-dream oracle summed over the members, repeats counted; None when that is 0.
+    """
+    lhs = Polynomial.zero(rhs.space)
+    for w in members:
+        lhs = lhs + oracle(w.word, rhs.space)
+    remainder = rhs - lhs
+    if remainder.is_zero():
+        return None
+    key, _ = remainder.leading_term()
+    return (Polynomial(rhs.space, {key: 1}).text(), str(lhs.terms.get(key, 0)), str(rhs.terms.get(key, 0)))
+
+
 def _edited_member_sets(members, n, perms, by_length, rng):
     """
     The set itself, the empty set, one member dropped, repeated, swapped or
@@ -238,6 +254,8 @@ def test_verdict_agrees_with_expansion_oracle():
     rng = random.Random(11)
     perms, by_length = {}, {}
     seen = set()
+    oracle = functools.cache(lambda word, space: schubert_poly_oracle(Permutation(word), space))
+    witnessed = 0
     for mu, family in cases:
         n = mu.total
         if n not in perms:
@@ -251,8 +269,14 @@ def test_verdict_agrees_with_expansion_oracle():
             assert report.passed == _expansion_verdict(rhs, n, members), (mu, family, members)
             smaller = any(w.n < n for w in members)
             seen.add((report.verdict, smaller and schubert_sum(members, rhs.space) == rhs))
+            if not report.passed and n <= 6:
+                # a member of S_(n+1) has no Schubert polynomial in the product side's space
+                fits = all(w.n <= n for w in members)
+                assert report.witness == (_oracle_witness(rhs, members, oracle) if fits else None), (mu, members)
+                witnessed += report.witness is not None
     # both verdicts, and a failing set whose sum equals the product side through a member of S_(n-1)
     assert seen >= {("pass", False), ("fail", False), ("fail", True)}
+    assert witnessed
 
 
 def test_verify_identity_rejects_unknown_family():
