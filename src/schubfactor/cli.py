@@ -15,7 +15,8 @@ Output goes to stdout (--format text|json), diagnostics to stderr.
 formula and equivariant print the factored class as text unless --expand
 is given; their JSON is always the expanded class, --expand or not, so its
 cost is the expansion's (ROADMAP item 4).  JSON output is byte-identical
-across runs; pass --timings to verify/sweep to include real elapsed
+across runs and to json.dumps(indent=2), written in batches of encoder
+chunks; pass --timings to verify/sweep to include real elapsed
 milliseconds instead of null.  Exit status: 0 on success/pass, 1 on
 verification failure, 2 on usage errors, 3 on an internal error.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -64,7 +66,14 @@ def _parse_mu(args) -> Composition:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """
+    Print json.dumps(obj, indent=2), byte for byte, in joined batches of its
+    chunks: json.dumps holds the list of every chunk and their join at once.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 65536)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _wset_dot(wset: WSet) -> str:
@@ -120,11 +129,9 @@ def _cmd_expand(args) -> int:
     mu = _parse_mu(args)
     factored = cohomology.ordinary_factored(mu, half_slots=not verifier.needs_even_parts(args.family))
     n = mu.total
-    coeffs = {}
-    for word, c in _monk_expansion(*factored).items():
-        if len(word) > n:
-            raise ValueError(f"the ordinary class is not in the span of S_{n}")
-        coeffs[Permutation._unchecked(word + tuple(range(len(word) + 1, n + 1)))] = c
+    coeffs = {Permutation._unchecked(w): c for w, c in _monk_expansion(*factored).items()}
+    if any(w.n > n for w in coeffs):  # a class of S_n is keyed by its own word
+        raise ValueError(f"the ordinary class is not in the span of S_{n}")
     expansion = SchubertExpansion(n, coeffs)
     if args.format == "json":
         _emit_json(expansion.to_json_dict())

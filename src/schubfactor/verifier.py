@@ -11,16 +11,16 @@ statements about integer polynomials:
       member set, every coefficient 1.
 
 The verdict is (a) for distinct members of S_n, decided in the Schubert
-basis: Monk's rule expands the factored ordinary class, a dominant
-monomial times binomials x_j + x_k (schubert._monk_expansion), and (a)
-holds iff that expansion is 1 on each member and 0 elsewhere, as the
-Schubert polynomials of S_infinity are a Z-basis of Z[x1, x2, ...].  A
-passing check builds no monomial.  Only a failing report builds both
-sides, the Schubert sum and the expanded product side, for its witness,
-the canonically first monomial of their difference.  The
-Schubert polynomials of S_n are a Z-basis of the staircase span
-(Macdonald, Notes on Schubert Polynomials, 1991), so (b) and (c) follow
-from (a): the sum lies in the span, and its expansion is unique.
+basis: Monk's rule expands the factored ordinary class, a dominant monomial
+times binomials x_j + x_k (schubert._monk_expansion), and (a) holds iff
+each member pops a 1 out of that expansion (a repeat finds none left) and
+leaves it empty, as the Schubert polynomials of S_infinity are a Z-basis of
+Z[x1, x2, ...].  A passing check builds no monomial.  Only a failing report
+builds both sides, the Schubert sum and the expanded product side, for its
+witness, the canonically first monomial of their difference.  The Schubert
+polynomials of S_n are a Z-basis of the staircase span (Macdonald, Notes on
+Schubert Polynomials, 1991), so (b) and (c) follow from (a): the sum lies
+in the span, and its expansion is unique.
 
 verify_equivariant_suite checks the block-torus machinery for one
 composition: fixed-point localization of the cross-block Chern class at
@@ -65,7 +65,7 @@ from .composition import Composition, check_even_parts, enumerate_compositions
 from .permutation import Permutation
 from . import cohomology
 from .polynomial import Polynomial
-from .schubert import _monk_expansion, _stripped, schubert_sum
+from .schubert import _monk_expansion, schubert_sum
 # perfbench wraps these three names on verifier; none is called here, so they are imported only for the wraps
 from .schubert import expand_in_schubert_basis, in_staircase_span, schubert_poly
 from .wset import WSet, w_set_orthogonal, w_set_symplectic
@@ -188,9 +188,9 @@ def verify_identity_for_members(
     n = mu.total
     factored = cohomology.ordinary_factored(mu, half_slots=not needs_even_parts(family))
     degree = sum(e for _, e in factored.monomial) + len(factored.factors)
-    # only members of S_n count: S_312 == S_3124, so a member of a smaller S_m can match rhs
-    ok = all(w.n == n for w in members) and len(set(members)) == len(members)
-    ok = ok and _monk_expansion(*factored) == {_stripped(w.word): 1 for w in members}
+    # only members of S_n count (S_312 == S_3124 can match rhs); each pops its 1, a repeat none
+    expansion = _monk_expansion(*factored)
+    ok = all(w.n == n and expansion.pop(w.word, 0) == 1 for w in members) and not expansion
     witness = None
     # a member of a larger S_m has no Schubert polynomial in the product side's space
     if not ok and all(w.n <= n for w in members):  # only a failing report builds monomials, for its witness

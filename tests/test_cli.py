@@ -157,6 +157,13 @@ def test_verify_json_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_emit_json_prints_json_dumps_in_batches(capsys):
+    # 200000 list items are more chunks than one batch holds
+    for obj in ({"terms": list(range(200000))}, {"n": 1, "terms": [{"perm": [1], "coeff": "1"}]}, []):
+        cli._emit_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run(
         capsys, "verify", "--mu", "2", "--family", "orthogonal", "--format", "json", "--timings"

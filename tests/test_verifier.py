@@ -223,8 +223,9 @@ def _oracle_witness(rhs, members, oracle):
 
 def _edited_member_sets(members, n, perms, by_length, rng):
     """
-    The set itself, the empty set, one member dropped, repeated, swapped or
-    joined by one from S_(n-1) or S_(n+1), and seeded draws from S_n.
+    The set itself, the empty set, one member dropped, repeated, swapped,
+    dropped with another repeated or joined by one from S_(n-1) or S_(n+1),
+    and seeded draws from S_n.
     """
     yield members
     yield []
@@ -232,6 +233,8 @@ def _edited_member_sets(members, n, perms, by_length, rng):
         rest = members[:i] + members[i + 1:]
         yield rest
         yield members + [w]
+        if rest:
+            yield rest + [rest[0]]  # one member dropped and another repeated: the same size
         other = next((u for u in by_length[w.length] if u not in members), None)
         if other is not None:
             yield rest + [other]
