@@ -14,11 +14,11 @@ Subcommands:
 Output goes to stdout (--format text|json), diagnostics to stderr.
 formula and equivariant print the factored class as text unless --expand
 is given; their JSON is always the expanded class, --expand or not, so its
-cost is the expansion's (ROADMAP item 4).  JSON output is byte-identical
-across runs and to json.dumps(indent=2), written in batches of encoder
-chunks; pass --timings to verify/sweep to include real elapsed
-milliseconds instead of null.  Exit status: 0 on success/pass, 1 on
-verification failure, 2 on usage errors, 3 on an internal error.
+cost is the expansion's (ROADMAP's "An exact cost guard").  JSON output
+is byte-identical across runs and to json.dumps(indent=2), written in
+batches of encoder chunks; pass --timings to verify/sweep to include real
+elapsed milliseconds instead of null.  Exit status: 0 on success/pass, 1
+on verification failure, 2 on usage errors, 3 on an internal error.
 """
 
 from __future__ import annotations

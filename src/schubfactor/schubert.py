@@ -44,8 +44,8 @@ e weakly decreasing, with no monomial (_monk_expansion): x^e = S_u, and
 Monk's rule x_k S_w = sum_{l > k} S_{w t_kl} - sum_{j < k} S_{w t_jk}, over
 the transpositions that raise the length by one (Monk, The geometry of flag
 manifolds, 1959; Macdonald, ch. IV), multiplies by each x of each binomial.
-Its words drop trailing fixed points only past n, so each class of S_n is
-keyed by its own word, and only a class outside the span of S_n is longer.
+Each key is built as the shortest word of its class with at least n
+letters: each class of S_n is keyed by its own word, only one outside is longer.
 
 Nothing is kept from one call to the next.  The oracle shares none of this
 code.
@@ -140,29 +140,24 @@ def schubert_poly(w: Permutation, space: VariableSpace | None = None) -> Polynom
 # -- Monk's rule: factored classes in the Schubert basis ------------------------
 
 
-def _stripped(word: Sequence[int], n: int) -> tuple[int, ...]:
-    """The word less its trailing fixed points past n: one key for S_w in every S_m, m >= n, that holds w."""
+def _monk_step(out: dict, word: tuple[int, ...], k: int, c: int) -> None:
+    """
+    out += c * x_k S_w by Monk's rule (module docstring), for k <= len(word):
+    w t_kl raises the length by one iff w(k) < w(l) and no position between
+    them holds a value between them, and so does w t_jk iff w(j) < w(k)
+    likewise.  The fixed point m + 1 blocks every l past it, so it is the
+    one point padded to the m-letter word.  A hit on it keys the lengthened
+    word, which ends in w(k); every other hit keys the first m letters, as a
+    swap inside the word leaves no fixed point at its end.  Entries of out
+    may reach 0.
+    """
     m = len(word)
-    while m > n and word[m - 1] == m:
-        m -= 1
-    return tuple(word[:m])
-
-
-def _monk_step(out: dict, word: tuple[int, ...], k: int, c: int, n: int) -> None:
-    """
-    out += c * x_k S_w by Monk's rule (module docstring), on words stripped
-    past n: w t_kl raises the length by one iff w(k) < w(l) and no position
-    between them holds a value between them, and so does w t_jk iff
-    w(j) < w(k) likewise.  The fixed point max(len, k) + 1 blocks every l
-    past it, so the word is padded that far.  Entries of out may reach 0.
-    """
-    u = list(word)
-    u.extend(range(len(u) + 1, max(len(u), k) + 2))
+    u = [*word, m + 1]
     k -= 1
     a = u[k]
     hits = []
-    bound = len(u) + 1
-    for p in range(k + 1, len(u)):
+    bound = m + 2
+    for p in range(k + 1, m + 1):
         if a < u[p] < bound:
             bound = u[p]
             hits.append((p, c))
@@ -173,7 +168,7 @@ def _monk_step(out: dict, word: tuple[int, ...], k: int, c: int, n: int) -> None
             hits.append((p, -c))
     for p, sign in hits:
         u[k], u[p] = u[p], a
-        key = _stripped(u, n)
+        key = tuple(u) if p == m else tuple(u[:m])
         out[key] = out.get(key, 0) + sign
         u[p], u[k] = u[k], a
 
@@ -182,9 +177,12 @@ def _monk_expansion(
     space: VariableSpace, scalar: int, monomial: Sequence[tuple[int, int]], factors: Sequence[Polynomial]
 ) -> dict[tuple[int, ...], int]:
     """
-    {word stripped past space.n: nonzero coefficient} of scalar * x^e *
-    prod (x_j + x_k), the fields of a cohomology.FactoredClass, from scalar
-    * S_u for the dominant u of code e: each factor takes E to x_j E + x_k E.
+    {shortest word with at least space.n letters: nonzero coefficient} of
+    scalar * x^e * prod (x_j + x_k), the fields of a cohomology.FactoredClass,
+    from scalar * S_u for the dominant u of code e: each factor takes E to
+    x_j E + x_k E.  u is from_code of e padded to the least length it needs,
+    the max of n and every i + e_i (1-based i), so u ends in no fixed point
+    past n.  Every factor lies in x1..xn, so no key is shorter than its k.
     Raises ValueError unless the head is x^e with e weakly decreasing and
     every factor, read through variables(), is x_j + x_k with unit coefficients.
     """
@@ -195,16 +193,16 @@ def _monk_expansion(
         e[vid] = p
     if any(p < q for p, q in zip(e, e[1:])):
         raise ValueError(f"head exponents {e} are not weakly decreasing")
-    # from_code needs c_i <= len - 1 - i, which e[0] more zeros give a weakly decreasing code
-    expansion = {_stripped(from_code(e + [0] * e[0]).word, space.n): scalar} if scalar else {}
+    size = max(space.n, *(i + p for i, p in enumerate(e, 1)))
+    expansion = {from_code(e + [0] * (size - space.n)).word: scalar} if scalar else {}
     for f in factors:
         vids = f.variables()
         if len(vids) != 2 or vids[1] >= space.n or list(f.terms.values()) != [1, 1] or f.total_degree() != 1:
             raise ValueError(f"factor {f.text()} is not x_j + x_k")
         out: dict[tuple[int, ...], int] = {}
         for w, c in expansion.items():
-            _monk_step(out, w, vids[0] + 1, c, space.n)
-            _monk_step(out, w, vids[1] + 1, c, space.n)
+            _monk_step(out, w, vids[0] + 1, c)
+            _monk_step(out, w, vids[1] + 1, c)
         expansion = {w: c for w, c in out.items() if c}
     return expansion
 

@@ -17,7 +17,7 @@ permutations, since every block of every composition draws from them.
 
 Standardization is order-preserving: the k-th smallest letter becomes k.
 
->>> sorted(str(w) for w in w_set_full_orthogonal(3))
+>>> [str(w) for w in w_set_full_orthogonal(3)]
 ['231', '312']
 >>> str(standardize((1, 5, 4, 6), {1, 4, 5, 6}))
 '1324'
@@ -26,15 +26,18 @@ Standardization is order-preserving: the k-th smallest letter becomes k.
 from __future__ import annotations
 
 import functools
-from itertools import permutations as _itertools_permutations
 from typing import Iterable, NamedTuple, Sequence
 
 from .composition import Composition, check_even_parts
-from .permutation import Permutation
+from .permutation import Permutation, all_permutations
 
 
 def _adjacency_words(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All words over `letters` built by the outer-pair adjacency recursion."""
+    """
+    All words over the rising `letters` built by the outer-pair adjacency
+    recursion, in word order: the first letter rises with t, then the middles
+    (in word order by induction) precede a last letter fixed by t.
+    """
     k = len(letters)
     if k == 0:
         return [()]
@@ -51,7 +54,7 @@ def _adjacency_words(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def w_set_full_orthogonal(n: int) -> tuple[Permutation, ...]:
     """
-    The orthogonal base family in S_n, sorted.  Sizes follow
+    The orthogonal base family in S_n, in word order.  Sizes follow
     (n-1)(n-3)(n-5)...: 1, 1, 2, 3, 8, 15, ...
 
     >>> [str(w) for w in w_set_full_orthogonal(4)]
@@ -64,7 +67,7 @@ def w_set_full_orthogonal(n: int) -> tuple[Permutation, ...]:
 
 @functools.cache
 def _full_orthogonal(n: int) -> tuple[Permutation, ...]:
-    return tuple(sorted(Permutation(w) for w in _adjacency_words(tuple(range(1, n + 1)))))
+    return tuple(map(Permutation, _adjacency_words(tuple(range(1, n + 1)))))
 
 
 def block_word(w: Permutation, mu: Composition, i: int) -> tuple[int, ...]:
@@ -123,7 +126,8 @@ def _assemble(mu: Composition, base_words, family: str) -> WSet:
     low = n - nu_{i+1}, so relabeling adds low to every letter.  The
     intervals are disjoint and cover 1..n, and each block word is a checked
     base word, so every assembled word is a permutation and is stored
-    without the constructor's check, in sorted word order.
+    without the constructor's check.  Each block's list is in word order
+    and its words have one length, so the product is in word order.
     """
     n = mu.total
     prefixes: list[tuple[int, ...]] = [()]
@@ -131,7 +135,6 @@ def _assemble(mu: Composition, base_words, family: str) -> WSet:
         low = n - mu.nu[i]
         blocks = [tuple(v + low for v in u.word) for u in base_words(part)]
         prefixes = [pre + b for pre in prefixes for b in blocks]
-    prefixes.sort()
     return WSet(family, mu, tuple(map(Permutation._unchecked, prefixes)))
 
 
@@ -159,8 +162,8 @@ def symplectic_embedding(u: Permutation) -> Permutation:
 
 def w_set_full_symplectic(two_n: int) -> tuple[Permutation, ...]:
     """
-    The symplectic base family in S_{2n}: the image of the doubling
-    embedding over all of S_n; exactly n! members, each of length n(n-1).
+    The symplectic base family in S_{2n}, in word order: the image of the
+    doubling embedding over all of S_n; n! members, each of length n(n-1).
 
     >>> [str(w) for w in w_set_full_symplectic(4)]
     ['1342', '3124']
@@ -172,11 +175,8 @@ def w_set_full_symplectic(two_n: int) -> tuple[Permutation, ...]:
 
 @functools.cache
 def _full_symplectic(half: int) -> tuple[Permutation, ...]:
-    images = [
-        symplectic_embedding(Permutation(word))
-        for word in _itertools_permutations(range(1, half + 1))
-    ]
-    return tuple(sorted(images))
+    # the embedding keeps the word order of S_half: u(i) < u'(i) gives 2u(i) - 1 < 2u'(i) - 1
+    return tuple(map(symplectic_embedding, all_permutations(half)))
 
 
 def w_set_symplectic(mu: Composition) -> WSet:

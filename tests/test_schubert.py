@@ -527,19 +527,42 @@ def _padded(word, n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_monk_step_matches_oracle_product(n):
-    # x_k S_w against the pipe-dream oracle, for k up to n + 1 (past the word, which pads it)
+    # x_k S_w against the pipe-dream oracle, for every k <= len(word), on the keys the
+    # expansion carries: every w of S_n, and every w of S_(n+1) that does not end in n + 1
     sp = VariableSpace(n + 2)
     oracle = functools.cache(lambda word: schubert_poly_oracle(_padded(word, n + 2), sp))
-    for w in all_permutations(n):
-        for k in range(1, n + 2):
+    words = [w.word for w in all_permutations(n)]
+    words += [w.word for w in all_permutations(n + 1) if w.word[-1] != n + 1]
+    for word in words:
+        for k in range(1, len(word) + 1):
             out = {}
-            schubert._monk_step(out, w.word, k, k, n)
+            schubert._monk_step(out, word, k, k)
             total = Polynomial.zero(sp)
-            for word, c in out.items():
-                # stripped past n: n letters, or more with no trailing fixed point
-                assert c and (len(word) == n or len(word) > n and word[-1] != len(word)), (w, k, word)
-                total = total + c * oracle(word)
-            assert total == k * xvar(sp, k) * oracle(w.word), (w, k)
+            for key, c in out.items():
+                # the shortest word of its class with at least n letters
+                assert c and (len(key) == n or key[-1] != len(key)), (word, k, key)
+                total = total + c * oracle(key)
+            assert total == k * xvar(sp, k) * oracle(word), (word, k)
+
+
+def test_skew_sum_factors_into_its_blocks():
+    # S_(u ⊖ v) = (x1...xa)^b S_u(x1..xa) S_v(x_(a+1)..x_(a+b)), u ⊖ v = (u(1) + b, ..., u(a) + b,
+    # v(1), ..., v(b)), every side from the pipe-dream oracle: every u in S_a and v in S_b, a + b <= 7
+    pairs = 0
+    for size in range(2, 8):
+        sp = VariableSpace(size)
+        oracle = functools.cache(lambda word, sp=sp: schubert_poly_oracle(_padded(word, sp.n), sp))
+        for a in range(1, size):
+            b = size - a
+            head = Polynomial.monomial(sp, {sp.x(i): b for i in range(1, a + 1)})
+            shift = {sp.x(i): xvar(sp, a + i) for i in range(1, b + 1)}
+            for u in all_permutations(a):
+                left = head * oracle(u.word)
+                for v in all_permutations(b):
+                    want = left * oracle(v.word).substitute(shift)
+                    assert oracle(tuple(p + b for p in u.word) + v.word) == want, (u, v)
+                    pairs += 1
+    assert pairs == 2673
 
 
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])

@@ -5,6 +5,7 @@ import pytest
 
 from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation
+from schubfactor.verifier import ORTHOGONAL, SYMPLECTIC, member_set, needs_even_parts
 from schubfactor.wset import (
     block_word,
     standardize,
@@ -237,6 +238,20 @@ def test_w_set_symplectic_block_consistency():
                     letters = set(range(total - mu.nu[i] + 1, total - mu.nu[i - 1] + 1))
                     assert set(sub) == letters
                     assert standardize(sub, letters) in base[part]
+
+
+def test_families_are_built_in_word_order():
+    # nothing sorts them, and wset --format json prints members in this order
+    def in_word_order(perms):
+        words = [w.word for w in perms]
+        return words == sorted(words)
+
+    assert all(in_word_order(w_set_full_orthogonal(n)) for n in range(1, 12))
+    assert all(in_word_order(w_set_full_symplectic(two_n)) for two_n in range(2, 15, 2))
+    for family, sizes in ((ORTHOGONAL, range(1, 10)), (SYMPLECTIC, range(2, 13, 2))):
+        for n in sizes:
+            for mu in enumerate_compositions(n, even_parts_only=needs_even_parts(family)):
+                assert in_word_order(member_set(mu, family).members), (family, mu)
 
 
 def test_members_have_uniform_length():
