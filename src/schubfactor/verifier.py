@@ -52,14 +52,16 @@ at.
 Failures are verdicts, never exceptions; a failing report carries the first
 mismatching monomial as a witness, or a flag when its sum equals the
 product side (a member given in a smaller S_m, say) or cannot be formed in
-the product side's space (a member of a larger S_m).
+the product side's space (a member of a larger S_m).  Each report is an
+immutable named tuple, built once, at the stage that ends its check, and
+never changed after; the (2,4) regression returns a new report by _replace.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .composition import Composition, check_even_parts, enumerate_compositions
 from .permutation import Permutation
@@ -82,35 +84,17 @@ ASCENDING_LETTER_VARIANT_24 = (
 )
 
 
-class IdentityReport:
-    """Outcome of one identity or suite check; the suite updates it in place."""
+class IdentityReport(NamedTuple):
+    """Outcome of one identity or suite check, built once when the check ends."""
 
-    # A __slots__ class, not a dataclass, for the reason given at Composition.
-    __slots__ = ("family", "mu", "verdict", "degree", "support", "witness", "flags", "ms")
-
-    def __init__(
-        self,
-        family: str,
-        mu: Composition,
-        verdict: str,  # "pass" | "fail"
-        degree: int,
-        support: int,  # members summed (identity) or fixed points checked (suite)
-        witness: tuple[str, str, str] | None = None,  # (monomial, lhs, rhs)
-        flags: list[str] | None = None,  # a fresh list for each report when omitted
-        ms: float = 0.0,
-    ):
-        self.family = family
-        self.mu = mu
-        self.verdict = verdict
-        self.degree = degree
-        self.support = support
-        self.witness = witness
-        self.flags = [] if flags is None else flags
-        self.ms = ms
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"IdentityReport({fields})"
+    family: str
+    mu: Composition
+    verdict: str  # "pass" | "fail"
+    degree: int
+    support: int  # members summed (identity) or fixed points checked (suite)
+    witness: tuple[str, str, str] | None = None  # (monomial, lhs, rhs)
+    flags: tuple[str, ...] = ()
+    ms: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -195,9 +179,9 @@ def verify_identity_for_members(
     # a member of a larger S_m has no Schubert polynomial in the product side's space
     if not ok and all(w.n <= n for w in members):  # only a failing report builds monomials, for its witness
         witness = _first_mismatch(schubert_sum(members, factored.space), factored.expand())
-    flags: list[str] = []
+    flags = ()
     if not ok and witness is None:
-        flags.append("Schubert expansion of the product side is not the member set with unit coefficients")
+        flags = ("Schubert expansion of the product side is not the member set with unit coefficients",)
 
     return IdentityReport(
         family=family,
@@ -225,17 +209,15 @@ def verify_identity(mu: Composition, family: str) -> IdentityReport:
         alt = verify_identity_for_members(mu, family, ASCENDING_LETTER_VARIANT_24)
         members_text = ", ".join(str(w) for w in ASCENDING_LETTER_VARIANT_24)
         if alt.passed:
-            report.verdict = "fail"
-            report.flags.append(
-                f"ascending-letter variant {{{members_text}}} unexpectedly passes"
-            )
-        else:
-            alt_degree = max((w.length for w in ASCENDING_LETTER_VARIANT_24), default=0)
-            report.flags.append(
-                f"letter-order check: ascending-letter variant {{{members_text}}} "
-                f"fails as expected (summand degree {alt_degree} != product degree {report.degree}); "
-                "descending letter blocks are the adjudicated convention"
-            )
+            flag = f"ascending-letter variant {{{members_text}}} unexpectedly passes"
+            return report._replace(verdict="fail", flags=report.flags + (flag,))
+        alt_degree = max((w.length for w in ASCENDING_LETTER_VARIANT_24), default=0)
+        flag = (
+            f"letter-order check: ascending-letter variant {{{members_text}}} "
+            f"fails as expected (summand degree {alt_degree} != product degree {report.degree}); "
+            "descending letter blocks are the adjudicated convention"
+        )
+        return report._replace(flags=report.flags + (flag,))
     return report
 
 
@@ -299,54 +281,48 @@ def verify_equivariant_suite(
     )
     n = mu.total
     chern = cohomology.cross_block_chern_class(mu)
-    report = IdentityReport(family, mu, "pass", chern.total_degree(), support=0)
+    degree, support, flags = chern.total_degree(), 0, ()
 
-    def fail(flag: str, lhs: Polynomial, rhs: Polynomial) -> None:
-        report.verdict = "fail"
-        report.witness = _first_mismatch(lhs, rhs)  # None when the two agree
-        report.flags.append(flag)
+    def finish(*failure) -> IdentityReport:
+        """The report, built at the stage that ends the check: its (flag, lhs, rhs), none on a pass."""
+        witness = _first_mismatch(*failure[1:]) if failure else None  # None when the two agree
+        verdict = "fail" if failure else "pass"
+        ms = (time.perf_counter() - start) * 1000.0
+        return IdentityReport(family, mu, verdict, degree, support, witness, flags + failure[:1], ms)
 
-    def mismatch(lhs: Polynomial, rhs: Polynomial, flag: str) -> bool:
-        if lhs == rhs:
-            return False
-        fail(flag, lhs, rhs)
-        return True
+    # localization: restriction at every fixed point equals the weight product
+    if n <= localization_max_n:
+        failure = _localization_failure(mu, chern)
+        if failure:
+            support, flag, lhs, rhs = failure
+            return finish(flag, lhs, rhs)
+        support = math.factorial(n)
+    else:
+        flags = (f"localization skipped (n={n} > {localization_max_n})",)
 
-    try:  # every return below is the report, stamped with its time in `finally`
-        # localization: restriction at every fixed point equals the weight product
-        if n <= localization_max_n:
-            failure = _localization_failure(mu, chern)
-            if failure:
-                report.support, flag, lhs, rhs = failure
-                fail(flag, lhs, rhs)
-                return report
-            report.support = math.factorial(n)
-        else:
-            report.flags.append(f"localization skipped (n={n} > {localization_max_n})")
+    # block-torus restriction of the Chern class is the cross-block factor
+    restricted = cohomology.restrict_to_block_torus(chern)
+    expected = cohomology.cross_block_factor(mu)
+    if restricted != expected:
+        return finish("block-torus restriction of the Chern class mismatches", restricted, expected)
 
-        # block-torus restriction of the Chern class is the cross-block factor
-        restricted = cohomology.restrict_to_block_torus(chern)
-        expected = cohomology.cross_block_factor(mu)
-        if mismatch(restricted, expected, "block-torus restriction of the Chern class mismatches"):
-            return report
+    # each single-block base class is the one-block equivariant class
+    for m in dict.fromkeys(mu.parts):  # each distinct part once, in order of first appearance
+        one_block = equivariant_class(Composition((m,)))
+        base = base_class(m)
+        if base != one_block:
+            return finish(f"base-class factorization fails for part {m}", base, one_block)
 
-        # each single-block base class is the one-block equivariant class
-        for m in dict.fromkeys(mu.parts):  # each distinct part once, in order of first appearance
-            one_block = equivariant_class(Composition((m,)))
-            if mismatch(base_class(m), one_block, f"base-class factorization fails for part {m}"):
-                return report
-
-        # equivariant class specializes to (a power of two times) the ordinary class
-        equivariant = equivariant_class(mu)
-        report.degree = equivariant.total_degree()
-        ordinary = product_side(mu, family)
-        if half_slots:
-            ordinary = ordinary * (2 ** mu.half_weight())
-        specialized = cohomology.zero_equivariant_vars(equivariant)
-        mismatch(specialized, ordinary, "equivariant class does not specialize to the ordinary class")
-        return report
-    finally:
-        report.ms = (time.perf_counter() - start) * 1000.0
+    # equivariant class specializes to (a power of two times) the ordinary class
+    equivariant = equivariant_class(mu)
+    degree = equivariant.total_degree()
+    ordinary = product_side(mu, family)
+    if half_slots:
+        ordinary = ordinary * (2 ** mu.half_weight())
+    specialized = cohomology.zero_equivariant_vars(equivariant)
+    if specialized != ordinary:
+        return finish("equivariant class does not specialize to the ordinary class", specialized, ordinary)
+    return finish()
 
 
 def sweep(n: int, family: str) -> list[IdentityReport]:

@@ -67,13 +67,14 @@ def test_verify_identity_report_fields():
     assert report.support == 6
     assert report.ms >= 0.0
 
-    # the suite updates these fields in place; omitted flags are a fresh list per report
+    # a report is built once: no field can be set, and _replace returns a new report
     mu = Composition((2,))
-    first, second = (verifier.IdentityReport(ORTHOGONAL, mu, "pass", 1, support=0) for _ in range(2))
-    first.flags.append("note")
-    assert (first.flags, second.flags) == (["note"], [])
-    first.verdict, first.witness, first.degree, first.support, first.ms = "fail", ("x1", "1", "0"), 2, 3, 4.5
-    assert first.to_json_dict(include_ms=True) == {
+    first = verifier.IdentityReport(ORTHOGONAL, mu, "pass", 1, support=0)
+    with pytest.raises(AttributeError):
+        first.verdict = "fail"
+    assert first.flags == () and isinstance(report.flags, tuple)
+    edited = first._replace(verdict="fail", witness=("x1", "1", "0"), degree=2, support=3, flags=("note",), ms=4.5)
+    assert edited.to_json_dict(include_ms=True) == {
         "family": ORTHOGONAL,
         "mu": [2],
         "verdict": "fail",
@@ -83,6 +84,7 @@ def test_verify_identity_report_fields():
         "flags": ["note"],
         "ms": 4.5,
     }
+    assert first == verifier.IdentityReport(ORTHOGONAL, mu, "pass", 1, support=0)
 
 
 def test_symplectic_24_carries_convention_flag():
@@ -99,6 +101,22 @@ def test_ascending_letter_variant_fails():
     assert report.witness is not None
 
 
+def test_passing_ascending_letter_variant_fails_the_24_report(monkeypatch):
+    # the regression input replaced by the real member set passes, so (2,4) must fail with a flag
+    mu = Composition((2, 4))
+    monkeypatch.setattr(verifier, "ASCENDING_LETTER_VARIANT_24", member_set(mu, SYMPLECTIC).members)
+    assert verify_identity(mu, SYMPLECTIC).to_json_dict() == {
+        "family": "symplectic",
+        "mu": [2, 4],
+        "verdict": "fail",
+        "degree": 10,
+        "support": 2,
+        "witness": None,
+        "flags": ["ascending-letter variant {561342, 563124} unexpectedly passes"],
+        "ms": None,
+    }
+
+
 def test_wrong_members_produce_witness():
     # drop one member: the sum misses its Schubert polynomial
     mu = Composition((3, 4))
@@ -113,7 +131,7 @@ def test_dropped_member_of_orthogonal_9_keeps_its_witness():
     mu = Composition((9,))
     members = w_set_orthogonal(mu).members
     report = verify_identity_for_members(mu, ORTHOGONAL, members[1:])
-    assert report.verdict == "fail" and report.flags == []
+    assert report.verdict == "fail" and report.flags == ()
     assert report.witness == ("x1 x2^2 x3^3 x4^4 x5^4 x6^3 x7^2 x8", "0", "1")
 
 
@@ -127,7 +145,7 @@ def test_member_from_smaller_group_fails_without_witness():
     report = verify_identity_for_members(Composition((4,)), SYMPLECTIC, members)
     assert report.verdict == "fail"
     assert report.witness is None
-    assert report.flags == [EXPANSION_FLAG]
+    assert report.flags == (EXPANSION_FLAG,)
 
 
 def test_member_from_larger_group_fails_without_witness():
@@ -136,7 +154,7 @@ def test_member_from_larger_group_fails_without_witness():
     report = verify_identity_for_members(Composition((2, 1)), ORTHOGONAL, members)
     assert report.verdict == "fail"
     assert report.witness is None
-    assert report.flags == [EXPANSION_FLAG]
+    assert report.flags == (EXPANSION_FLAG,)
 
 
 def test_duplicated_member_fails_with_witness():
@@ -145,7 +163,7 @@ def test_duplicated_member_fails_with_witness():
     report = verify_identity_for_members(mu, ORTHOGONAL, members + members[:1])
     assert report.verdict == "fail"
     assert report.witness == ("x1^5 x2^5 x3^4 x4 x5^2 x6", "2", "1")
-    assert report.flags == []
+    assert report.flags == ()
     assert (report.degree, report.support) == (18, 7)
 
 
@@ -159,14 +177,13 @@ def test_repeated_member_fails_even_when_the_sum_matches(monkeypatch):
     assert schubert_sum([w, w], sp) == doubled.expand() == 2 * schubert_poly(w, sp)
     report = verify_identity_for_members(mu, ORTHOGONAL, [w, w])
     assert report.verdict == "fail"
-    assert report.witness is None and report.flags == [EXPANSION_FLAG]
+    assert report.witness is None and report.flags == (EXPANSION_FLAG,)
 
 
 def test_report_text_shows_witness_and_notes():
     mu = Composition((2, 1))
     members = w_set_orthogonal(mu).members
-    report = verify_identity_for_members(mu, ORTHOGONAL, members + members)
-    report.ms = 1.0
+    report = verify_identity_for_members(mu, ORTHOGONAL, members + members)._replace(ms=1.0)
     assert report.text() == (
         "orthogonal mu=2,1: fail (degree 3, support 2, 1.0 ms)\n"
         "  witness x1^2 x2: lhs=2 rhs=1"
