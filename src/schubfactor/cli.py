@@ -127,9 +127,9 @@ def _cmd_formula(args, equivariant: bool) -> int:
 
 def _cmd_expand(args) -> int:
     mu = _parse_mu(args)
-    factored = cohomology.ordinary_factored(mu, half_slots=not verifier.needs_even_parts(args.family))
+    shape = cohomology.ordinary_shape(mu, half_slots=not verifier.needs_even_parts(args.family))
     n = mu.total
-    coeffs = {Permutation._unchecked(w): c for w, c in _monk_expansion(*factored).items()}
+    coeffs = {Permutation._unchecked(w): c for w, c in _monk_expansion(*shape).items()}
     if any(w.n > n for w in coeffs):  # a class of S_n is keyed by its own word
         raise ValueError(f"the ordinary class is not in the span of S_{n}")
     expansion = SchubertExpansion(n, coeffs)

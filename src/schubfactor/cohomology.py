@@ -17,6 +17,7 @@ block i with positions nu_i+1 .. nu_{i+1}:
 
 The ordinary classes are pure-x specializations: a monomial
 prod x_i^{right_mass(+first_half_flag)} times the block pair binomials.
+ordinary_shape gives one as the integers that schubert._monk_expansion takes.
 The equivariant classes multiply the block factors with the cross-block
 factor (and a power of two: one 2 per half-block slot in the orthogonal
 family).  ordinary_factored and equivariant_factored build both families;
@@ -83,15 +84,16 @@ def _half_block_forms(space: VariableSpace, mu: Composition, i: int) -> list[Pol
     ]
 
 
-def _block_pair_forms(space: VariableSpace, mu: Composition, i: int, shift: int = -2) -> list[Polynomial]:
-    """(x_j + x_k + shift z_i) over the within-block pairs; shift 0 gives bare binomials."""
-    z = {space.z(i): shift} if shift else {}
+def _block_pairs(mu: Composition, i: int) -> list[tuple[int, int]]:
+    """The within-block pairs (j, k) of block i: nu_i < j < k <= 2 nu_i + mu_i - j."""
     nu_i, part = mu.nu[i - 1], mu.parts[i - 1]
-    return [
-        Polynomial.linear_form(space, {space.x(j): 1, space.x(k): 1, **z})
-        for j in range(nu_i + 1, nu_i + part + 1)
-        for k in range(j + 1, 2 * nu_i + part - j + 1)
-    ]
+    return [(j, k) for j in range(nu_i + 1, nu_i + part + 1) for k in range(j + 1, 2 * nu_i + part - j + 1)]
+
+
+def _block_pair_forms(space: VariableSpace, mu: Composition, i: int) -> list[Polynomial]:
+    """(x_j + x_k - 2 z_i) over the within-block pairs of block i."""
+    zi = space.z(i)
+    return [Polynomial.linear_form(space, {space.x(j): 1, space.x(k): 1, zi: -2}) for j, k in _block_pairs(mu, i)]
 
 
 def _cross_pair_forms(space: VariableSpace, mu: Composition, i: int, j: int) -> list[Polynomial]:
@@ -226,22 +228,23 @@ class FactoredClass(NamedTuple):
         return tail if head == "1" else f"{head} {tail}"
 
 
-def ordinary_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
+def ordinary_shape(mu: Composition, *, half_slots: bool) -> tuple[list[int], list[tuple[int, int]]]:
     """
-    Factored ordinary class (the power of two already divided out):
-    prod x_i^{right_mass (+ first_half_flag with half slots)} * within-block
-    binomials (x_j + x_k).  half_slots=True is the orthogonal family, False
-    the symplectic one.
+    The ordinary class x^e * prod (x_j + x_k) (module docstring; the power of
+    two divided out) as its integers: e and the within-block pairs (j, k).
     """
     check_even_parts(mu, half_slots)
+    e = [mu.right_mass(i) + (mu.first_half_flag(i) if half_slots else 0) for i in range(1, mu.total + 1)]
+    return e, [pair for i in range(1, mu.s + 1) for pair in _block_pairs(mu, i)]
+
+
+def ordinary_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:
+    """The factored ordinary class of ordinary_shape: head x^e, one binomial x_j + x_k per pair."""
+    e, pairs = ordinary_shape(mu, half_slots=half_slots)
     space = space_for(mu)
-    exps = []
-    for i in range(1, mu.total + 1):
-        e = mu.right_mass(i) + (mu.first_half_flag(i) if half_slots else 0)
-        if e:
-            exps.append((space.x(i), e))
-    factors = [f for i in range(1, mu.s + 1) for f in _block_pair_forms(space, mu, i, shift=0)]
-    return FactoredClass(space, 1, tuple(exps), tuple(factors))
+    head = tuple((space.x(i), p) for i, p in enumerate(e, start=1) if p)
+    factors = tuple(Polynomial.linear_form(space, {space.x(j): 1, space.x(k): 1}) for j, k in pairs)
+    return FactoredClass(space, 1, head, factors)
 
 
 def equivariant_factored(mu: Composition, *, half_slots: bool) -> FactoredClass:

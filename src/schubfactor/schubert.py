@@ -39,8 +39,9 @@ already summed map.  A dominant code adds c * x^code in
 the top fields, times the word's coefficient c; padding a word with fixed
 points pads its code with zeros, so words of every size share these leaves.
 
-The verify and expand paths expand a factored class x^e * prod (x_j + x_k),
-e weakly decreasing, with no monomial (_monk_expansion): x^e = S_u, and
+The verify and expand paths expand the ordinary class x^e * prod (x_j + x_k)
+from its integers alone, e weakly decreasing and the pairs (j, k) of
+cohomology.ordinary_shape, with no polynomial (_monk_expansion): x^e = S_u, and
 Monk's rule x_k S_w = sum_{l > k} S_{w t_kl} - sum_{j < k} S_{w t_jk}, over
 the transpositions that raise the length by one (Monk, The geometry of flag
 manifolds, 1959; Macdonald, ch. IV), multiplies by each x of each binomial.
@@ -54,7 +55,7 @@ code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .permutation import Permutation, from_code
 from .polynomial import Polynomial, VariableSpace, _owned, divided_difference_terms, packed_key
@@ -173,36 +174,24 @@ def _monk_step(out: dict, word: tuple[int, ...], k: int, c: int) -> None:
         u[p], u[k] = u[k], a
 
 
-def _monk_expansion(
-    space: VariableSpace, scalar: int, monomial: Sequence[tuple[int, int]], factors: Sequence[Polynomial]
-) -> dict[tuple[int, ...], int]:
+def _monk_expansion(e: list[int], pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, ...], int]:
     """
-    {shortest word with at least space.n letters: nonzero coefficient} of
-    scalar * x^e * prod (x_j + x_k), the fields of a cohomology.FactoredClass,
-    from scalar * S_u for the dominant u of code e: each factor takes E to
-    x_j E + x_k E.  u is from_code of e padded to the least length it needs,
-    the max of n and every i + e_i (1-based i), so u ends in no fixed point
-    past n.  Every factor lies in x1..xn, so no key is shorter than its k.
-    Raises ValueError unless the head is x^e with e weakly decreasing and
-    every factor, read through variables(), is x_j + x_k with unit coefficients.
+    {shortest word with at least n = len(e) letters: nonzero coefficient} of
+    x^e * prod (x_j + x_k) over pairs, 1 <= j, k <= n (cohomology.ordinary_shape),
+    from S_u for the dominant u of code e: each pair takes E to x_j E + x_k E.
+    u is from_code of e padded to the max of n and every i + e_i (1-based i),
+    so it ends in no fixed point past n.  Raises ValueError unless e is weakly
+    decreasing, as x^e = S_u needs.
     """
-    e = [0] * space.n
-    for vid, p in monomial:  # x_i has vid i - 1
-        if vid >= space.n:
-            raise ValueError(f"head variable {space.name(vid)} is not an x")
-        e[vid] = p
     if any(p < q for p, q in zip(e, e[1:])):
         raise ValueError(f"head exponents {e} are not weakly decreasing")
-    size = max(space.n, *(i + p for i, p in enumerate(e, 1)))
-    expansion = {from_code(e + [0] * (size - space.n)).word: scalar} if scalar else {}
-    for f in factors:
-        vids = f.variables()
-        if len(vids) != 2 or vids[1] >= space.n or list(f.terms.values()) != [1, 1] or f.total_degree() != 1:
-            raise ValueError(f"factor {f.text()} is not x_j + x_k")
+    size = max(len(e), *(i + p for i, p in enumerate(e, 1)))
+    expansion = {from_code(e + [0] * (size - len(e))).word: 1}
+    for j, k in pairs:
         out: dict[tuple[int, ...], int] = {}
         for w, c in expansion.items():
-            _monk_step(out, w, vids[0] + 1, c)
-            _monk_step(out, w, vids[1] + 1, c)
+            _monk_step(out, w, j, c)
+            _monk_step(out, w, k, c)
         expansion = {w: c for w, c in out.items() if c}
     return expansion
 

@@ -11,13 +11,14 @@ statements about integer polynomials:
       member set, every coefficient 1.
 
 The verdict is (a) for distinct members of S_n, decided in the Schubert
-basis: Monk's rule expands the factored ordinary class, a dominant monomial
-times binomials x_j + x_k (schubert._monk_expansion), and (a) holds iff
-each member pops a 1 out of that expansion (a repeat finds none left) and
-leaves it empty, as the Schubert polynomials of S_infinity are a Z-basis of
-Z[x1, x2, ...].  A passing check builds no monomial.  Only a failing report
-builds both sides, the Schubert sum and the expanded product side, for its
-witness, the canonically first monomial of their difference.  The Schubert
+basis: Monk's rule expands the ordinary class x^e * prod (x_j + x_k) from
+its integers (cohomology.ordinary_shape, schubert._monk_expansion), and (a)
+holds iff each member pops a 1 out of that expansion (a repeat finds none
+left) and leaves it empty, as the Schubert polynomials of S_infinity are a
+Z-basis of Z[x1, x2, ...].  A passing check builds no polynomial; its degree
+is sum(e) + len(pairs).  Only a failing report builds both sides, the
+Schubert sum and the expanded product side, for its witness, the
+canonically first monomial of their difference.  The Schubert
 polynomials of S_n are a Z-basis of the staircase span (Macdonald, Notes on
 Schubert Polynomials, 1991), so (b) and (c) follow from (a): the sum lies
 in the span, and its expansion is unique.
@@ -41,7 +42,9 @@ shortcut is checked:
     roots, at the item's own word, compared once for its whole orbit: for
     s in S_mu, (k, l) -> (s(k), s(l)) permutes the cross-block roots and
     keeps k < l, so the weight product at ws is the one at w, and
-    preserves_blocks reads only each block's letter set, which ws shares;
+    preserves_blocks reads only each block's letter set, which ws shares.
+    Of the rising words only the identity preserves the blocks, so the
+    product is built once, at the identity, and every other item must be 0;
   - the items stand for n! points in all, |S_mu| each.
 
 An item's word is the first point of its orbit in word order, and the tree
@@ -64,7 +67,7 @@ import time
 from typing import NamedTuple, Sequence
 
 from .composition import Composition, check_even_parts, enumerate_compositions
-from .permutation import Permutation
+from .permutation import Permutation, identity
 from . import cohomology
 from .polynomial import Polynomial
 from .schubert import _monk_expansion, schubert_sum
@@ -170,14 +173,15 @@ def verify_identity_for_members(
     """Check sum-equals-product for an explicit member set (see module docstring)."""
     start = time.perf_counter()
     n = mu.total
-    factored = cohomology.ordinary_factored(mu, half_slots=not needs_even_parts(family))
-    degree = sum(e for _, e in factored.monomial) + len(factored.factors)
+    half_slots = not needs_even_parts(family)
+    e, pairs = cohomology.ordinary_shape(mu, half_slots=half_slots)
     # only members of S_n count (S_312 == S_3124 can match rhs); each pops its 1, a repeat none
-    expansion = _monk_expansion(*factored)
+    expansion = _monk_expansion(e, pairs)
     ok = all(w.n == n and expansion.pop(w.word, 0) == 1 for w in members) and not expansion
     witness = None
     # a member of a larger S_m has no Schubert polynomial in the product side's space
-    if not ok and all(w.n <= n for w in members):  # only a failing report builds monomials, for its witness
+    if not ok and all(w.n <= n for w in members):  # only a failing report builds polynomials, for its witness
+        factored = cohomology.ordinary_factored(mu, half_slots=half_slots)
         witness = _first_mismatch(schubert_sum(members, factored.space), factored.expand())
     flags = ()
     if not ok and witness is None:
@@ -187,7 +191,7 @@ def verify_identity_for_members(
         family=family,
         mu=mu,
         verdict="pass" if ok else "fail",
-        degree=degree,
+        degree=sum(e) + len(pairs),
         support=len(members),
         witness=witness,
         flags=flags,
@@ -237,8 +241,9 @@ def _localization_failure(
     difference inside a block fails first, as (0, flag, asymmetry, 0).  Then
     the first item, in word order, whose restriction is not the weight
     product at its own word fails, as (rank, flag, restriction, weight
-    product).  The items must stand for n! points in all, or the report
-    fails with the count as its support.
+    product), which is built once, at the identity, and is 0 at every other
+    item (module docstring).  The items must stand for n! points in all, or
+    the report fails with the count as its support.
     """
     zero = Polynomial.zero(chern.space)
     for i, (base, part) in enumerate(zip(mu.nu, mu.parts), start=1):
@@ -247,12 +252,14 @@ def _localization_failure(
             if not asymmetry.is_zero():
                 flag = f"Chern class is not symmetric in x{k}, x{k + 1} inside block {i}"
                 return 0, flag, asymmetry, zero
+    ident = identity(mu.total)
+    weight = cohomology.fixed_point_weight_product(mu, ident)
     covered, orbit_size = 0, math.prod(map(math.factorial, mu.parts))
     for word, image in cohomology.fixed_point_restrictions(chern, mu.parts):
         covered += orbit_size
-        w = Permutation._unchecked(word)  # the tree yields each rising word of S_n once, as a tuple
-        rhs = cohomology.fixed_point_weight_product(mu, w)
+        rhs = weight if word == ident.word else zero
         if image != rhs:
+            w = Permutation._unchecked(word)  # the tree yields each rising word of S_n once, as a tuple
             return _word_rank(w), f"localization mismatch at w={w}", image, rhs
     if covered != math.factorial(mu.total):
         flag = f"localization: the tree's items stand for {covered} of {math.factorial(mu.total)} fixed points"

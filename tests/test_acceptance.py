@@ -23,6 +23,7 @@ from schubfactor.verifier import (
     ORTHOGONAL,
     SYMPLECTIC,
     ASCENDING_LETTER_VARIANT_24,
+    member_set,
     schubert_sum,
     sweep,
     verify_equivariant_suite,
@@ -103,6 +104,10 @@ def test_criterion_3_identity_sweep():
     assert len(symplectic_reports) == 15  # includes all 8 compositions of 2n=8
     failures = [r for r in symplectic_reports if not r.passed]
     assert not failures, [r.text() for r in failures]
+
+    # the degree comes from the class's exponents and pairs; every member has that length
+    for r in orthogonal_reports + symplectic_reports:
+        assert {w.length for w in member_set(r.mu, r.family).members} == {r.degree}, r.text()
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"{elapsed:.1f}s exceeds 5min budget"

@@ -68,9 +68,9 @@ def test_install_spans_sees_every_restriction_of_the_suite():
     restrictions = ("cohomology.block_torus", "cohomology.specialize")
     for span in restrictions + ("cohomology.weight_product", "polynomial.substitute", "polynomial.mul"):
         assert calls.get(span, 0) >= 1, span
-    # one weight product per item of the tree (123, 132 and 231, one per block orbit of S_3);
-    # the fixed-point tree runs in the polynomial kernel, so only the block-torus
-    # restriction and the specialization substitute, once each
-    assert calls["cohomology.weight_product"] == 3
+    # one weight product, at the identity: of the tree's items 123, 132 and 231 (one per block
+    # orbit of S_3) only 123 preserves the blocks; the fixed-point tree runs in the polynomial
+    # kernel, so only the block-torus restriction and the specialization substitute, once each
+    assert calls["cohomology.weight_product"] == 1
     assert calls.get("cohomology.fixed_point", 0) == 0
     assert calls["polynomial.substitute"] == sum(calls[span] for span in restrictions) == 2

@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from schubfactor.cohomology import cross_pair_factor, ordinary_factored, space_for
+from schubfactor.cohomology import cross_pair_factor, ordinary_shape, space_for
 from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations, from_code, identity, longest_element
 from schubfactor import schubert
@@ -570,42 +570,27 @@ def test_monk_expansion_matches_greedy_expansion_of_every_product_side(family):
     even = needs_even_parts(family)
     for n in (2, 4, 6, 8) if even else range(1, 8):
         for mu in enumerate_compositions(n, even_parts_only=even):
-            factored = ordinary_factored(mu, half_slots=not even)
             want = expand_in_schubert_basis(product_side(mu, family), n).coeffs
-            got = schubert._monk_expansion(*factored)
+            got = schubert._monk_expansion(*ordinary_shape(mu, half_slots=not even))
             assert {_padded(word, n): c for word, c in got.items()} == want, mu
 
 
-def test_monk_expansion_honours_the_scalar():
-    sp = VariableSpace(3, (2, 1))
-    x1, x2 = sp.x(1), sp.x(2)
-    binomial = Polynomial.linear_form(sp, {x1: 1, x2: 1})
-    assert schubert._monk_expansion(sp, 2, ((x1, 1),), ()) == {(2, 1, 3): 2}
-    # -3 x1 (x1 + x2) = -3 (S_312 + S_231)
-    assert schubert._monk_expansion(sp, -3, ((x1, 1),), (binomial,)) == {(3, 1, 2): -3, (2, 3, 1): -3}
-    assert schubert._monk_expansion(sp, 0, ((x1, 1),), (binomial,)) == {}
+def test_monk_expansion_of_shape_examples():
+    # S_u for the dominant u of code e, padded only to the length e needs
+    assert schubert._monk_expansion([1, 0, 0], []) == {(2, 1, 3): 1}
+    assert schubert._monk_expansion([2, 0], []) == {(3, 1, 2): 1}
+    # x1 (x1 + x2) = S_312 + S_231
+    assert schubert._monk_expansion([1, 0, 0], [(1, 2)]) == {(3, 1, 2): 1, (2, 3, 1): 1}
+    # (x1 + x2)(x1 + x3) = S_312 + S_1342, the last one outside S_3
+    assert schubert._monk_expansion([0, 0, 0], [(1, 2), (1, 3)]) == {(3, 1, 2): 1, (1, 3, 4, 2): 1}
+    # (x1 + x2)^2 = S_231 + S_1423 with n = 2: both outside S_2, each keyed by its shortest word
+    assert schubert._monk_expansion([0, 0], [(1, 2), (1, 2)]) == {(2, 3, 1): 1, (1, 4, 2, 3): 1}
 
 
 def test_monk_expansion_refuses_what_is_not_a_dominant_head_times_binomials():
-    sp = VariableSpace(3, (2, 1))
-    x1, x2, x3 = sp.x(1), sp.x(2), sp.x(3)
-    form = functools.partial(Polynomial.linear_form, sp)
-    for factor in (
-        form({x1: 1, x2: 2}),
-        form({x1: 1}),
-        form({x1: 1, x2: 1, x3: 1}),
-        form({x1: 1, sp.z(1): 1}),
-        form({x1: 1, x2: 1}) + 1,
-        xvar(sp, 1) * xvar(sp, 2) + 1,
-        xvar(sp, 1) ** 2 + xvar(sp, 2),
-    ):
-        with pytest.raises(ValueError, match="is not x_j \\+ x_k"):
-            schubert._monk_expansion(sp, 1, (), (factor,))
-    for head in (((x2, 1),), ((x1, 1), (x2, 2))):
-        with pytest.raises(ValueError, match="not weakly decreasing"):
-            schubert._monk_expansion(sp, 1, head, ())
-    with pytest.raises(ValueError, match="head variable y1 is not an x"):
-        schubert._monk_expansion(sp, 1, ((sp.yfull(1), 1),), ())
+    # a shape of integer pairs is always binomials x_j + x_k, so only the head can be refused
+    with pytest.raises(ValueError, match="head exponents \\[0, 1, 0\\] are not weakly decreasing"):
+        schubert._monk_expansion([0, 1, 0], [])
 
 
 # -- second expansion oracle: constant terms of divided differences ----------------

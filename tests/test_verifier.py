@@ -168,16 +168,22 @@ def test_duplicated_member_fails_with_witness():
 
 
 def test_repeated_member_fails_even_when_the_sum_matches(monkeypatch):
-    # no real product side has a coefficient 2, so give one: 2 S_213, the sum of [213, 213]
-    # (S_213 = x1, so the factored class 2 * x1 with no linear factors)
+    # no real product side has a coefficient 2, so give one: the verdict pops its members out of
+    # the expansion 2 S_213, the sum of [213, 213], and the witness path builds the factored
+    # class 2 * x1 (S_213 = x1) with no linear factors
     mu, w = Composition((2, 1)), Permutation((2, 1, 3))
     sp = coh.space_for(mu)
     doubled = coh.FactoredClass(sp, 2, ((sp.x(1), 1),), ())
+    monkeypatch.setattr(verifier, "_monk_expansion", lambda e, pairs: {(2, 1, 3): 2})
     monkeypatch.setattr(coh, "ordinary_factored", lambda mu, half_slots: doubled)
     assert schubert_sum([w, w], sp) == doubled.expand() == 2 * schubert_poly(w, sp)
     report = verify_identity_for_members(mu, ORTHOGONAL, [w, w])
     assert report.verdict == "fail"
     assert report.witness is None and report.flags == (EXPANSION_FLAG,)
+    # each member takes its coefficient out: S_213 alone passes, and a repeat of it finds none left
+    monkeypatch.setattr(verifier, "_monk_expansion", lambda e, pairs: {(2, 1, 3): 1})
+    assert verify_identity_for_members(mu, ORTHOGONAL, [w]).passed
+    assert not verify_identity_for_members(mu, ORTHOGONAL, [w, w]).passed
 
 
 def test_report_text_shows_witness_and_notes():
