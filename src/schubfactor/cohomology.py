@@ -15,9 +15,9 @@ block i with positions nu_i+1 .. nu_{i+1}:
                                y{j}_{l} coordinates (middle coordinate of an
                                odd block contributes a bare (x - z_j) factor)
 
-The ordinary classes are pure-x specializations: a monomial
-prod x_i^{right_mass(+first_half_flag)} times the block pair binomials.
-ordinary_shape gives one as the integers that schubert._monk_expansion takes.
+The ordinary classes are pure-x specializations: x^e times the block pair
+binomials, e_k = n - nu_{b+1} on block b, plus 1 in its first floor(mu_b/2)
+slots with half slots; ordinary_shape gives them as _monk_expansion's integers.
 The equivariant classes multiply the block factors with the cross-block
 factor (and a power of two: one 2 per half-block slot in the orthogonal
 family).  ordinary_factored and equivariant_factored build both families;
@@ -41,8 +41,8 @@ item serves a block orbit w S_mu, the words that permute w's letters inside
 each block.  restrict_to_fixed_point remains the independent single-w route.
 
 fixed_point_weight_product builds its product from the roots, never from
-restricted factors, once per composition: a block-preserving w permutes the
-cross-block roots.
+restricted factors, in each call and keeps none: a block-preserving w
+permutes the cross-block roots, so the suite builds it once, at the identity.
 """
 
 from __future__ import annotations
@@ -234,7 +234,9 @@ def ordinary_shape(mu: Composition, *, half_slots: bool) -> tuple[list[int], lis
     two divided out) as its integers: e and the within-block pairs (j, k).
     """
     check_even_parts(mu, half_slots)
-    e = [mu.right_mass(i) + (mu.first_half_flag(i) if half_slots else 0) for i in range(1, mu.total + 1)]
+    n, nu = mu.total, mu.nu  # over block (lo, hi]: e_k = n - hi, plus 1 in its first half with half slots
+    e = [n - hi + (2 * (k - lo) <= hi - lo if half_slots else 0) for lo, hi in zip(nu, nu[1:])
+         for k in range(lo + 1, hi + 1)]
     return e, [pair for i in range(1, mu.s + 1) for pair in _block_pairs(mu, i)]
 
 
@@ -329,17 +331,11 @@ def fixed_point_weight_product(mu: Composition, w: Permutation) -> Polynomial:
     Product of the w-images (y_{w(k)} - y_{w(l)}) of the cross-block roots if
     w preserves every block; the zero polynomial otherwise.  A block-preserving
     w maps the cross-block roots onto themselves, so its product is the one
-    over the roots themselves, built once per composition.
+    of (y_k - y_l) over the roots (k, l) themselves, built in the call.
     """
-    if not preserves_blocks(w, mu):
-        return Polynomial.zero(space_for(mu))
-    return _cross_root_product(mu)
-
-
-@functools.cache
-def _cross_root_product(mu: Composition) -> Polynomial:
-    """Product of (y_k - y_l) over the cross-block roots (k, l) of mu."""
     space = space_for(mu)
+    if not preserves_blocks(w, mu):
+        return Polynomial.zero(space)
     forms = [Polynomial.linear_form(space, {space.yfull(k): 1, space.yfull(l): -1}) for k, l in cross_block_roots(mu)]
     return product_of_linear_forms(space, forms)
 

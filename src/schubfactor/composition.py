@@ -2,14 +2,15 @@
 Compositions mu = (mu_1, ..., mu_s) of n and their block statistics.
 
 Positions 1..n split into s contiguous blocks, block i covering
-nu_i + 1 .. nu_{i+1} where nu_1 = 0 and nu_{i+1} = nu_i + mu_i.  The block
-statistics defined here drive every product formula in the cohomology module:
+nu_i + 1 .. nu_{i+1} where nu_1 = 0 and nu_{i+1} = nu_i + mu_i.  The
+cohomology module reads its exponents off nu, block by block; the
+per-position statistics below restate them and serve as the tests' oracle:
 
     block_of(i)         the block containing position i
     right_mass(i)       combined size of all blocks strictly to the right
     first_half_flag(i)  1 iff position i sits in the first half of its block
                         (the middle of an odd block is not in the first half)
-    half_weight()       sum of floor(mu_i / 2)
+    half_weight()       sum of floor(mu_i / 2), the orthogonal classes' power of two
 """
 
 from __future__ import annotations

@@ -247,9 +247,10 @@ def test_mu_above_guard_is_rejected_in_128_mb():
 
 
 def test_a_passing_verify_and_expand_build_no_polynomial():
-    # both decide on the integers of the ordinary class alone; symplectic (2,4) is left out, as
-    # its letter-order regression fails and so builds a witness.  A fresh process, because a
-    # class whose __new__ was set and deleted again no longer takes constructor arguments
+    # both decide on the integers of the ordinary class alone, and so does the letter-order
+    # regression of symplectic (2,4), whose variant fails on its Monk expansion with no witness.
+    # A fresh process, because a class whose __new__ was set and deleted again no longer takes
+    # constructor arguments
     code = (
         "import sys\n"
         "from schubfactor import cli, verifier\n"
@@ -259,7 +260,7 @@ def test_a_passing_verify_and_expand_build_no_polynomial():
         "    raise AssertionError('a polynomial or a variable space was built')\n"
         "Polynomial.__new__ = forbidden  # the constructor and _owned alike\n"
         "VariableSpace.__init__ = forbidden\n"
-        "for parts, family in (((3, 4), 'orthogonal'), ((4, 2), 'symplectic')):\n"
+        "for parts, family in (((3, 4), 'orthogonal'), ((4, 2), 'symplectic'), ((2, 4), 'symplectic')):\n"
         "    assert verifier.verify_identity(Composition(parts), family).passed, parts\n"
         "    mu = ','.join(map(str, parts))\n"
         "    assert cli.main(['expand', '--mu', mu, '--family', family]) == 0, parts\n"
@@ -267,8 +268,8 @@ def test_a_passing_verify_and_expand_build_no_polynomial():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
-    lines = result.stdout.splitlines()  # 6 members of (3,4) and 2 of (4,2), each with coefficient 1
-    assert len(lines) == 8 and all(line.endswith(": 1") for line in lines)
+    lines = result.stdout.splitlines()  # 6 members of (3,4), 2 of (4,2) and 2 of (2,4), each with coefficient 1
+    assert len(lines) == 10 and all(line.endswith(": 1") for line in lines)
 
 
 def test_schubert_guard_can_be_lifted(capsys):

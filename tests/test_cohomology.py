@@ -173,6 +173,18 @@ def test_variable_factor_counts():
                 assert poly.degree_in(sp.x(i)) == n - i - mu.first_half_flag(i)
 
 
+def test_ordinary_shape_exponents_match_the_block_statistics():
+    # ordinary_shape reads e off the block offsets; Composition's per-position statistics,
+    # each a bisection of the offsets, are its oracle
+    for half_slots, sizes in ((True, range(1, 13)), (False, range(2, 13, 2))):
+        for n in sizes:
+            for mu in enumerate_compositions(n, even_parts_only=not half_slots):
+                e, _ = coh.ordinary_shape(mu, half_slots=half_slots)
+                expected = [mu.right_mass(i) + (mu.first_half_flag(i) if half_slots else 0) for i in range(1, n + 1)]
+                assert e == expected, mu
+                assert all(type(p) is int for p in e), mu
+
+
 def test_factored_text_and_expand_agree():
     mu = Composition((3, 4))
     fc = coh.ordinary_factored(mu, half_slots=True)

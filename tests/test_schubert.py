@@ -9,7 +9,7 @@ from schubfactor.cohomology import cross_pair_factor, ordinary_shape, space_for
 from schubfactor.composition import Composition, enumerate_compositions
 from schubfactor.permutation import Permutation, all_permutations, from_code, identity, longest_element
 from schubfactor import schubert
-from schubfactor.polynomial import Polynomial, VariableSpace
+from schubfactor.polynomial import Polynomial, VariableSpace, product_of_linear_forms
 from schubfactor.schubert import (
     SchubertExpansion,
     _diagram_permutation,
@@ -573,6 +573,24 @@ def test_monk_expansion_matches_greedy_expansion_of_every_product_side(family):
             want = expand_in_schubert_basis(product_side(mu, family), n).coeffs
             got = schubert._monk_expansion(*ordinary_shape(mu, half_slots=not even))
             assert {_padded(word, n): c for word, c in got.items()} == want, mu
+
+
+def test_monk_expansion_of_random_shapes_matches_the_product():
+    # shapes no family makes: a weakly decreasing e with n <= 6 and seeded pairs j < k <= n, repeats
+    # allowed, against x^e * prod (x_j + x_k) multiplied out; every key is the shortest word of its
+    # class with at least n letters, so it has n letters or does not end in its own length
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        e = sorted((rng.randint(0, 4) for _ in range(n)), reverse=True)
+        pairs = [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(rng.randint(0, 5) if n > 1 else 0)]
+        expansion = schubert._monk_expansion(e, pairs)
+        assert all(len(w) == n or w[-1] != len(w) for w in expansion), (e, pairs)
+        sp = VariableSpace(max(n, *map(len, expansion)))
+        head = Polynomial.monomial(sp, {sp.x(i): p for i, p in enumerate(e, 1)})
+        forms = [xvar(sp, j) + xvar(sp, k) for j, k in pairs]
+        want = product_of_linear_forms(sp, forms, head=head)
+        assert schubert._combination(((Permutation(w), c) for w, c in expansion.items()), sp) == want, (e, pairs)
 
 
 def test_monk_expansion_of_shape_examples():

@@ -1,7 +1,11 @@
 import functools
 import gc
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -368,6 +372,26 @@ def test_equivariant_suite_skips_localization_above_limit():
     assert report.passed
     assert report.support == 0
     assert any("localization skipped" in flag for flag in report.flags)
+
+
+def test_equivariant_suite_keeps_no_polynomial_after_it_returns():
+    # the weight product is built in its call and cached nowhere, so once the report (which holds
+    # only text) is gone no polynomial is left.  A fresh process, so no other test's polynomial lives
+    code = (
+        "import gc\n"
+        "from schubfactor import Composition, verify_equivariant_suite\n"
+        "from schubfactor.polynomial import Polynomial\n"
+        "for parts, family in (((2, 1), 'orthogonal'), ((2, 2), 'symplectic'), ((1,) * 5, 'orthogonal')):\n"
+        "    report = verify_equivariant_suite(Composition(parts), family)\n"
+        "    assert report.passed and report.support > 0, report.text()\n"
+        "    del report\n"
+        "    gc.collect()\n"
+        "    live = sum(isinstance(o, Polynomial) for o in gc.get_objects())\n"
+        "    assert live == 0, (parts, live)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(verifier.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
 def test_equivariant_suite_symplectic_needs_even_parts():

@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -252,6 +252,21 @@ def test_families_are_built_in_word_order():
         for n in sizes:
             for mu in enumerate_compositions(n, even_parts_only=needs_even_parts(family)):
                 assert in_word_order(member_set(mu, family).members), (family, mu)
+
+
+def test_member_counts_follow_the_product_formula():
+    # prod (mu_i - 1)!! orthogonal and prod (mu_i / 2)! symplectic, on 2047 + 63 compositions
+    count = {
+        ORTHOGONAL: lambda mu: prod(prod(range(m - 1, 0, -2)) for m in mu.parts),
+        SYMPLECTIC: lambda mu: prod(factorial(m // 2) for m in mu.parts),
+    }
+    checked = 0
+    for family, sizes in ((ORTHOGONAL, range(1, 12)), (SYMPLECTIC, range(2, 13, 2))):
+        for n in sizes:
+            for mu in enumerate_compositions(n, even_parts_only=needs_even_parts(family)):
+                assert len(member_set(mu, family).members) == count[family](mu), (family, mu)
+                checked += 1
+    assert checked == 2110
 
 
 def test_members_have_uniform_length():
