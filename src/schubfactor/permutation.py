@@ -123,6 +123,8 @@ class Permutation:
         return hash(self.word)
 
     def __lt__(self, other: "Permutation") -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.word < other.word
 
     def __repr__(self) -> str:

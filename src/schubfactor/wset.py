@@ -1,8 +1,8 @@
 """
 The permutation families indexing the Schubert-sum side of the identities.
 
-Orthogonal family: w_set_full_orthogonal(n) builds the base set by a
-recursive adjacency rule; pairs (w(i), w(n+1-i)) are chosen adjacent in the
+Orthogonal family: the base set of size n is built by a recursive
+adjacency rule; pairs (w(i), w(n+1-i)) are chosen adjacent in the
 remaining letter set, larger letter in front.  For a composition mu, members
 of w_set_orthogonal(mu) are concatenations of block words: block i uses the
 letter interval (n - nu_{i+1}, n - nu_i] -- letters descend across blocks --
@@ -12,8 +12,8 @@ Symplectic family: the base set for size 2m is the image of S_m under a
 doubling embedding; w_set_symplectic(mu) assembles blocks the same way and
 requires every part even.
 
-Both base sets are built once per size and kept, as tuples of immutable
-permutations, since every block of every composition draws from them.
+A base set is the member set of its one-block composition, and each block's
+words are built over its own letters, so nothing is kept between calls.
 
 Standardization is order-preserving: the k-th smallest letter becomes k.
 
@@ -25,11 +25,11 @@ Standardization is order-preserving: the k-th smallest letter becomes k.
 
 from __future__ import annotations
 
-import functools
+from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
 from .composition import Composition, check_even_parts
-from .permutation import Permutation, all_permutations
+from .permutation import Permutation
 
 
 def _adjacency_words(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -62,12 +62,7 @@ def w_set_full_orthogonal(n: int) -> tuple[Permutation, ...]:
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return _full_orthogonal(n)
-
-
-@functools.cache
-def _full_orthogonal(n: int) -> tuple[Permutation, ...]:
-    return tuple(map(Permutation, _adjacency_words(tuple(range(1, n + 1)))))
+    return w_set_orthogonal(Composition((n,))).members
 
 
 def block_word(w: Permutation, mu: Composition, i: int) -> tuple[int, ...]:
@@ -119,21 +114,20 @@ class WSet(NamedTuple):
         }
 
 
-def _assemble(mu: Composition, base_words, family: str) -> WSet:
+def _assemble(mu: Composition, block_words, family: str) -> WSet:
     """
-    Cartesian product over blocks: block i draws its word from
-    base_words(mu_i) and its letters from the interval (low, low + mu_i] with
-    low = n - nu_{i+1}, so relabeling adds low to every letter.  The
-    intervals are disjoint and cover 1..n, and each block word is a checked
-    base word, so every assembled word is a permutation and is stored
-    without the constructor's check.  Each block's list is in word order
-    and its words have one length, so the product is in word order.
+    Cartesian product over blocks: block i takes its words from
+    block_words(letters) over its own rising letter interval
+    (n - nu_{i+1}, n - nu_i].  The intervals are disjoint and cover 1..n,
+    and each block word uses each letter of its interval once, so every
+    assembled word is a permutation and is stored without the
+    constructor's check.  Each block's list is in word order and its words
+    have one length, so the product is in word order.
     """
     n = mu.total
     prefixes: list[tuple[int, ...]] = [()]
-    for i, part in enumerate(mu.parts, start=1):
-        low = n - mu.nu[i]
-        blocks = [tuple(v + low for v in u.word) for u in base_words(part)]
+    for start, end in zip(mu.nu, mu.nu[1:]):
+        blocks = block_words(tuple(range(n - end + 1, n - start + 1)))
         prefixes = [pre + b for pre in prefixes for b in blocks]
     return WSet(family, mu, tuple(map(Permutation._unchecked, prefixes)))
 
@@ -143,7 +137,7 @@ def w_set_orthogonal(mu: Composition) -> WSet:
     >>> [str(w) for w in w_set_orthogonal(Composition((4, 2))).members]
     ['465321', '563421', '643521']
     """
-    return _assemble(mu, w_set_full_orthogonal, "orthogonal")
+    return _assemble(mu, _adjacency_words, "orthogonal")
 
 
 def symplectic_embedding(u: Permutation) -> Permutation:
@@ -160,6 +154,15 @@ def symplectic_embedding(u: Permutation) -> Permutation:
     return Permutation(first + second)
 
 
+def _doubling_words(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """
+    The doubling embedding over 2m rising `letters` l_1 < ... < l_2m, in word order:
+    u in S_m goes to (l_{2u(1)-1}, ..., l_{2u(m)-1}, l_{2u(m)}, ..., l_{2u(1)}).
+    """
+    odd, even = letters[0::2], letters[1::2]
+    return [tuple(odd[v] for v in u) + tuple(even[v] for v in reversed(u)) for u in permutations(range(len(odd)))]
+
+
 def w_set_full_symplectic(two_n: int) -> tuple[Permutation, ...]:
     """
     The symplectic base family in S_{2n}, in word order: the image of the
@@ -170,13 +173,7 @@ def w_set_full_symplectic(two_n: int) -> tuple[Permutation, ...]:
     """
     if type(two_n) is not int or two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"size must be a positive even integer, got {two_n!r}")
-    return _full_symplectic(two_n // 2)
-
-
-@functools.cache
-def _full_symplectic(half: int) -> tuple[Permutation, ...]:
-    # the embedding keeps the word order of S_half: u(i) < u'(i) gives 2u(i) - 1 < 2u'(i) - 1
-    return tuple(map(symplectic_embedding, all_permutations(half)))
+    return w_set_symplectic(Composition((two_n,))).members
 
 
 def w_set_symplectic(mu: Composition) -> WSet:
@@ -188,4 +185,4 @@ def w_set_symplectic(mu: Composition) -> WSet:
     ['561342', '563124']
     """
     check_even_parts(mu, half_slots=False)
-    return _assemble(mu, w_set_full_symplectic, "symplectic")
+    return _assemble(mu, _doubling_words, "symplectic")

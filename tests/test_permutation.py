@@ -80,6 +80,16 @@ def test_compose_size_mismatch():
         Permutation((2, 1)) * Permutation((1, 2, 3))
 
 
+@pytest.mark.parametrize("other", (3, (2, 1), "21", None))
+def test_order_and_compose_refuse_a_non_permutation_with_type_error(other):
+    # __lt__ and __mul__ return NotImplemented, so Python raises TypeError both ways round
+    w = Permutation((2, 1))
+    for compare in (lambda: w < other, lambda: other < w, lambda: w > other, lambda: w * other):
+        with pytest.raises(TypeError):
+            compare()
+    assert sorted([w, Permutation((1, 2))]) == [Permutation((1, 2)), w]
+
+
 def test_invalid_words():
     for bad in [(), (0, 1), (1, 1), (1, 3), (2, 2, 1)]:
         with pytest.raises(ValueError):

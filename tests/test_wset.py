@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
 from schubfactor.composition import Composition, enumerate_compositions
-from schubfactor.permutation import Permutation
+from schubfactor.permutation import Permutation, all_permutations
 from schubfactor.verifier import ORTHOGONAL, SYMPLECTIC, member_set, needs_even_parts
 from schubfactor.wset import (
     block_word,
@@ -154,6 +158,34 @@ def test_full_symplectic_properties(two_n):
         # odd letters occupy the first half; constant length n(n-1)
         assert all(w(i) % 2 == 1 for i in range(1, n + 1))
         assert w.length == n * (n - 1)
+
+
+@pytest.mark.parametrize("two_m", range(2, 15, 2))
+def test_full_symplectic_is_the_embedding_of_s_m_in_order(two_m):
+    # the family is built from letter indices, the embedding from a checked Permutation of S_m
+    assert w_set_full_symplectic(two_m) == tuple(map(symplectic_embedding, all_permutations(two_m // 2)))
+
+
+def test_member_families_keep_no_permutation_after_they_return():
+    # no base family is cached, so once the results are dropped no Permutation is left but the
+    # module constants (verifier.ASCENDING_LETTER_VARIANT_24).  A fresh process, so no other test's
+    # permutation lives
+    code = (
+        "import gc\n"
+        "from schubfactor import Composition, Permutation, w_set_full_orthogonal, w_set_full_symplectic\n"
+        "from schubfactor.verifier import member_set\n"
+        "def live():\n"
+        "    gc.collect()\n"
+        "    return sum(isinstance(o, Permutation) for o in gc.get_objects())\n"
+        "before = live()\n"
+        "for parts, family in (((5,), 'orthogonal'), ((2, 3), 'orthogonal'), ((6,), 'symplectic'), ((2, 4), 'symplectic')):\n"
+        "    assert member_set(Composition(parts), family).members\n"
+        "assert w_set_full_orthogonal(6) and w_set_full_symplectic(6)\n"
+        "assert live() <= before, (before, live())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(member_set.__code__.co_filename).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
 # -- involution atoms: an oracle independent of both constructions -----------------
